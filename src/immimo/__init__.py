@@ -15,7 +15,6 @@ from immimo.phy import (
     Frame,
     assemble_frame,
     demap_frame,
-    ChannelRealization,
     draw_channel,
     make_correlated,
     corrupt_csi,

@@ -51,7 +51,7 @@ from immimo.twostage import (
     TrainConfig,
     build_aapd,
     build_se,
-    detect_frame,
+    detect_frames,
     train_full,
 )
 
@@ -121,8 +121,7 @@ def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     os.makedirs(args.out, exist_ok=True)
     tcfg = TrainConfig(lr=cfg.lr, batch=cfg.batch, max_epochs=cfg.max_epochs,
-                       gamma1=cfg.gamma1, gamma2=cfg.gamma2, seed=cfg.seed,
-                       per_snr=not args.mixed)
+                       gamma1=cfg.gamma1, gamma2=cfg.gamma2, seed=cfg.seed)
     table = table_for(cfg)
     snr_points = [None] if args.mixed else cfg.snr_db
     for snr in snr_points:
@@ -147,12 +146,14 @@ def cmd_train(args) -> int:
             se_path = os.path.join(args.out, f"se_{args.variant}_mixed.cvnn")
         else:
             aapd_path, se_path = checkpoint_paths(args.out, args.variant, snr)
+        # strict JSON: a NaN/inf in the log fails before any file is written
+        lines = [json.dumps(rec, sort_keys=True, allow_nan=False) + "\n"
+                 for rec in history]
         aapd.net.save(aapd_path)
         se.net.save(se_path)
         log_path = os.path.join(args.out, f"train_{args.variant}_snr{tag}.jsonl")
         with open(log_path, "w", encoding="utf-8") as f:
-            for rec in history:
-                f.write(json.dumps(rec, sort_keys=True) + "\n")
+            f.writelines(lines)
         converged = all(r.get("converged", True) for r in history if "converged" in r)
         status = "" if converged else " (warning: epoch cap before loss target)"
         print(f"trained {tag} dB -> {aapd_path}, {se_path} "
@@ -235,7 +236,8 @@ def cmd_bench(args) -> int:
          "flops_per_frame": count_flops(aapd.net, (1, cfg.n_r, cfg.t))
                             + count_flops(se.net, (1, cfg.n_u, cfg.t)),
          "latency_ms_median": median_latency_ms(
-             lambda it: detect_frame(it[0], it[1], aapd, se, table, constellation),
+             lambda it: detect_frames(it[0][None], it[1][None], aapd, se, table,
+                                      constellation),
              items)},
     ]
     for r in rows:

@@ -34,7 +34,6 @@ class ExperimentConfig:
     # detection / training
     detectors: list = field(default_factory=lambda: ["ml", "somp", "nn"])
     tac_preset: str = "lexicographic"
-    somp_noise_eps: float = 0.0     # accepted and stored; fixed-iteration SOMP ignores it
     lr: float = 1e-3
     batch: int = 100
     max_epochs: int = 200
@@ -82,8 +81,7 @@ _LIST_KEYS = {"snr_db", "detectors", "conv_channels", "dense_units",
               "se_channels", "sweep_error_var"}
 _INT_KEYS = {"n_t", "n_u", "n_r", "t", "m", "frames_train", "frames_val",
              "frames_test", "seed", "batch", "max_epochs", "n_p", "threads"}
-_FLOAT_KEYS = {"rho", "csi_error_var", "e_p", "sigma_z2", "somp_noise_eps",
-               "lr", "gamma1", "gamma2"}
+_FLOAT_KEYS = {"rho", "csi_error_var", "e_p", "sigma_z2", "lr", "gamma1", "gamma2"}
 _STR_KEYS = {"tac_preset"}
 
 

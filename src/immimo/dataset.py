@@ -27,18 +27,17 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from immimo.config import ExperimentConfig
-from immimo.linalg import Rng, complex_gaussian
+from immimo.linalg import Rng
 from immimo.modulation import QamConstellation
 from immimo.phy import (
     TAC_PRESET_4X2,
-    ChannelRealization,
     TacTable,
     apply_channel,
     assemble_frame,
     build_tac_table,
     corrupt_csi,
+    draw_channel,
     frame_bit_count,
-    make_correlated,
 )
 
 _MAGIC = b"IMDS"
@@ -90,14 +89,11 @@ def scenario_channel(cfg: ExperimentConfig) -> np.ndarray:
     train, validation, and test splits of one experiment all see the same
     realization. Entries are CN(0, 1/N_r) with optional Kronecker correlation.
     """
-    h = complex_gaussian(Rng(cfg.seed).derive(_CHANNEL_STREAM),
-                         cfg.n_r, cfg.n_t, 1.0 / cfg.n_r)
-    if cfg.rho:
-        h = make_correlated(h, cfg.rho)
-    return h
+    return draw_channel(Rng(cfg.seed).derive(_CHANNEL_STREAM), cfg.n_r, cfg.n_t,
+                        rho=cfg.rho)
 
 
-def _pack_record(header: DatasetHeader, bits, y, h, h_est, g, s) -> bytes:
+def _pack_record(bits, y, h, h_est, g, s) -> bytes:
     parts = [
         np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes(),
         np.asarray(y, dtype="<c8").tobytes(),
@@ -126,21 +122,11 @@ def generate_frame_data(cfg: ExperimentConfig, table: TacTable,
     frame = assemble_frame(bits, table, constellation, cfg.t)
     if h is None:
         h = scenario_channel(cfg)
-    chan = ChannelRealization(
-        h=h, h_est=corrupt_csi(h, cfg.csi_error_var, base.derive(1)),
-        rho=cfg.rho, csi_error_var=cfg.csi_error_var)
-    y = apply_channel(frame, chan, snr_db, base.derive(2))
+    h_est = corrupt_csi(h, cfg.csi_error_var, base.derive(1))
+    y = apply_channel(frame, h, snr_db, base.derive(2))
     g = np.zeros(cfg.n_t, dtype=np.uint8)
     g[[a - 1 for a in table.tacs[frame.tac_index]]] = 1
-    return bits, y, chan.h, chan.h_est, g, frame.s
-
-
-def generate_record(cfg: ExperimentConfig, table: TacTable,
-                    constellation: QamConstellation, snr_db: float,
-                    frame_index: int, h: np.ndarray | None = None) -> bytes:
-    hdr = DatasetHeader(cfg.n_t, cfg.n_u, cfg.n_r, cfg.t, cfg.m, snr_db, 0, cfg.seed)
-    return _pack_record(hdr, *generate_frame_data(cfg, table, constellation,
-                                                  snr_db, frame_index, h=h))
+    return bits, y, h, h_est, g, frame.s
 
 
 def generate_arrays(cfg: ExperimentConfig, snr_db: float, count: int,
@@ -173,8 +159,8 @@ def write_dataset(path, cfg: ExperimentConfig, snr_db: float, count: int,
     h0 = scenario_channel(cfg)
 
     def make(i: int) -> bytes:
-        return generate_record(cfg, table, constellation, float(snr_db),
-                               start_index + i, h=h0)
+        return _pack_record(*generate_frame_data(cfg, table, constellation,
+                                                 float(snr_db), start_index + i, h=h0))
 
     with open(path, "wb") as f:
         f.write(_HEADER.pack(_MAGIC, _VERSION, cfg.n_t, cfg.n_u, cfg.n_r,

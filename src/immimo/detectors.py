@@ -117,9 +117,6 @@ def classical_detect(y, h_est, table: TacTable, constellation: QamConstellation,
         support = somp_detect(y, h_est, table.n_u)
         ti = legalize_support(support, table)
         return ti, zf_estimate(y, h_est, table.tacs[ti])
-    if method == "zf-oracle":
-        # genie TAC unknown here; kept out on purpose
-        raise ValueError("zf-oracle needs the true TAC; use zf_estimate directly")
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -138,16 +138,6 @@ def demap_frame(tac_index: int, s_hat, table: TacTable,
     return np.concatenate([np.array(head, dtype=np.int64), sym_bits.reshape(-1)])
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Per-frame channel, true and receiver-side estimate."""
-
-    h: np.ndarray        # (n_r, n_t) true channel
-    h_est: np.ndarray    # (n_r, n_t) estimate handed to detectors
-    rho: float = 0.0
-    csi_error_var: float = 0.0
-
-
 def make_correlated(h: np.ndarray, rho: float, rho_rx: float | None = None) -> np.ndarray:
     """Apply Kronecker spatial correlation: H_c = L_r H L_t^H.
 
@@ -185,14 +175,13 @@ def csi_error_variance(n_t: int, sigma_z2: float, n_p: int, e_p: float) -> float
     return n_t * sigma_z2 / (n_p * e_p)
 
 
-def draw_channel(rng: Rng, n_r: int, n_t: int, rho: float = 0.0,
-                 csi_error_var: float = 0.0) -> ChannelRealization:
-    """Draw H with i.i.d. CN(0, 1/N_r) entries, then correlation / CSI error."""
+def draw_channel(rng: Rng, n_r: int, n_t: int, rho: float = 0.0) -> np.ndarray:
+    """Draw H (n_r, n_t) with i.i.d. CN(0, 1/N_r) entries, then Kronecker
+    correlation `rho`; the receiver's estimate comes from corrupt_csi."""
     h = complex_gaussian(rng, n_r, n_t, 1.0 / n_r)
     if rho:
         h = make_correlated(h, rho)
-    h_est = corrupt_csi(h, csi_error_var, rng)
-    return ChannelRealization(h=h, h_est=h_est, rho=rho, csi_error_var=csi_error_var)
+    return h
 
 
 def noise_variance(snr_db: float, n_r: int, n_u: int) -> float:
@@ -207,11 +196,11 @@ def noise_variance(snr_db: float, n_r: int, n_u: int) -> float:
     return n_u / (n_r * 10.0 ** (snr_db / 10.0))
 
 
-def apply_channel(frame: Frame, chan: ChannelRealization, snr_db: float,
+def apply_channel(frame: Frame, h: np.ndarray, snr_db: float,
                   rng: Rng) -> np.ndarray:
     """Receive matrix Y = H X + N at the requested SNR (inf => noiseless)."""
-    y = chan.h @ frame.x
-    n_r = chan.h.shape[0]
+    y = h @ frame.x
+    n_r = h.shape[0]
     var = noise_variance(snr_db, n_r, frame.s.shape[0])
     if var > 0:
         y = y + complex_gaussian(rng, n_r, frame.t, var)

@@ -10,7 +10,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from immimo.config import ExperimentConfig
 from immimo.cvnn import Model
 from immimo.detectors import classical_detect
 from immimo.modulation import QamConstellation
@@ -91,17 +90,6 @@ def load_detector(ckpt_dir, variant: str, snr_db: float) -> tuple[AapdModel, SeM
     return (AapdModel(net=anet, variant=am["variant"], n_r=am["n_r"],
                       t=am["t"], n_t=am["n_t"]),
             SeModel(net=snet, variant=sm["variant"], n_u=sm["n_u"], t=sm["t"]))
-
-
-def nn_detector_names(cfg: ExperimentConfig, variant: str | None) -> list[str]:
-    """Expand the config's detector list into concrete row names."""
-    names = []
-    for d in cfg.detectors:
-        if d == "nn":
-            names.append(f"nn-{variant or 'complex'}")
-        else:
-            names.append(d)
-    return names
 
 
 def rows_to_csv(rows: list[dict], columns: list[str]) -> str:

@@ -52,16 +52,30 @@ class TrainConfig:
     max_epochs: int = 200
     gamma1: float = 0.05          # AAPD validation BCE target
     gamma2: float | None = None   # SE validation MSE target; None -> 1.05x ZF floor
-    per_snr: bool = True
     seed: int = 0
 
     def __post_init__(self):
         if self.batch < 2:
             raise ValueError("batch must be >= 2")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
         if self.gamma1 <= 0:
             raise ValueError("gamma1 must be > 0")
         if self.gamma2 is not None and self.gamma2 <= 0:
             raise ValueError("gamma2 must be > 0")
+
+
+def _as_input(batch: np.ndarray) -> np.ndarray:
+    """(B, rows, t) -> single-channel (B, 1, rows, t), the nets' layout."""
+    batch = np.asarray(batch)
+    if batch.ndim != 3 or len(batch) == 0:
+        raise ValueError(f"expected a non-empty (B, rows, t) batch, got {batch.shape}")
+    return batch[:, None, :, :].astype(np.complex128)
+
+
+def _forward_in_chunks(net: Model, x: np.ndarray, chunk: int = 256) -> np.ndarray:
+    outs = [net.forward(x[i:i + chunk], train=False) for i in range(0, len(x), chunk)]
+    return np.concatenate(outs, axis=0)
 
 
 @dataclass
@@ -73,11 +87,8 @@ class AapdModel:
     n_t: int
 
     def probabilities(self, y: np.ndarray) -> np.ndarray:
-        """Batch (B, n_r, t) or single (n_r, t) -> probabilities (B, n_t) / (n_t,)."""
-        single = y.ndim == 2
-        yb = y[None] if single else y
-        p = self.net.forward(yb[:, None, :, :].astype(np.complex128), train=False)
-        return p[0] if single else p
+        """Receive matrices (B, n_r, t) -> activation probabilities (B, n_t)."""
+        return _forward_in_chunks(self.net, _as_input(y))
 
 
 @dataclass
@@ -88,11 +99,25 @@ class SeModel:
     t: int
 
     def enhance(self, s_zf: np.ndarray) -> np.ndarray:
-        single = s_zf.ndim == 2
-        sb = s_zf[None] if single else s_zf
-        out = self.net.forward(sb[:, None, :, :].astype(np.complex128), train=False)
-        out = out[:, 0, :, :]
-        return out[0] if single else out
+        """ZF estimates (B, n_u, t) -> enhanced estimates (B, n_u, t)."""
+        return _forward_in_chunks(self.net, _as_input(s_zf))[:, 0]
+
+
+# variant -> (width factor, conv, batch norm, ReLU, dense). The real variant
+# is the complex net at doubled widths, the equal-slot convention of Trabelsi
+# et al., Deep Complex Networks (ICLR 2018), so both spend the same number of
+# real value slots per layer; SplitReIm/MergeReIm keep its input and output
+# complex.
+_KITS = {
+    "complex": (1, ComplexConv2d, ComplexBatchNorm, ComplexReLU, ComplexDense),
+    "real": (2, RealConv2d, RealBatchNorm, RealReLU, RealDense),
+}
+
+
+def _kit(variant: str) -> tuple:
+    if variant not in _KITS:
+        raise ValueError(f"variant must be 'complex' or 'real', got {variant!r}")
+    return _KITS[variant]
 
 
 def build_aapd(n_r: int, t: int, n_t: int, variant: str = "complex",
@@ -107,44 +132,27 @@ def build_aapd(n_r: int, t: int, n_t: int, variant: str = "complex",
     """
     if min(n_r, t, n_t) < 1:
         raise ValueError("dims must be >= 1")
-    if variant not in ("complex", "real"):
-        raise ValueError(f"variant must be 'complex' or 'real', got {variant!r}")
+    w, conv, norm, relu, dense = _kit(variant)
     c1, c2 = conv_channels
     d1, d2 = dense_units
     rng = Rng(seed).derive(101)
-    if variant == "complex":
-        layers = [
-            ComplexConv2d(1, c1, 3, "same", rng=rng.derive(0)),
-            ComplexBatchNorm(c1),
-            ComplexReLU(),
-            ComplexConv2d(c1, c2, 3, "same", rng=rng.derive(1)),
-            ComplexBatchNorm(c2),
-            ComplexReLU(),
-            Flatten(),
-            ComplexDense(c2 * n_r * t, d1, rng=rng.derive(2)),
-            ComplexReLU(),
-            ComplexDense(d1, d2, rng=rng.derive(3)),
-            ComplexReLU(),
-            RealHeadDense(2 * d2, n_t, rng=rng.derive(4)),
-            RealSigmoid(),
-        ]
-    else:
-        layers = [
-            SplitReIm(),
-            RealConv2d(2, 2 * c1, 3, "same", rng=rng.derive(0)),
-            RealBatchNorm(2 * c1),
-            RealReLU(),
-            RealConv2d(2 * c1, 2 * c2, 3, "same", rng=rng.derive(1)),
-            RealBatchNorm(2 * c2),
-            RealReLU(),
-            Flatten(),
-            RealDense(2 * c2 * n_r * t, 2 * d1, rng=rng.derive(2)),
-            RealReLU(),
-            RealDense(2 * d1, 2 * d2, rng=rng.derive(3)),
-            RealReLU(),
-            RealHeadDense(2 * d2, n_t, rng=rng.derive(4)),
-            RealSigmoid(),
-        ]
+    layers = [
+        conv(w, w * c1, 3, "same", rng=rng.derive(0)),
+        norm(w * c1),
+        relu(),
+        conv(w * c1, w * c2, 3, "same", rng=rng.derive(1)),
+        norm(w * c2),
+        relu(),
+        Flatten(),
+        dense(w * c2 * n_r * t, w * d1, rng=rng.derive(2)),
+        relu(),
+        dense(w * d1, w * d2, rng=rng.derive(3)),
+        relu(),
+        RealHeadDense(2 * d2, n_t, rng=rng.derive(4)),
+        RealSigmoid(),
+    ]
+    if variant == "real":
+        layers.insert(0, SplitReIm())
     meta = {"role": "aapd", "variant": variant, "n_r": n_r, "t": t, "n_t": n_t,
             "conv_channels": list(conv_channels), "dense_units": list(dense_units)}
     return AapdModel(net=Model(layers, meta=meta), variant=variant,
@@ -156,57 +164,40 @@ def build_se(n_u: int, t: int, variant: str = "complex",
     """Signal-enhancement net: residual conv stack on the (n_u, t) estimate."""
     if min(n_u, t) < 1:
         raise ValueError("dims must be >= 1")
-    if variant not in ("complex", "real"):
-        raise ValueError(f"variant must be 'complex' or 'real', got {variant!r}")
+    w, conv, _, relu, _ = _kit(variant)
     c1, c2 = channels
     rng = Rng(seed).derive(202)
-    if variant == "complex":
-        branch = [
-            ComplexConv2d(1, c1, 3, "same", rng=rng.derive(0)),
-            ComplexReLU(),
-            ComplexConv2d(c1, c2, 3, "same", rng=rng.derive(1)),
-            ComplexReLU(),
-            ComplexConv2d(c2, 1, 3, "same", rng=rng.derive(2)),
-        ]
-        layers = [Residual(branch)]
-    else:
-        branch = [
-            RealConv2d(2, 2 * c1, 3, "same", rng=rng.derive(0)),
-            RealReLU(),
-            RealConv2d(2 * c1, 2 * c2, 3, "same", rng=rng.derive(1)),
-            RealReLU(),
-            RealConv2d(2 * c2, 2, 3, "same", rng=rng.derive(2)),
-        ]
-        layers = [SplitReIm(), Residual(branch), MergeReIm()]
+    layers = [Residual([
+        conv(w, w * c1, 3, "same", rng=rng.derive(0)),
+        relu(),
+        conv(w * c1, w * c2, 3, "same", rng=rng.derive(1)),
+        relu(),
+        conv(w * c2, w, 3, "same", rng=rng.derive(2)),
+    ])]
+    if variant == "real":
+        layers = [SplitReIm(), *layers, MergeReIm()]
     meta = {"role": "se", "variant": variant, "n_u": n_u, "t": t,
             "channels": list(channels)}
     return SeModel(net=Model(layers, meta=meta), variant=variant, n_u=n_u, t=t)
 
 
-def predict_tac(aapd: AapdModel, y: np.ndarray, table: TacTable):
-    """Probabilities and legalized TAC index for one receive matrix."""
-    p = aapd.probabilities(y)
-    return p, tac_from_probabilities(p, table)
-
-
-def tac_from_probabilities(p: np.ndarray, table: TacTable) -> int:
-    """Top-N_u antennas; if that set is illegal, the legal TAC with the
-    largest probability sum (ties toward the earliest table entry)."""
-    order = np.argsort(-p, kind="stable")
-    cand = tuple(sorted(int(a) + 1 for a in order[: table.n_u]))
-    if cand in table:
-        return table.index_of(cand)
-    sums = [p[[a - 1 for a in tac]].sum() for tac in table.tacs]
-    return int(np.argmax(sums))
-
-
 def tacs_from_probabilities(p: np.ndarray, table: TacTable) -> np.ndarray:
-    """Vectorized tac_from_probabilities over a (B, n_t) batch."""
-    return np.array([tac_from_probabilities(row, table) for row in p])
+    """Legalized TAC index for each row of a (B, n_t) probability batch.
 
-
-def _as_input(y_batch: np.ndarray) -> np.ndarray:
-    return y_batch[:, None, :, :].astype(np.complex128)
+    A row's top-N_u antennas (ties toward the lower antenna) give its TAC
+    when that set is legal; otherwise the legal TAC with the largest
+    probability sum wins, ties toward the earliest table entry. Each sum
+    adds its TAC's entries in ascending antenna order, so rounding settles
+    near-ties the same way for every N_u.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    cols = np.asarray(table.tacs, dtype=np.intp).reshape(table.n_l, table.n_u) - 1
+    top = np.argsort(-p, axis=1, kind="stable")[:, :table.n_u]
+    chosen = np.zeros(p.shape, dtype=bool)
+    np.put_along_axis(chosen, top, True, axis=1)
+    hit = chosen[:, cols].all(axis=2)        # (B, n_l): the top set is this TAC
+    sums = p[:, cols].sum(axis=2)            # (B, n_l)
+    return np.where(hit.any(axis=1), hit.argmax(axis=1), sums.argmax(axis=1))
 
 
 def _epoch_batches(n: int, batch: int, rng: Rng):
@@ -215,37 +206,27 @@ def _epoch_batches(n: int, batch: int, rng: Rng):
         yield perm[start:start + batch]
 
 
-def _forward_in_chunks(net: Model, x: np.ndarray, chunk: int = 256) -> np.ndarray:
-    outs = [net.forward(x[i:i + chunk], train=False) for i in range(0, len(x), chunk)]
-    return np.concatenate(outs, axis=0)
+def _finite(loss: float, what: str) -> float:
+    if not np.isfinite(loss):
+        raise FloatingPointError(f"{what} is {loss}")
+    return loss
 
 
-def _restore_quantized(net: Model, best_state: list | None) -> None:
-    if best_state is not None:
-        net.load_state_arrays(best_state)
-    # land exactly on the values a checkpoint reader will see
-    net.quantize_state()
+def _fit(net: Model, stage: str, train: tuple, val: tuple, loss, loss_backward,
+         cfg: TrainConfig, stream: int, done, extra) -> list[dict]:
+    """Adam mini-batch loop shared by both stages.
 
-
-def train_aapd(aapd: AapdModel, train: tuple, val: tuple, cfg: TrainConfig,
-               table: TacTable | None = None) -> list[dict]:
-    """Train the AAPD net on (Y, g) pairs by Adam mini-batches.
-
-    Stops when validation BCE < cfg.gamma1 or at the epoch cap; the model is
-    left holding the best-validation parameters (after f32 quantization, so
-    in-memory inference matches a saved checkpoint exactly). Returns one log
-    record per epoch.
+    `train`/`val` are (net input, target) pairs. Runs until done(val loss)
+    or the epoch cap and leaves `net` holding the best-validation parameters
+    after f32 quantization, so in-memory inference matches a saved
+    checkpoint exactly. Returns one record per epoch (plus `extra` of the
+    validation output) and a closing "done" record. The first non-finite
+    training or validation loss raises FloatingPointError, so poisoned
+    weights are never kept.
     """
-    y_tr, g_tr = train
-    y_va, g_va = val
-    if len(y_tr) == 0:
-        raise ValueError("empty training set")
-    x_tr = _as_input(np.asarray(y_tr))
-    x_va = _as_input(np.asarray(y_va))
-    g_tr = np.asarray(g_tr, dtype=np.float64)
-    g_va = np.asarray(g_va, dtype=np.float64)
-    opt = Adam(aapd.net, lr=cfg.lr)
-    rng = Rng(cfg.seed).derive(11)
+    (x_tr, t_tr), (x_va, t_va) = train, val
+    opt = Adam(net, lr=cfg.lr)
+    rng = Rng(cfg.seed).derive(stream)
     history = []
     best = (np.inf, None, -1)
     for epoch in range(cfg.max_epochs):
@@ -253,30 +234,48 @@ def train_aapd(aapd: AapdModel, train: tuple, val: tuple, cfg: TrainConfig,
         tr_loss = 0.0
         nb = 0
         for sel in _epoch_batches(len(x_tr), cfg.batch, rng.derive(epoch)):
-            xb, gb = x_tr[sel], g_tr[sel]
-            p = aapd.net.forward(xb, train=True)
-            tr_loss += bce(p, gb)
+            out = net.forward(x_tr[sel], train=True)
+            tb = t_tr[sel]
+            tr_loss += _finite(loss(out, tb), f"{stage} training loss, epoch {epoch}")
             nb += 1
-            aapd.net.backward(bce_backward(p, gb))
+            net.backward(loss_backward(out, tb))
             opt.step()
-        p_va = _forward_in_chunks(aapd.net, x_va)
-        va_loss = bce(p_va, g_va)
-        rec = {"stage": "aapd", "epoch": epoch, "train_loss": tr_loss / max(nb, 1),
-               "val_loss": va_loss, "seconds": time.monotonic() - t0}
-        if table is not None:
-            est = tacs_from_probabilities(p_va, table)
-            truth = np.array([tac_from_probabilities(row, table) for row in g_va])
-            rec["val_tac_accuracy"] = float(np.mean(est == truth))
-        history.append(rec)
+        out_va = _forward_in_chunks(net, x_va)
+        va_loss = _finite(loss(out_va, t_va), f"{stage} validation loss, epoch {epoch}")
+        history.append({"stage": stage, "epoch": epoch, "train_loss": tr_loss / max(nb, 1),
+                        "val_loss": va_loss, "seconds": time.monotonic() - t0,
+                        **extra(out_va)})
         if va_loss < best[0]:
-            best = (va_loss, aapd.net.state_arrays(), epoch)
-        if va_loss < cfg.gamma1:
+            best = (va_loss, net.state_arrays(), epoch)
+        if done(va_loss):
             break
-    _restore_quantized(aapd.net, best[1])
-    history.append({"stage": "aapd", "event": "done", "best_epoch": best[2],
-                    "best_val_loss": best[0],
-                    "converged": bool(best[0] < cfg.gamma1)})
+    if best[1] is not None:
+        net.load_state_arrays(best[1])
+    # land exactly on the values a checkpoint reader will see
+    net.quantize_state()
+    history.append({"stage": stage, "event": "done", "best_epoch": best[2],
+                    "best_val_loss": best[0], "converged": bool(done(best[0]))})
     return history
+
+
+def train_aapd(aapd: AapdModel, train: tuple, val: tuple, cfg: TrainConfig,
+               table: TacTable | None = None) -> list[dict]:
+    """Train the AAPD net on (Y, g) pairs until validation BCE < cfg.gamma1
+    or the epoch cap (see _fit). With `table`, each epoch record also holds
+    the validation TAC accuracy after legalization."""
+    g_va = np.asarray(val[1], dtype=np.float64)
+    truth = None if table is None else tacs_from_probabilities(g_va, table)
+
+    def tac_accuracy(p_va):
+        if table is None:
+            return {}
+        est = tacs_from_probabilities(p_va, table)
+        return {"val_tac_accuracy": float(np.mean(est == truth))}
+
+    return _fit(aapd.net, "aapd",
+                (_as_input(train[0]), np.asarray(train[1], dtype=np.float64)),
+                (_as_input(val[0]), g_va), bce, bce_backward, cfg, 11,
+                lambda loss: loss < cfg.gamma1, tac_accuracy)
 
 
 def build_zf_dataset(aapd: AapdModel, y: np.ndarray, h_est: np.ndarray,
@@ -286,8 +285,8 @@ def build_zf_dataset(aapd: AapdModel, y: np.ndarray, h_est: np.ndarray,
     Returns (s_zf, tac_indices); s_zf rows follow ascending antenna order
     within each predicted TAC.
     """
-    p = _forward_in_chunks(aapd.net, _as_input(np.asarray(y)))
-    tacs = tacs_from_probabilities(p, table)
+    y = np.asarray(y)
+    tacs = tacs_from_probabilities(aapd.probabilities(y), table)
     s_zf = np.empty((len(y), table.n_u, y.shape[-1]), dtype=np.complex128)
     for i, ti in enumerate(tacs):
         s_zf[i] = zf_estimate(y[i], h_est[i], table.tacs[ti])
@@ -295,51 +294,20 @@ def build_zf_dataset(aapd: AapdModel, y: np.ndarray, h_est: np.ndarray,
 
 
 def train_se(se: SeModel, train: tuple, val: tuple, cfg: TrainConfig) -> list[dict]:
-    """Train the SE net on (s_zf, s_true) pairs.
+    """Train the SE net on (s_zf, s_true) pairs (see _fit).
 
     The stop target is min(gamma2, ZF floor): with gamma2 defaulting to
     1.05x the validation MSE of the raw ZF input, the floor term keeps the
     net training until it is at least as good as doing nothing.
     """
-    z_tr, s_tr = train
     z_va, s_va = val
-    if len(z_tr) == 0:
-        raise ValueError("empty training set")
-    x_tr = _as_input(np.asarray(z_tr))
-    x_va = _as_input(np.asarray(z_va))
-    s_tr = np.asarray(s_tr, dtype=np.complex128)
-    s_va = np.asarray(s_va, dtype=np.complex128)
+    x_tr, x_va = _as_input(train[0]), _as_input(z_va)
     floor = mse(z_va, s_va)
     target = min(cfg.gamma2 if cfg.gamma2 is not None else 1.05 * floor, floor)
-    opt = Adam(se.net, lr=cfg.lr)
-    rng = Rng(cfg.seed).derive(22)
-    history = []
-    best = (np.inf, None, -1)
-    for epoch in range(cfg.max_epochs):
-        t0 = time.monotonic()
-        tr_loss = 0.0
-        nb = 0
-        for sel in _epoch_batches(len(x_tr), cfg.batch, rng.derive(epoch)):
-            xb = x_tr[sel]
-            out = se.net.forward(xb, train=True)
-            tgt = s_tr[sel][:, None, :, :]
-            tr_loss += mse(out, tgt)
-            nb += 1
-            se.net.backward(mse_backward(out, tgt))
-            opt.step()
-        out_va = _forward_in_chunks(se.net, x_va)
-        va_loss = mse(out_va, s_va[:, None, :, :])
-        history.append({"stage": "se", "epoch": epoch, "train_loss": tr_loss / max(nb, 1),
-                        "val_loss": va_loss, "zf_floor": floor,
-                        "seconds": time.monotonic() - t0})
-        if va_loss < best[0]:
-            best = (va_loss, se.net.state_arrays(), epoch)
-        if va_loss <= target:
-            break
-    _restore_quantized(se.net, best[1])
-    history.append({"stage": "se", "event": "done", "best_epoch": best[2],
-                    "best_val_loss": best[0], "zf_floor": floor,
-                    "converged": bool(best[0] <= target)})
+    history = _fit(se.net, "se", (x_tr, _as_input(train[1])),
+                   (x_va, _as_input(s_va)), mse, mse_backward, cfg, 22,
+                   lambda loss: loss <= target, lambda out_va: {"zf_floor": floor})
+    history[-1]["zf_floor"] = floor
     return history
 
 
@@ -375,38 +343,23 @@ def train_full(train: dict, val: dict, cfg: TrainConfig, table: TacTable,
     return aapd, se, history
 
 
-def detect_frame(y: np.ndarray, h_est: np.ndarray, aapd: AapdModel, se: SeModel,
-                 table: TacTable, constellation: QamConstellation,
-                 tac_index: int | None = None) -> np.ndarray:
-    """Full two-stage detection of one frame back to payload bits.
-
-    `tac_index` overrides stage 1 when given (oracle-TAC diagnostics).
-    """
-    if tac_index is None:
-        _, tac_index = predict_tac(aapd, y, table)
-    s_zf = zf_estimate(y, h_est, table.tacs[tac_index])
-    s_hat = se.enhance(s_zf) if se is not None else s_zf
-    return demap_frame(tac_index, s_hat, table, constellation)
-
-
 def detect_frames(y: np.ndarray, h_est: np.ndarray, aapd: AapdModel, se: SeModel,
                   table: TacTable, constellation: QamConstellation,
                   chunk: int = 256):
-    """Batched two-stage detection.
+    """Two-stage detection of a (B, n_r, t) batch back to payload bits.
 
-    Same per-frame computation as detect_frame with the net forwards batched.
+    Runs `chunk` frames at a time through AAPD, legalization and ZF
+    (build_zf_dataset, whose net passes hold at most 256 frames), then SE
+    and demapping. A single frame is a batch of 1.
     Returns (bits (B, b), tac_indices (B,)).
     """
     y = np.asarray(y)
-    p = _forward_in_chunks(aapd.net, _as_input(y), chunk=chunk)
-    tacs = tacs_from_probabilities(p, table)
-    s_zf = np.empty((len(y), table.n_u, y.shape[-1]), dtype=np.complex128)
-    for i, ti in enumerate(tacs):
-        s_zf[i] = zf_estimate(y[i], h_est[i], table.tacs[ti])
-    if se is not None:
-        s_hat = _forward_in_chunks(se.net, s_zf[:, None, :, :], chunk=chunk)[:, 0]
-    else:
-        s_hat = s_zf
-    bits = np.stack([demap_frame(int(tacs[i]), s_hat[i], table, constellation)
-                     for i in range(len(y))])
-    return bits, tacs
+    h_est = np.asarray(h_est)
+    bits, tacs = [], []
+    for lo in range(0, len(y), chunk):
+        s_zf, part = build_zf_dataset(aapd, y[lo:lo + chunk], h_est[lo:lo + chunk], table)
+        s_hat = se.enhance(s_zf)
+        bits += [demap_frame(int(ti), s, table, constellation)
+                 for ti, s in zip(part, s_hat)]
+        tacs.append(part)
+    return np.stack(bits), np.concatenate(tacs)

@@ -131,6 +131,24 @@ class TestTrain:
             a = (workspace["ckpt"] / name).read_bytes()
             assert a == (out2 / name).read_bytes()
 
+    def test_nan_in_training_data_exits_4_and_writes_nothing(self, workspace, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        for split in ("train", "val"):
+            name = f"snr12_{split}.imds"
+            (data / name).write_bytes((workspace["data"] / name).read_bytes())
+        path = data / "snr12_train.imds"
+        hdr = read_header(path)
+        raw = bytearray(path.read_bytes())
+        # first record's Y follows the file header and its packed bits
+        y0 = len(raw) - hdr.count * hdr.record_nbytes() + (hdr.bits_per_frame + 7) // 8
+        raw[y0:y0 + 4] = np.float32(np.nan).tobytes()
+        path.write_bytes(bytes(raw))
+        out = tmp_path / "ckpt"
+        assert main(["train", "--config", str(workspace["cfg"]),
+                     "--data", str(data), "--out", str(out)]) == 4
+        assert not list(out.glob("*.cvnn")) and not list(out.glob("*.jsonl"))
+
     def test_missing_dataset_exits_2(self, workspace, tmp_path):
         assert main(["train", "--config", str(workspace["cfg"]),
                      "--data", str(tmp_path / "nowhere"),

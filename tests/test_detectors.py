@@ -59,9 +59,9 @@ def brute_force_ml(y, h, table, constellation):
 def random_frame(rng, table, constellation, t, n_r, snr_db):
     bits = rng.derive(0).bits(frame_bit_count(table, constellation, t))
     fr = assemble_frame(bits, table, constellation, t)
-    chan = draw_channel(rng.derive(1), n_r, table.n_t)
-    y = apply_channel(fr, chan, snr_db, rng.derive(2))
-    return fr, chan, y
+    h = draw_channel(rng.derive(1), n_r, table.n_t)
+    y = apply_channel(fr, h, snr_db, rng.derive(2))
+    return fr, h, y
 
 
 class TestMlDetect:
@@ -75,9 +75,9 @@ class TestMlDetect:
         const = QamConstellation(m)
         rng = Rng(500)
         for i in range(15):
-            _, chan, y = random_frame(rng.derive(i), table, const, 3, n_r, snr)
-            got_ti, got_s = ml_detect(y, chan.h_est, table, const)
-            ref_ti, ref_s = brute_force_ml(y, chan.h_est, table, const)
+            _, h, y = random_frame(rng.derive(i), table, const, 3, n_r, snr)
+            got_ti, got_s = ml_detect(y, h, table, const)
+            ref_ti, ref_s = brute_force_ml(y, h, table, const)
             assert got_ti == ref_ti
             assert np.allclose(got_s, ref_s)
 
@@ -86,8 +86,8 @@ class TestMlDetect:
         const = QamConstellation(4)
         rng = Rng(501)
         for i in range(30):
-            fr, chan, y = random_frame(rng.derive(i), table, const, 4, 4, float("inf"))
-            ti, s_hat = ml_detect(y, chan.h, table, const)
+            fr, h, y = random_frame(rng.derive(i), table, const, 4, 4, float("inf"))
+            ti, s_hat = ml_detect(y, h, table, const)
             assert ti == fr.tac_index
             assert np.allclose(s_hat, fr.s)
 
@@ -99,8 +99,8 @@ class TestSompDetect:
         rng = Rng(502)
         hits = 0
         for i in range(200):
-            fr, chan, y = random_frame(rng.derive(i), table, const, 8, 8, 30.0)
-            got = somp_detect(y, chan.h, table.n_u)
+            fr, h, y = random_frame(rng.derive(i), table, const, 8, 8, 30.0)
+            got = somp_detect(y, h, table.n_u)
             hits += got == table.tacs[fr.tac_index]
         assert hits >= 195
 
@@ -156,8 +156,8 @@ class TestZf:
         table = build_tac_table(4, 2)
         const = QamConstellation(16)
         rng = Rng(504)
-        fr, chan, y = random_frame(rng, table, const, 6, 4, float("inf"))
-        s_hat = zf_estimate(y, chan.h, table.tacs[fr.tac_index])
+        fr, h, y = random_frame(rng, table, const, 6, 4, float("inf"))
+        s_hat = zf_estimate(y, h, table.tacs[fr.tac_index])
         assert np.allclose(s_hat, fr.s, atol=1e-10)
 
     def test_estimate_row_order_is_ascending_antenna(self):
@@ -180,10 +180,10 @@ class TestClassicalFrontend:
         table = build_tac_table(4, 1)
         const = QamConstellation(4)
         rng = Rng(505)
-        fr, chan, y = random_frame(rng, table, const, 8, 2, 20.0)
+        fr, h, y = random_frame(rng, table, const, 8, 2, 20.0)
         for method in ("ml", "somp"):
-            ti, s_hat = classical_detect(y, chan.h_est, table, const, method)
-            bits = classical_pipeline(y, chan.h_est, table, const, method)
+            ti, s_hat = classical_detect(y, h, table, const, method)
+            bits = classical_pipeline(y, h, table, const, method)
             assert bits.shape == fr.bits.shape
             assert 0 <= ti < table.n_l
 
@@ -192,8 +192,8 @@ class TestClassicalFrontend:
         table = build_tac_table(4, 2)
         const = QamConstellation(4)
         rng = Rng(506)
-        fr, chan, y = random_frame(rng, table, const, 8, 4, 25.0)
-        ti, _ = classical_detect(y, chan.h, table, const, "somp")
+        fr, h, y = random_frame(rng, table, const, 8, 4, 25.0)
+        ti, _ = classical_detect(y, h, table, const, "somp")
         assert 0 <= ti < table.n_l
 
     def test_unknown_method_rejected(self):

@@ -137,12 +137,12 @@ class TestFrame:
 
 class TestChannel:
     def test_entry_variance(self):
-        h = draw_channel(Rng(3), 64, 64).h
+        h = draw_channel(Rng(3), 64, 64)
         assert abs(np.mean(np.abs(h) ** 2) - 1.0 / 64) < 2e-3 / 64 * 50
 
     def test_estimate_equals_truth_without_error(self):
-        chan = draw_channel(Rng(3), 4, 4)
-        assert np.array_equal(chan.h, chan.h_est)
+        h = draw_channel(Rng(3), 4, 4)
+        assert np.array_equal(corrupt_csi(h, 0.0, Rng(4)), h)
 
     def test_csi_error_variance_empirical(self):
         rng = Rng(4)
@@ -164,14 +164,14 @@ class TestChannel:
         trials = 4000
         rng = Rng(10)
         for i in range(trials):
-            h = draw_channel(rng.derive(i), n_r, n_t, rho=rho).h
+            h = draw_channel(rng.derive(i), n_r, n_t, rho=rho)
             acc += h @ h.conj().T
         got = acc / trials / (np.trace(_exp_corr(n_t, rho)).real / n_r)
         expect = _exp_corr(n_r, rho)
         assert np.abs(got - expect).max() < 0.12
 
     def test_correlation_identity_at_zero(self):
-        h = draw_channel(Rng(6), 3, 5).h
+        h = draw_channel(Rng(6), 3, 5)
         assert np.array_equal(make_correlated(h, 0.0), h)
 
     def test_invalid_rho(self):
@@ -206,9 +206,9 @@ class TestNoise:
             r = rng.derive(i)
             bits = r.derive(0).bits(frame_bit_count(table, const, 4))
             fr = assemble_frame(bits, table, const, t=4)
-            chan = draw_channel(r.derive(1), 4, 4)
-            clean = chan.h @ fr.x
-            y = apply_channel(fr, chan, snr_db, r.derive(2))
+            h = draw_channel(r.derive(1), 4, 4)
+            clean = h @ fr.x
+            y = apply_channel(fr, h, snr_db, r.derive(2))
             sig += np.sum(np.abs(clean) ** 2)
             noise += np.sum(np.abs(y - clean) ** 2)
         got_db = 10 * np.log10(sig / noise)
@@ -220,9 +220,9 @@ class TestNoise:
         rng = Rng(21)
         bits = rng.bits(frame_bit_count(table, const, 4))
         fr = assemble_frame(bits, table, const, t=4)
-        chan = draw_channel(rng, 4, 4)
-        y = apply_channel(fr, chan, float("inf"), rng)
-        assert np.array_equal(y, chan.h @ fr.x)
+        h = draw_channel(rng, 4, 4)
+        y = apply_channel(fr, h, float("inf"), rng)
+        assert np.array_equal(y, h @ fr.x)
 
 
 class TestMetrics:

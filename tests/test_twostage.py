@@ -13,10 +13,7 @@ from immimo.twostage import (
     build_aapd,
     build_se,
     build_zf_dataset,
-    detect_frame,
     detect_frames,
-    predict_tac,
-    tac_from_probabilities,
     tacs_from_probabilities,
     train_aapd,
     train_full,
@@ -29,6 +26,32 @@ def zero_params(model):
         a[...] = 0
 
 
+def tac_from_probabilities(p, table):
+    """Reference per-row legalization loop for tacs_from_probabilities.
+
+    Top-N_u antennas; if that set is illegal, the legal TAC with the
+    largest probability sum (ties toward the earliest table entry).
+    """
+    order = np.argsort(-p, kind="stable")
+    cand = tuple(sorted(int(a) + 1 for a in order[: table.n_u]))
+    if cand in table:
+        return table.index_of(cand)
+    sums = [p[[a - 1 for a in tac]].sum() for tac in table.tacs]
+    return int(np.argmax(sums))
+
+
+def detect_frame(y, h_est, aapd, se, table, constellation):
+    """Reference per-frame two-stage detection for detect_frames."""
+    p = aapd.probabilities(y[None])[0]
+    ti = tac_from_probabilities(p, table)
+    s_zf = zf_estimate(y, h_est, table.tacs[ti])
+    return demap_frame(ti, se.enhance(s_zf[None])[0], table, constellation)
+
+
+def legalize_one(p, table):
+    return int(tacs_from_probabilities(np.asarray(p)[None], table)[0])
+
+
 class TestTrainConfig:
     def test_defaults_valid(self):
         cfg = TrainConfig()
@@ -37,6 +60,11 @@ class TestTrainConfig:
     def test_batch_too_small(self):
         with pytest.raises(ValueError):
             TrainConfig(batch=1)
+
+    def test_max_epochs_positive(self):
+        # zero epochs would leave best_val_loss = inf for the JSON log
+        with pytest.raises(ValueError):
+            TrainConfig(max_epochs=0)
 
     def test_gamma1_positive(self):
         with pytest.raises(ValueError):
@@ -68,9 +96,9 @@ class TestBuilders:
         p = aapd.probabilities(y)
         assert p.shape == (3, 4)
         assert np.all(np.isfinite(p)) and np.all((p > 0) & (p < 1))
-        single = aapd.probabilities(y[0])
-        assert single.shape == (4,)
-        assert np.array_equal(single, p[0])
+        single = aapd.probabilities(y[:1])
+        assert single.shape == (1, 4)
+        assert np.array_equal(single[0], p[0])
 
     @pytest.mark.parametrize("variant", ["complex", "real"])
     def test_se_preserves_shape(self, variant, np_rng):
@@ -92,46 +120,45 @@ class TestTacLegalization:
     def test_top1_direct(self):
         table = build_tac_table(4, 1)
         p = np.array([0.9, 0.1, 0.8, 0.2])
-        assert tac_from_probabilities(p, table) == table.index_of((1,))
+        assert legalize_one(p, table) == table.index_of((1,))
 
     def test_top2_already_legal_kept(self):
         table = build_tac_table(4, 2, tacs=TAC_PRESET_4X2)
         p = np.array([0.9, 0.1, 0.8, 0.2])
-        assert table.tacs[tac_from_probabilities(p, table)] == (1, 3)
+        assert table.tacs[legalize_one(p, table)] == (1, 3)
 
     def test_illegal_candidate_legalized_by_probability_sum(self):
         # top-2 {1,2} is not in the preset; sums: {1,3}=1.0 beats
         # {1,4}=0.95, {2,3}=0.95, {2,4}=0.9
         table = build_tac_table(4, 2, tacs=TAC_PRESET_4X2)
         p = np.array([0.9, 0.85, 0.1, 0.05])
-        assert table.tacs[tac_from_probabilities(p, table)] == (1, 3)
+        assert table.tacs[legalize_one(p, table)] == (1, 3)
 
     def test_sum_ties_take_earliest_table_entry(self):
         table = build_tac_table(4, 2, tacs=TAC_PRESET_4X2)
         p = np.array([0.5, 0.5, 0.5, 0.5])
-        assert tac_from_probabilities(p, table) == 0
+        assert legalize_one(p, table) == 0
 
     def test_result_always_legal(self, np_rng):
         table = build_tac_table(8, 2)  # 28 pairs, table keeps 16
         for _ in range(200):
             p = np_rng.random(8)
-            ti = tac_from_probabilities(p, table)
+            ti = legalize_one(p, table)
             assert 0 <= ti < table.n_l
 
     def test_vectorized_matches_scalar(self, np_rng):
-        table = build_tac_table(4, 2, tacs=TAC_PRESET_4X2)
-        p = np_rng.random((50, 4))
-        batch = tacs_from_probabilities(p, table)
-        each = [tac_from_probabilities(row, table) for row in p]
-        assert np.array_equal(batch, each)
-
-    def test_predict_tac_returns_probabilities_and_index(self, np_rng):
-        table = build_tac_table(4, 1)
-        aapd = build_aapd(2, 8, 4, conv_channels=(2, 2), dense_units=(4, 4), seed=2)
-        y = np_rng.normal(size=(2, 8)) + 1j * np_rng.normal(size=(2, 8))
-        p, ti = predict_tac(aapd, y, table)
-        assert p.shape == (4,)
-        assert ti == tac_from_probabilities(p, table)
+        # random rows, rows rounded to 0.1 (top-N_u and sum ties) and
+        # all-equal rows, on tables with and without illegal top-N_u sets
+        tables = [build_tac_table(4, 1), build_tac_table(4, 2, tacs=TAC_PRESET_4X2),
+                  build_tac_table(8, 2), build_tac_table(8, 3)]
+        for table in tables:
+            raw = np_rng.random((300, table.n_t))
+            p = np.concatenate([raw, np.round(raw, 1),
+                                np.full((3, table.n_t), 0.5),
+                                np.zeros((1, table.n_t))])
+            batch = tacs_from_probabilities(p, table)
+            each = [tac_from_probabilities(row, table) for row in p]
+            assert np.array_equal(batch, each)
 
 
 class TestTraining:
@@ -177,6 +204,28 @@ class TestTraining:
         done = hist[-1]
         assert done["event"] == "done"
         assert done["best_val_loss"] < 1e-4
+
+    @pytest.mark.parametrize("where", ["train", "val"])
+    def test_non_finite_loss_raises(self, where, np_rng):
+        # one NaN input must stop training, not run to the epoch cap on
+        # NaN weights
+        def with_nan(x):
+            bad = x.copy()
+            bad[3, 0, 2] = np.nan
+            return (bad, x) if where == "train" else (x, bad)
+
+        y = np_rng.normal(size=(8, 2, 4)) + 1j * np_rng.normal(size=(8, 2, 4))
+        g = (np_rng.random((8, 4)) < 0.25).astype(float)
+        cfg = TrainConfig(batch=4, max_epochs=3, seed=4)
+        tr, va = with_nan(y)
+        aapd = build_aapd(2, 4, 4, conv_channels=(2, 2), dense_units=(4, 4), seed=4)
+        with pytest.raises(FloatingPointError):
+            train_aapd(aapd, (tr, g), (va, g), cfg)
+        s = y[:, :1, :]
+        tr, va = with_nan(s)
+        se = build_se(1, 4, channels=(2, 2), seed=4)
+        with pytest.raises(FloatingPointError):
+            train_se(se, (tr, s), (va, s), cfg)
 
     def test_se_floor_is_zf_input_mse(self, np_rng):
         s = np_rng.normal(size=(3, 1, 4)) + 1j * np_rng.normal(size=(3, 1, 4))
@@ -234,10 +283,10 @@ class TestInference:
         for i in range(6):
             ti = int(np.flatnonzero(self.data["g"][i])[0])
             ti = self.table.index_of((ti + 1,))
-            got = detect_frame(self.data["y"][i], self.data["h_est"][i], None,
-                               self.se, self.table, self.const, tac_index=ti)
             s_zf = zf_estimate(self.data["y"][i], self.data["h_est"][i],
                                self.table.tacs[ti])
+            got = demap_frame(ti, self.se.enhance(s_zf[None])[0], self.table,
+                              self.const)
             want = demap_frame(ti, s_zf, self.table, self.const)
             assert np.array_equal(got, want)
 
