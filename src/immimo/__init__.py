@@ -28,9 +28,8 @@ from immimo.detectors import (
     somp_detect,
     zf_estimate,
     zf_matrix,
-    legalize_support,
+    tacs_from_probabilities,
     classical_detect,
-    classical_pipeline,
 )
 
 __version__ = "0.1.0"

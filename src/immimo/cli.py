@@ -1,8 +1,9 @@
 """Command-line harness: gen-data, train, eval, bench, sweep-csi-error.
 
 Exit codes: 0 success, 2 usage/config error, 3 I/O error, 4 numerical
-failure. Thread count resolution: --threads flag, then IMNET_THREADS, then
-the config value.
+failure. The --threads flag, the IMNET_THREADS variable and the `threads`
+config key are accepted for one more release and do nothing: detection and
+generation run in one thread. Malformed values still exit 2.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from immimo.dataset import (
     table_for,
     write_dataset,
 )
-from immimo.detectors import classical_pipeline
+from immimo.detectors import classical_detect
 from immimo.linalg import DecompositionError, SingularMatrixError
 from immimo.modulation import QamConstellation
 from immimo.runner import (
@@ -41,6 +42,7 @@ from immimo.runner import (
     median_latency_ms,
     ml_flops,
     ml_hypotheses_per_slot,
+    resolve_checkpoints,
     rows_to_csv,
     run_classical,
     run_nn,
@@ -60,9 +62,8 @@ def _dataset_path(data_dir: str, snr_db: float, split: str) -> str:
     return os.path.join(data_dir, f"snr{snr_db:g}_{split}.imds")
 
 
-def _resolve_threads(args, cfg: ExperimentConfig) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
+def _check_threads_env() -> None:
+    """IMNET_THREADS is a no-op, but a malformed value is still an error."""
     env = os.environ.get("IMNET_THREADS")
     if env:
         try:
@@ -71,8 +72,6 @@ def _resolve_threads(args, cfg: ExperimentConfig) -> int:
             raise ConfigError(f"IMNET_THREADS must be an integer, got {env!r}")
         if n < 1:
             raise ConfigError("IMNET_THREADS must be >= 1")
-        return n
-    return cfg.threads
 
 
 def _load_cfg(args) -> ExperimentConfig:
@@ -92,7 +91,7 @@ def _warn_ml_guard(cfg: ExperimentConfig) -> None:
 
 def cmd_gen_data(args) -> int:
     cfg = _load_cfg(args)
-    threads = _resolve_threads(args, cfg)
+    _check_threads_env()
     os.makedirs(args.out, exist_ok=True)
     if not os.access(args.out, os.W_OK):
         raise ConfigError(f"output directory {args.out!r} is not writable")
@@ -102,7 +101,7 @@ def cmd_gen_data(args) -> int:
         start = 0
         for split, count in splits:
             path = _dataset_path(args.out, snr, split)
-            write_dataset(path, cfg, snr, count, start, threads=threads)
+            write_dataset(path, cfg, snr, count, start)
             print(f"wrote {path}: {count} frames at {snr:g} dB")
             start += count
     return 0
@@ -117,35 +116,30 @@ def _load_split(data_dir: str, cfg: ExperimentConfig, snr: float, split: str):
     return arrays
 
 
+def _load_pooled(data_dir: str, cfg: ExperimentConfig, snrs, split: str) -> dict:
+    parts = [_load_split(data_dir, cfg, snr, split) for snr in snrs]
+    return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+
+
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     os.makedirs(args.out, exist_ok=True)
     tcfg = TrainConfig(lr=cfg.lr, batch=cfg.batch, max_epochs=cfg.max_epochs,
                        gamma1=cfg.gamma1, gamma2=cfg.gamma2, seed=cfg.seed)
     table = table_for(cfg)
-    snr_points = [None] if args.mixed else cfg.snr_db
-    for snr in snr_points:
-        if args.mixed:
-            parts = [_load_split(args.data, cfg, s, "train") for s in cfg.snr_db]
-            train = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
-            parts = [_load_split(args.data, cfg, s, "val") for s in cfg.snr_db]
-            val = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
-            tag = "mixed"
-        else:
-            train = _load_split(args.data, cfg, snr, "train")
-            val = _load_split(args.data, cfg, snr, "val")
-            tag = f"{snr:g}"
+    # snr None: one model from all SNR points pooled
+    for snr in [None] if args.mixed else cfg.snr_db:
+        pool = cfg.snr_db if snr is None else [snr]
+        train = _load_pooled(args.data, cfg, pool, "train")
+        val = _load_pooled(args.data, cfg, pool, "val")
+        tag = "mixed" if snr is None else f"{snr:g}"
         t0 = time.monotonic()
         aapd, se, history = train_full(
             train, val, tcfg, table, variant=args.variant,
             conv_channels=tuple(cfg.conv_channels),
             dense_units=tuple(cfg.dense_units),
             se_channels=tuple(cfg.se_channels))
-        if args.mixed:
-            aapd_path = os.path.join(args.out, f"aapd_{args.variant}_mixed.cvnn")
-            se_path = os.path.join(args.out, f"se_{args.variant}_mixed.cvnn")
-        else:
-            aapd_path, se_path = checkpoint_paths(args.out, args.variant, snr)
+        aapd_path, se_path = checkpoint_paths(args.out, args.variant, snr)
         # strict JSON: a NaN/inf in the log fails before any file is written
         lines = [json.dumps(rec, sort_keys=True, allow_nan=False) + "\n"
                  for rec in history]
@@ -158,12 +152,10 @@ def cmd_train(args) -> int:
         status = "" if converged else " (warning: epoch cap before loss target)"
         print(f"trained {tag} dB -> {aapd_path}, {se_path} "
               f"[{time.monotonic() - t0:.1f} s]{status}")
-        if args.mixed:
-            break
     return 0
 
 
-def _eval_detector_rows(cfg, detectors, data_by_snr, ckpt_dir, variant, threads):
+def _eval_detector_rows(cfg, detectors, data_by_snr, ckpt_dir, variant):
     table = table_for(cfg)
     constellation = QamConstellation(cfg.m)
     if "ml" in detectors:
@@ -173,34 +165,32 @@ def _eval_detector_rows(cfg, detectors, data_by_snr, ckpt_dir, variant, threads)
         for snr in cfg.snr_db:
             data = data_by_snr[snr]
             if name in ("ml", "somp"):
-                res = run_classical(name, data, table, constellation, threads=threads)
+                res = run_classical(name, data, table, constellation)
             else:
                 var = name.split("-", 1)[1] if "-" in name else variant
-                aapd, se = load_detector(ckpt_dir, var, snr)
+                aapd, se = load_detector(ckpt_dir, var, snr, cfg)
                 res = run_nn(aapd, se, data, table, constellation)
             rows.append({"schema": EVAL_SCHEMA, "detector": name,
-                         "snr_db": float(snr), **{k: res[k] for k in
-                         ("frames", "ber", "aap_accuracy", "wall_time_s")}})
+                         "snr_db": float(snr), **res})
     rows.sort(key=lambda r: (r["detector"], r["snr_db"]))
     return rows
 
 
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
-    threads = _resolve_threads(args, cfg)
+    _check_threads_env()
     detectors = args.detectors.split(",") if args.detectors else \
         [d if d != "nn" else f"nn-{args.variant}" for d in cfg.detectors]
+    # a missing checkpoint fails before any dataset is read
     needs_ckpt = [d for d in detectors if d.startswith("nn")]
     for d in needs_ckpt:
         var = d.split("-", 1)[1] if "-" in d else args.variant
         for snr in cfg.snr_db:
-            for p in checkpoint_paths(args.ckpt, var, snr):
-                if not os.path.exists(p):
-                    raise ConfigError(f"missing checkpoint {p}")
+            resolve_checkpoints(args.ckpt, var, snr)
     data_by_snr = {snr: _load_split(args.data, cfg, snr, "test")
                    for snr in cfg.snr_db}
     rows = _eval_detector_rows(cfg, detectors, data_by_snr, args.ckpt,
-                               args.variant, threads)
+                               args.variant)
     write_results(args.out, rows, EVAL_COLUMNS, extra={"command": "eval"})
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
@@ -217,27 +207,27 @@ def cmd_bench(args) -> int:
                       dense_units=tuple(cfg.dense_units), seed=cfg.seed)
     se = build_se(cfg.n_u, cfg.t, variant=args.variant,
                   channels=tuple(cfg.se_channels), seed=cfg.seed)
-    items = list(zip(frames["y"], frames["h_est"]))
+    # each latency trial detects one frame as a batch of 1
+    items = list(zip(frames["y"][:, None], frames["h_est"][:, None]))
     rows = [
         {"detector": "ml",
          "params": 0,
          "flops_per_frame": ml_flops(table, cfg.m, cfg.n_r, cfg.t),
          "latency_ms_median": median_latency_ms(
-             lambda it: classical_pipeline(it[0], it[1], table, constellation, "ml"),
+             lambda it: classical_detect(*it, table, constellation, "ml"),
              items)},
         {"detector": "somp",
          "params": 0,
          "flops_per_frame": somp_flops(cfg.n_t, cfg.n_r, cfg.n_u, cfg.t),
          "latency_ms_median": median_latency_ms(
-             lambda it: classical_pipeline(it[0], it[1], table, constellation, "somp"),
+             lambda it: classical_detect(*it, table, constellation, "somp"),
              items)},
         {"detector": f"nn-{args.variant}",
          "params": count_params(aapd.net) + count_params(se.net),
          "flops_per_frame": count_flops(aapd.net, (1, cfg.n_r, cfg.t))
                             + count_flops(se.net, (1, cfg.n_u, cfg.t)),
          "latency_ms_median": median_latency_ms(
-             lambda it: detect_frames(it[0][None], it[1][None], aapd, se, table,
-                                      constellation),
+             lambda it: detect_frames(*it, aapd, se, table, constellation),
              items)},
     ]
     for r in rows:
@@ -252,14 +242,11 @@ def cmd_bench(args) -> int:
 
 def cmd_sweep_csi_error(args) -> int:
     cfg = _load_cfg(args)
-    threads = _resolve_threads(args, cfg)
+    _check_threads_env()
     snr = args.snr
     table = table_for(cfg)
     constellation = QamConstellation(cfg.m)
-    for p in checkpoint_paths(args.ckpt, args.variant, snr):
-        if not os.path.exists(p):
-            raise ConfigError(f"missing checkpoint {p}")
-    aapd, se = load_detector(args.ckpt, args.variant, snr)
+    aapd, se = load_detector(args.ckpt, args.variant, snr, cfg)
     start = cfg.frames_train + cfg.frames_val
     rows = []
     for err_var in cfg.sweep_error_var:
@@ -270,11 +257,9 @@ def cmd_sweep_csi_error(args) -> int:
             if name.startswith("nn"):
                 res = run_nn(aapd, se, data, table, constellation)
             else:
-                res = run_classical(name, data, table, constellation, threads=threads)
+                res = run_classical(name, data, table, constellation)
             rows.append({"schema": SWEEP_SCHEMA, "detector": name,
-                         "snr_db": float(snr), "csi_error_var": float(err_var),
-                         **{k: res[k] for k in
-                            ("frames", "ber", "aap_accuracy", "wall_time_s")}})
+                         "snr_db": float(snr), "csi_error_var": float(err_var), **res})
     rows.sort(key=lambda r: (r["detector"], r["csi_error_var"]))
     write_results(args.out, rows, SWEEP_COLUMNS, extra={"command": "sweep-csi-error"})
     print(f"wrote {args.out} ({len(rows)} rows)")
@@ -293,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="override the config seed")
         if threads:
             sp.add_argument("--threads", type=int, default=None,
-                            help="worker threads (default: IMNET_THREADS or config)")
+                            help="accepted for compatibility; has no effect")
 
     sp = sub.add_parser("gen-data", help="generate train/val/test dataset files")
     common(sp)

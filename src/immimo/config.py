@@ -44,7 +44,7 @@ class ExperimentConfig:
     se_channels: list = field(default_factory=lambda: [16, 16])
     # csi sweep points, as error variances
     sweep_error_var: list = field(default_factory=lambda: [0.0, 0.001, 0.01, 0.1])
-    threads: int = 1
+    threads: int = 1                # accepted for one more release; no effect
 
     def __post_init__(self):
         if not (1 <= self.n_u <= self.n_t):

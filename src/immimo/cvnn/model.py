@@ -26,6 +26,13 @@ def _to_disk(a: np.ndarray) -> np.ndarray:
     return a.astype("<f4")
 
 
+def _read(f, nbytes: int) -> bytes:
+    buf = f.read(nbytes)
+    if len(buf) != nbytes:
+        raise ValueError(f"truncated checkpoint: wanted {nbytes} bytes, got {len(buf)}")
+    return buf
+
+
 def _from_disk(buf: bytes, dtype: str, shape) -> np.ndarray:
     a = np.frombuffer(buf, dtype=dtype).reshape(shape)
     return a.astype(np.complex128 if dtype == "<c8" else np.float64)
@@ -125,11 +132,11 @@ class Model:
             magic = f.read(4)
             if magic != _MAGIC:
                 raise ValueError(f"bad checkpoint magic {magic!r}")
-            (version,) = struct.unpack("<H", f.read(2))
+            (version,) = struct.unpack("<H", _read(f, 2))
             if version != _VERSION:
                 raise ValueError(f"unsupported checkpoint version {version}")
-            (hlen,) = struct.unpack("<I", f.read(4))
-            header = json.loads(f.read(hlen))
+            (hlen,) = struct.unpack("<I", _read(f, 4))
+            header = json.loads(_read(f, hlen))
             layers = [layer_from_spec(s) for s in header["layers"]]
             model = cls(layers, meta=header.get("meta", {}))
             items = model.tensor_items()
@@ -139,7 +146,7 @@ class Model:
                 if list(dst.shape) != m["shape"]:
                     raise ValueError(f"shape mismatch for layer {li} tensor {name}")
                 nbytes = int(np.prod(m["shape"])) * (8 if m["dtype"] == "<c8" else 4)
-                dst[...] = _from_disk(f.read(nbytes), m["dtype"], m["shape"])
+                dst[...] = _from_disk(_read(f, nbytes), m["dtype"], m["shape"])
             adam_state = None
             if header.get("adam") is not None:
                 ah = header["adam"]
@@ -147,10 +154,12 @@ class Model:
                 arrays = []
                 for m in ah["tensors"]:
                     nbytes = int(np.prod(m["shape"])) * (8 if m["dtype"] == "<c8" else 4)
-                    arrays.append(_from_disk(f.read(nbytes), m["dtype"], m["shape"]))
+                    arrays.append(_from_disk(_read(f, nbytes), m["dtype"], m["shape"]))
                 for i in range(0, len(arrays), 2):
                     slots.append({"m": arrays[i], "v": arrays[i + 1]})
                 adam_state = {"step": ah["step"], "lr": ah["lr"], "slots": slots}
+            if f.read(1):
+                raise ValueError("checkpoint has trailing bytes")
         if with_adam:
             return model, adam_state
         return model

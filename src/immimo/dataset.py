@@ -13,8 +13,9 @@ the same across the frames it is fitted and evaluated on; change the seed
 to get an independent realization.
 
 Generation derives one RNG stream per global frame index, so any record can
-be regenerated in isolation and files are byte-identical across runs and
-thread counts.
+be regenerated in isolation and files are byte-identical across runs.
+Generation runs in one thread; the `threads` argument of write_dataset is
+accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -151,32 +151,22 @@ def generate_arrays(cfg: ExperimentConfig, snr_db: float, count: int,
 
 def write_dataset(path, cfg: ExperimentConfig, snr_db: float, count: int,
                   start_index: int, threads: int = 1) -> DatasetHeader:
-    """Generate `count` frames (global indices start_index..+count) to `path`."""
+    """Generate `count` frames (global indices start_index..+count) to `path`.
+
+    `threads` is accepted and ignored.
+    """
     header = DatasetHeader(cfg.n_t, cfg.n_u, cfg.n_r, cfg.t, cfg.m,
                            float(snr_db), count, cfg.seed)
     table = table_for(cfg)
     constellation = QamConstellation(cfg.m)
     h0 = scenario_channel(cfg)
 
-    def make(i: int) -> bytes:
-        return _pack_record(*generate_frame_data(cfg, table, constellation,
-                                                 float(snr_db), start_index + i, h=h0))
-
     with open(path, "wb") as f:
         f.write(_HEADER.pack(_MAGIC, _VERSION, cfg.n_t, cfg.n_u, cfg.n_r,
                              cfg.t, cfg.m, float(snr_db), count, cfg.seed))
-        if threads > 1 and count > 1:
-            # fixed chunking, results written in order: identical bytes for
-            # any thread count
-            chunk = 64
-            spans = [range(lo, min(lo + chunk, count))
-                     for lo in range(0, count, chunk)]
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                for blob in ex.map(lambda span: b"".join(make(i) for i in span), spans):
-                    f.write(blob)
-        else:
-            for i in range(count):
-                f.write(make(i))
+        for i in range(count):
+            f.write(_pack_record(*generate_frame_data(
+                cfg, table, constellation, float(snr_db), start_index + i, h=h0)))
     return header
 
 

@@ -1,19 +1,23 @@
 """Classical frame detectors: exhaustive ML, SOMP support recovery, ZF.
 
-All detectors see the receiver-side channel estimate only. Frame-level
-structure (one TAC across all T slots) is exploited everywhere: ML sums
-per-slot minima per TAC, SOMP correlates residuals across all slots.
+All detectors see the receiver-side channel estimate only and work on
+batches of frames: y (B, n_r, t), h (B, n_r, n_t); a single frame is a
+batch of 1. Frame-level structure (one TAC across all T slots) is exploited
+everywhere: ML sums per-slot minima per TAC, SOMP correlates residuals
+across all slots.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
 from immimo.linalg import ls_solve
 from immimo.modulation import QamConstellation
-from immimo.phy import TacTable, demap_frame
+from immimo.phy import TacTable
+
+# Cap on the elements of one ML chunk's (frames, t, M^N_u) cost array; a
+# chunk always holds at least one frame.
+ML_CHUNK_ELEMENTS = 1 << 20
 
 
 def _symbol_grid(constellation: QamConstellation, n_u: int) -> np.ndarray:
@@ -25,34 +29,41 @@ def _symbol_grid(constellation: QamConstellation, n_u: int) -> np.ndarray:
 
 def ml_detect(y: np.ndarray, h: np.ndarray, table: TacTable,
               constellation: QamConstellation):
-    """Exhaustive maximum-likelihood frame detection.
+    """Exhaustive maximum-likelihood detection of a batch of frames.
 
     For every legal TAC, scores all M^N_u symbol hypotheses per slot and
-    sums the per-slot minima; returns (tac_index, s_hat) for the smallest
-    frame residual. Ties keep the lowest TAC index and, per slot, the first
-    symbol combination in grid order.
+    sums the per-slot minima; returns (tac_indices (B,), s_hat (B, n_u, t))
+    for the smallest frame residuals. Ties keep the lowest TAC index and,
+    per slot, the first symbol combination in grid order. Frames are
+    scored ML_CHUNK_ELEMENTS cost entries at a time.
     """
     y = np.asarray(y, dtype=np.complex128)
     h = np.asarray(h, dtype=np.complex128)
     grid = _symbol_grid(constellation, table.n_u)  # (n_u, K)
-    y_energy = np.sum(np.abs(y) ** 2, axis=0)      # (t,)
-    best_cost = np.inf
-    best = None
-    for ti, tac in enumerate(table.tacs):
-        v = h[:, [a - 1 for a in tac]] @ grid                       # (n_r, K)
-        g = np.sum(np.abs(v) ** 2, axis=0)                          # (K,)
-        cross = y.conj().T @ v                                      # (t, K)
-        d = y_energy[:, None] - 2.0 * cross.real + g[None, :]       # (t, K)
-        kmin = np.argmin(d, axis=1)
-        cost = float(d[np.arange(d.shape[0]), kmin].sum())
-        if cost < best_cost:
-            best_cost = cost
-            best = (ti, grid[:, kmin])
-    return best[0], best[1]
+    chunk = max(1, ML_CHUNK_ELEMENTS // (y.shape[2] * grid.shape[1]))
+    cols = np.asarray(table.tacs, dtype=np.intp) - 1
+    tacs = np.zeros(len(y), dtype=np.int64)
+    kbest = np.zeros((len(y), y.shape[2]), dtype=np.intp)
+    for lo in range(0, len(y), chunk):
+        yc, hc = y[lo:lo + chunk], h[lo:lo + chunk]
+        y_energy = np.sum(np.abs(yc) ** 2, axis=1)                      # (b, t)
+        y_conj_t = np.swapaxes(yc.conj(), 1, 2)                          # (b, t, n_r)
+        best_cost = np.full(len(yc), np.inf)
+        for ti, tac_cols in enumerate(cols):
+            v = hc[:, :, tac_cols] @ grid                                # (b, n_r, K)
+            g = np.sum(np.abs(v) ** 2, axis=1)                           # (b, K)
+            d = y_energy[:, :, None] - 2.0 * (y_conj_t @ v).real + g[:, None, :]
+            kmin = np.argmin(d, axis=2)                                  # (b, t)
+            cost = np.take_along_axis(d, kmin[:, :, None], axis=2)[:, :, 0].sum(axis=1)
+            better = cost < best_cost
+            best_cost[better] = cost[better]
+            tacs[lo:lo + chunk][better] = ti
+            kbest[lo:lo + chunk][better] = kmin[better]
+    return tacs, np.moveaxis(grid[:, kbest], 0, 1)
 
 
 def somp_detect(y: np.ndarray, h: np.ndarray, n_u: int) -> tuple[int, ...]:
-    """Simultaneous OMP support recovery over the frame.
+    """Simultaneous OMP support recovery over one frame.
 
     Greedy: N_u rounds of picking the column maximizing the residual
     correlation summed over slots, normalized by column norm, followed by a
@@ -77,28 +88,36 @@ def somp_detect(y: np.ndarray, h: np.ndarray, n_u: int) -> tuple[int, ...]:
     return tuple(sorted(a + 1 for a in chosen))
 
 
-def legalize_support(support, table: TacTable) -> int:
-    """Index of the legal TAC with maximal overlap with `support`.
+def tacs_from_probabilities(p: np.ndarray, table: TacTable) -> np.ndarray:
+    """Legalized TAC index for each row of a (B, n_t) score batch.
 
-    Exact matches map to their own index; otherwise ties break toward the
-    earliest table entry.
+    A row's top-N_u antennas (ties toward the lower antenna) give its TAC
+    when that set is legal; otherwise the legal TAC with the largest
+    score sum wins, ties toward the earliest table entry. Each sum adds its
+    TAC's entries in ascending antenna order, so rounding settles near-ties
+    the same way for every N_u. Rows are AAPD activation probabilities or
+    0/1 support indicators (for which the sum is the overlap count).
     """
-    sup = set(support)
-    if tuple(sorted(sup)) in table:
-        return table.index_of(tuple(sorted(sup)))
-    overlaps = [len(sup & set(t)) for t in table.tacs]
-    return int(np.argmax(overlaps))
+    p = np.asarray(p, dtype=np.float64)
+    cols = np.asarray(table.tacs, dtype=np.intp).reshape(table.n_l, table.n_u) - 1
+    top = np.argsort(-p, axis=1, kind="stable")[:, :table.n_u]
+    chosen = np.zeros(p.shape, dtype=bool)
+    np.put_along_axis(chosen, top, True, axis=1)
+    hit = chosen[:, cols].all(axis=2)        # (B, n_l): the top set is this TAC
+    sums = p[:, cols].sum(axis=2)            # (B, n_l)
+    return np.where(hit.any(axis=1), hit.argmax(axis=1), sums.argmax(axis=1))
 
 
-def zf_estimate(y: np.ndarray, h: np.ndarray, support) -> np.ndarray:
-    """Zero-forcing symbol estimate on a fixed support.
+def zf_estimate(y: np.ndarray, h: np.ndarray, supports) -> np.ndarray:
+    """Zero-forcing symbol estimates of a batch on fixed supports.
 
-    Solves min ||H_J S - Y|| over S, i.e. S = (H_J^H H_J)^-1 H_J^H Y, rows in
-    ascending antenna order.
+    supports (B, n_u) holds each frame's 1-based antennas. Solves
+    min ||H_J S - Y|| per frame, i.e. S = (H_J^H H_J)^-1 H_J^H Y, with rows
+    in ascending antenna order; returns (B, n_u, t).
     """
-    cols = sorted(support)
-    sub = np.asarray(h, dtype=np.complex128)[:, [a - 1 for a in cols]]
-    return ls_solve(sub, np.asarray(y, dtype=np.complex128))
+    cols = np.sort(np.asarray(supports, dtype=np.intp), axis=1) - 1
+    h = np.asarray(h, dtype=np.complex128)
+    return ls_solve(np.take_along_axis(h, cols[:, None, :], axis=2), y)
 
 
 def zf_matrix(h: np.ndarray, support) -> np.ndarray:
@@ -110,18 +129,18 @@ def zf_matrix(h: np.ndarray, support) -> np.ndarray:
 
 def classical_detect(y, h_est, table: TacTable, constellation: QamConstellation,
                      method: str):
-    """Run one classical detector; returns (tac_index, s_hat)."""
+    """Run one classical detector on a batch of frames; returns
+    (tac_indices (B,), s_hat (B, n_u, t)).
+
+    SOMP searches each frame's support in turn, legalizes the supports as
+    0/1 indicator rows and zero-forces on the legal TACs.
+    """
     if method == "ml":
         return ml_detect(y, h_est, table, constellation)
     if method == "somp":
-        support = somp_detect(y, h_est, table.n_u)
-        ti = legalize_support(support, table)
-        return ti, zf_estimate(y, h_est, table.tacs[ti])
+        support = np.zeros((len(y), table.n_t))
+        for i in range(len(y)):
+            support[i, [a - 1 for a in somp_detect(y[i], h_est[i], table.n_u)]] = 1.0
+        tacs = tacs_from_probabilities(support, table)
+        return tacs, zf_estimate(y, h_est, np.asarray(table.tacs)[tacs])
     raise ValueError(f"unknown method {method!r}")
-
-
-def classical_pipeline(y, h_est, table: TacTable, constellation: QamConstellation,
-                       method: str) -> np.ndarray:
-    """Detect a frame and demap back to payload bits."""
-    ti, s_hat = classical_detect(y, h_est, table, constellation, method)
-    return demap_frame(ti, s_hat, table, constellation)

@@ -117,27 +117,29 @@ def complex_gaussian(rng: Rng, rows: int, cols: int, variance: float) -> np.ndar
 def ls_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Least-squares solve min_X ||A X - B||_F for complex A (m x n), m >= n.
 
-    Uses a reduced QR factorization; raises SingularMatrixError when A is
-    rank deficient (tiny R diagonal relative to the largest one).
+    Also solves a stack: A (B, m, n) with B (B, m, k) or (B, m), one system
+    per leading index. Uses a reduced QR factorization of each matrix;
+    raises SingularMatrixError when any A is rank deficient (tiny R diagonal
+    relative to that matrix's largest one).
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    if a.ndim != 2:
-        raise ValueError("a must be 2-D")
-    squeeze = b.ndim == 1
+    if a.ndim not in (2, 3):
+        raise ValueError(f"a must be (m, n) or (B, m, n), got shape {a.shape}")
+    squeeze = b.ndim == a.ndim - 1
     if squeeze:
-        b = b[:, None]
-    m, n = a.shape
+        b = b[..., None]
+    m, n = a.shape[-2:]
     if m < n:
         raise ValueError(f"need rows >= cols, got {m} x {n}")
-    if b.shape[0] != m:
-        raise ValueError("a and b row counts differ")
+    if b.shape[:-1] != a.shape[:-1]:
+        raise ValueError(f"a {a.shape} and b {b.shape} row counts differ")
     q, r = np.linalg.qr(a, mode="reduced")
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag.min() <= 1e-12 * max(diag.max(), 1e-300):
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    if n == 0 or np.any(diag.min(axis=-1) <= 1e-12 * np.maximum(diag.max(axis=-1), 1e-300)):
         raise SingularMatrixError("rank-deficient least-squares system")
-    x = np.linalg.solve(r, q.conj().T @ b)
-    return x[:, 0] if squeeze else x
+    x = np.linalg.solve(r, np.swapaxes(q.conj(), -1, -2) @ b)
+    return x[..., 0] if squeeze else x
 
 
 def cholesky_factor(r: np.ndarray) -> np.ndarray:

@@ -125,17 +125,20 @@ def assemble_frame(bits, table: TacTable, constellation: QamConstellation, t: in
     return Frame(bits=bits, tac_index=tac_index, s=s, x=x, t=t)
 
 
-def demap_frame(tac_index: int, s_hat, table: TacTable,
+def demap_frame(tac_indices, s_hat, table: TacTable,
                 constellation: QamConstellation) -> np.ndarray:
-    """Inverse of assemble_frame given a detected TAC and symbol estimates."""
+    """Inverse of assemble_frame for a batch of detected frames.
+
+    tac_indices (B,) and symbol estimates (B, n_u, t) -> payload bits (B, b).
+    """
+    tac_indices = np.asarray(tac_indices, dtype=np.int64)
     s_hat = np.asarray(s_hat, dtype=np.complex128)
-    n_u, t = s_hat.shape
-    if n_u != table.n_u:
-        raise ValueError("symbol row count != n_u")
+    if s_hat.ndim != 3 or s_hat.shape[1] != table.n_u:
+        raise ValueError(f"expected (B, {table.n_u}, t) symbol estimates, got {s_hat.shape}")
     b1 = table.b1
-    head = [(tac_index >> (b1 - 1 - k)) & 1 for k in range(b1)]
-    sym_bits = constellation.demodulate(s_hat.T)  # (t, n_u*d)
-    return np.concatenate([np.array(head, dtype=np.int64), sym_bits.reshape(-1)])
+    head = (tac_indices[:, None] >> np.arange(b1 - 1, -1, -1)) & 1
+    sym_bits = constellation.demodulate(s_hat.transpose(0, 2, 1))  # (B, t, n_u*d)
+    return np.concatenate([head, sym_bits.reshape(len(s_hat), -1)], axis=1)
 
 
 def make_correlated(h: np.ndarray, rho: float, rho_rx: float | None = None) -> np.ndarray:

@@ -5,15 +5,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from immimo.config import ConfigError, ExperimentConfig
 from immimo.cvnn import Model
 from immimo.detectors import classical_detect
 from immimo.modulation import QamConstellation
-from immimo.phy import TacTable, aap_accuracy, ber, demap_frame
+from immimo.phy import TacTable, ber, demap_frame
 from immimo.twostage import AapdModel, SeModel, detect_frames
 
 EVAL_SCHEMA = "immimo-eval-1"
@@ -34,59 +35,74 @@ def ml_hypotheses_per_slot(table: TacTable, m: int) -> int:
     return table.n_l * m ** table.n_u
 
 
+def _score(data: dict, table: TacTable, tacs, bits_hat, seconds: float) -> dict:
+    """BER and TAC accuracy of detected frames; a TAC is right when its
+    activation pattern equals the frame's 0/1 row g (phy.aap_accuracy)."""
+    aaps = np.stack([table.aap(i) for i in range(table.n_l)])
+    hits = np.all(aaps[np.asarray(tacs)] == data["g"], axis=1)
+    return {"frames": len(tacs), "ber": ber(data["bits"], bits_hat),
+            "aap_accuracy": float(np.mean(hits)), "wall_time_s": seconds}
+
+
 def run_classical(method: str, data: dict, table: TacTable,
                   constellation: QamConstellation, threads: int = 1) -> dict:
-    """Evaluate ml or somp over all frames; returns metrics dict."""
-    y, h_est, bits = data["y"], data["h_est"], data["bits"]
-    n = len(y)
+    """Evaluate ml or somp over all frames; returns metrics dict.
+
+    `threads` is accepted and ignored: detection runs over the frame axis
+    in one thread.
+    """
     t0 = time.monotonic()
-
-    def one(i: int):
-        ti, s_hat = classical_detect(y[i], h_est[i], table, constellation, method)
-        return ti, demap_frame(ti, s_hat, table, constellation)
-
-    if threads > 1:
-        chunk = 64
-        spans = [range(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            chunks = list(ex.map(lambda span: [one(i) for i in span], spans))
-        results = [r for c in chunks for r in c]
-    else:
-        results = [one(i) for i in range(n)]
-    seconds = time.monotonic() - t0
-    est_tacs = [table.tacs[ti] for ti, _ in results]
-    true_tacs = [tuple(np.flatnonzero(g) + 1) for g in data["g"]]
-    bits_hat = np.stack([b for _, b in results])
-    return {"frames": n, "ber": ber(bits, bits_hat),
-            "aap_accuracy": aap_accuracy(true_tacs, est_tacs),
-            "wall_time_s": seconds}
+    tacs, s_hat = classical_detect(data["y"], data["h_est"], table, constellation, method)
+    bits_hat = demap_frame(tacs, s_hat, table, constellation)
+    return _score(data, table, tacs, bits_hat, time.monotonic() - t0)
 
 
 def run_nn(aapd: AapdModel, se: SeModel, data: dict, table: TacTable,
            constellation: QamConstellation) -> dict:
-    y, h_est, bits = data["y"], data["h_est"], data["bits"]
     t0 = time.monotonic()
-    bits_hat, tacs = detect_frames(y, h_est, aapd, se, table, constellation)
-    seconds = time.monotonic() - t0
-    est_tacs = [table.tacs[int(ti)] for ti in tacs]
-    true_tacs = [tuple(np.flatnonzero(g) + 1) for g in data["g"]]
-    return {"frames": len(y), "ber": ber(bits, bits_hat),
-            "aap_accuracy": aap_accuracy(true_tacs, est_tacs),
-            "wall_time_s": seconds}
+    bits_hat, tacs = detect_frames(data["y"], data["h_est"], aapd, se, table,
+                                   constellation)
+    return _score(data, table, tacs, bits_hat, time.monotonic() - t0)
 
 
-def checkpoint_paths(ckpt_dir, variant: str, snr_db: float):
-    tag = f"{snr_db:g}"
-    return (f"{ckpt_dir}/aapd_{variant}_snr{tag}.cvnn",
-            f"{ckpt_dir}/se_{variant}_snr{tag}.cvnn")
+def checkpoint_paths(ckpt_dir, variant: str, snr_db: float | None):
+    """(AAPD, SE) checkpoint paths for one SNR point, or for the pooled
+    `train --mixed` pair when snr_db is None."""
+    tag = "mixed" if snr_db is None else f"snr{snr_db:g}"
+    return (f"{ckpt_dir}/aapd_{variant}_{tag}.cvnn",
+            f"{ckpt_dir}/se_{variant}_{tag}.cvnn")
 
 
-def load_detector(ckpt_dir, variant: str, snr_db: float) -> tuple[AapdModel, SeModel]:
-    aapd_path, se_path = checkpoint_paths(ckpt_dir, variant, snr_db)
+def resolve_checkpoints(ckpt_dir, variant: str, snr_db: float):
+    """The per-SNR checkpoint pair when it exists, else the mixed pair;
+    ConfigError naming the missing per-SNR file when neither is complete."""
+    per_snr = checkpoint_paths(ckpt_dir, variant, snr_db)
+    for paths in (per_snr, checkpoint_paths(ckpt_dir, variant, None)):
+        if all(map(os.path.exists, paths)):
+            return paths
+    raise ConfigError(f"missing checkpoint {next(p for p in per_snr if not os.path.exists(p))}")
+
+
+def load_detector(ckpt_dir, variant: str, snr_db: float,
+                  cfg: ExperimentConfig | None = None) -> tuple[AapdModel, SeModel]:
+    """Load the AAPD/SE pair for one SNR point (see resolve_checkpoints).
+
+    With `cfg`, the checkpoints' n_r/t/n_t (AAPD) and n_u/t (SE) must match
+    it, else ConfigError.
+    """
+    aapd_path, se_path = resolve_checkpoints(ckpt_dir, variant, snr_db)
     anet = Model.load(aapd_path)
     snet = Model.load(se_path)
     am = anet.meta
     sm = snet.meta
+    if cfg is not None:
+        for path, meta, keys in ((aapd_path, am, ("n_r", "t", "n_t")),
+                                 (se_path, sm, ("n_u", "t"))):
+            bad = [f"{k}={meta.get(k)} (config {getattr(cfg, k)})"
+                   for k in keys if meta.get(k) != getattr(cfg, k)]
+            if bad:
+                raise ConfigError(f"{path}: checkpoint does not match config: "
+                                  + ", ".join(bad))
     return (AapdModel(net=anet, variant=am["variant"], n_r=am["n_r"],
                       t=am["t"], n_t=am["n_t"]),
             SeModel(net=snet, variant=sm["variant"], n_u=sm["n_u"], t=sm["t"]))

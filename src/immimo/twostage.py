@@ -39,7 +39,7 @@ from immimo.cvnn import (
     mse,
     mse_backward,
 )
-from immimo.detectors import zf_estimate
+from immimo.detectors import tacs_from_probabilities, zf_estimate
 from immimo.linalg import Rng
 from immimo.modulation import QamConstellation
 from immimo.phy import TacTable, demap_frame
@@ -181,25 +181,6 @@ def build_se(n_u: int, t: int, variant: str = "complex",
     return SeModel(net=Model(layers, meta=meta), variant=variant, n_u=n_u, t=t)
 
 
-def tacs_from_probabilities(p: np.ndarray, table: TacTable) -> np.ndarray:
-    """Legalized TAC index for each row of a (B, n_t) probability batch.
-
-    A row's top-N_u antennas (ties toward the lower antenna) give its TAC
-    when that set is legal; otherwise the legal TAC with the largest
-    probability sum wins, ties toward the earliest table entry. Each sum
-    adds its TAC's entries in ascending antenna order, so rounding settles
-    near-ties the same way for every N_u.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    cols = np.asarray(table.tacs, dtype=np.intp).reshape(table.n_l, table.n_u) - 1
-    top = np.argsort(-p, axis=1, kind="stable")[:, :table.n_u]
-    chosen = np.zeros(p.shape, dtype=bool)
-    np.put_along_axis(chosen, top, True, axis=1)
-    hit = chosen[:, cols].all(axis=2)        # (B, n_l): the top set is this TAC
-    sums = p[:, cols].sum(axis=2)            # (B, n_l)
-    return np.where(hit.any(axis=1), hit.argmax(axis=1), sums.argmax(axis=1))
-
-
 def _epoch_batches(n: int, batch: int, rng: Rng):
     perm = rng.permutation(n)
     for start in range(0, n, batch):
@@ -285,12 +266,8 @@ def build_zf_dataset(aapd: AapdModel, y: np.ndarray, h_est: np.ndarray,
     Returns (s_zf, tac_indices); s_zf rows follow ascending antenna order
     within each predicted TAC.
     """
-    y = np.asarray(y)
     tacs = tacs_from_probabilities(aapd.probabilities(y), table)
-    s_zf = np.empty((len(y), table.n_u, y.shape[-1]), dtype=np.complex128)
-    for i, ti in enumerate(tacs):
-        s_zf[i] = zf_estimate(y[i], h_est[i], table.tacs[ti])
-    return s_zf, tacs
+    return zf_estimate(y, h_est, np.asarray(table.tacs)[tacs]), tacs
 
 
 def train_se(se: SeModel, train: tuple, val: tuple, cfg: TrainConfig) -> list[dict]:
@@ -358,8 +335,6 @@ def detect_frames(y: np.ndarray, h_est: np.ndarray, aapd: AapdModel, se: SeModel
     bits, tacs = [], []
     for lo in range(0, len(y), chunk):
         s_zf, part = build_zf_dataset(aapd, y[lo:lo + chunk], h_est[lo:lo + chunk], table)
-        s_hat = se.enhance(s_zf)
-        bits += [demap_frame(int(ti), s, table, constellation)
-                 for ti, s in zip(part, s_hat)]
+        bits.append(demap_frame(part, se.enhance(s_zf), table, constellation))
         tacs.append(part)
-    return np.stack(bits), np.concatenate(tacs)
+    return np.concatenate(bits), np.concatenate(tacs)

@@ -33,6 +33,8 @@ from immimo.twostage import (TrainConfig, build_aapd, build_se, detect_frames,
 from _gradcheck import make_case, run_case
 from test_cvnn_layers import naive_complex_conv
 
+pytestmark = pytest.mark.acceptance
+
 # One training budget for every learned check. The quality targets are read
 # against classical baselines measured on the same held-out frames, so they
 # stay meaningful whatever the absolute numbers are for a given seed.

@@ -184,12 +184,30 @@ class TestEval:
                      "--detectors", "ml,somp", "--out", str(out)]) == 0
         assert out.exists()
 
-    def test_missing_checkpoint_exits_2(self, workspace, tmp_path):
+    def test_missing_checkpoint_exits_2(self, workspace, tmp_path, capsys):
         assert main(["eval", "--config", str(workspace["cfg"]),
                      "--data", str(workspace["data"]),
                      "--ckpt", str(tmp_path / "empty"),
                      "--detectors", "nn-complex",
                      "--out", str(tmp_path / "x.csv")]) == 2
+        assert "aapd_complex_snr12.cvnn" in capsys.readouterr().err
+
+    def test_singular_zf_exits_4(self, workspace, tmp_path):
+        # zero one test frame's H_est: its ZF system has no solution
+        data = tmp_path / "data"
+        data.mkdir()
+        path = data / "snr12_test.imds"
+        raw = bytearray((workspace["data"] / "snr12_test.imds").read_bytes())
+        hdr = read_header(workspace["data"] / "snr12_test.imds")
+        rec = hdr.record_nbytes()
+        h_est = ((hdr.bits_per_frame + 7) // 8 + 8 * hdr.n_r * hdr.t
+                 + 8 * hdr.n_r * hdr.n_t)
+        at = len(raw) - hdr.count * rec + 5 * rec + h_est
+        raw[at:at + 8 * hdr.n_r * hdr.n_t] = bytes(8 * hdr.n_r * hdr.n_t)
+        path.write_bytes(bytes(raw))
+        assert main(["eval", "--config", str(workspace["cfg"]), "--data", str(data),
+                     "--ckpt", str(workspace["ckpt"]), "--detectors", "nn-complex",
+                     "--out", str(tmp_path / "x.csv")]) == 4
 
     def test_mismatched_dataset_exits_2(self, workspace, tmp_path):
         cfg2 = tmp_path / "other.cfg"
@@ -208,6 +226,60 @@ class TestEval:
                      "--detectors", "ml", "--out", str(out)]) == 0
         row = out.read_text().splitlines()[1].split(",")
         assert float(row[4]) == 0.0 and float(row[5]) == 1.0
+
+
+class TestCheckpointInput:
+    """Malformed or mismatched checkpoints are usage errors (exit 2)."""
+
+    def _eval(self, workspace, ckpt, tmp_path, cfg=None, data=None):
+        return main(["eval", "--config", str(cfg or workspace["cfg"]),
+                     "--data", str(data or workspace["data"]), "--ckpt", str(ckpt),
+                     "--detectors", "nn-complex", "--out", str(tmp_path / "x.csv")])
+
+    def _ckpt_copy(self, workspace, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        for name in ("aapd_complex_snr12.cvnn", "se_complex_snr12.cvnn"):
+            (ckpt / name).write_bytes((workspace["ckpt"] / name).read_bytes())
+        return ckpt
+
+    def test_truncated_checkpoint_exits_2(self, workspace, tmp_path):
+        ckpt = self._ckpt_copy(workspace, tmp_path)
+        path = ckpt / "aapd_complex_snr12.cvnn"
+        path.write_bytes(path.read_bytes()[:6])
+        assert self._eval(workspace, ckpt, tmp_path) == 2
+
+    def test_trailing_bytes_exit_2(self, workspace, tmp_path):
+        ckpt = self._ckpt_copy(workspace, tmp_path)
+        path = ckpt / "aapd_complex_snr12.cvnn"
+        path.write_bytes(path.read_bytes() + b"junk")
+        assert self._eval(workspace, ckpt, tmp_path) == 2
+
+    def test_config_mismatch_exits_2(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(SMALL_CFG.replace("n_t = 4", "n_t = 8"))
+        data = tmp_path / "data"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert self._eval(workspace, workspace["ckpt"], tmp_path, cfg=cfg, data=data) == 2
+        assert "n_t" in capsys.readouterr().err
+
+
+class TestMixed:
+    def test_eval_and_sweep_use_mixed_checkpoints(self, tmp_path):
+        cfg = tmp_path / "mixed.cfg"
+        cfg.write_text(SMALL_CFG.replace("snr_db = 12", "snr_db = 8, 12"))
+        data, ckpt = tmp_path / "data", tmp_path / "ckpt"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(data)]) == 0
+        assert main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(ckpt), "--mixed"]) == 0
+        assert (ckpt / "aapd_complex_mixed.cvnn").exists()
+        assert main(["eval", "--config", str(cfg), "--data", str(data),
+                     "--ckpt", str(ckpt), "--out", str(tmp_path / "e.csv")]) == 0
+        rows = (tmp_path / "e.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3 * 2  # detectors x SNR points
+        assert main(["sweep-csi-error", "--config", str(cfg), "--ckpt", str(ckpt),
+                     "--snr", "12", "--out", str(tmp_path / "s.csv")]) == 0
 
 
 class TestBench:

@@ -146,6 +146,24 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="version"):
             Model.load(path)
 
+    @pytest.mark.parametrize("keep", [6, 9, 20, -1])
+    def test_truncated_rejected(self, tmp_path, keep):
+        # cut in the version, the header length, the JSON header, the tensors
+        model = small_model()
+        path = tmp_path / "m.cvnn"
+        model.save(path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError):
+            Model.load(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        model = small_model()
+        path = tmp_path / "m.cvnn"
+        model.save(path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="trailing"):
+            Model.load(path)
+
     def test_adam_state_round_trip(self, tmp_path):
         model = small_model()
         opt = train_steps(model, 4)

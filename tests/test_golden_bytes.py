@@ -1,17 +1,21 @@
-"""Output bytes pinned across code changes.
+"""Output bytes and eval metrics pinned across code changes.
 
 `TestDeterminism` compares two runs of the same code; these digests pin the
 `.imds` and `.cvnn` bytes themselves, so a refactor that shifts a random
-draw, a layer order or an f32 rounding fails here. Any intended change to
+draw, a layer order or an f32 rounding fails here. The eval pins hold the
+BER and TAC accuracy that `immimo eval` reports for ML, SOMP (with illegal
+supports to legalize) and the trained complex two-stage detector. Any intended change to
 an output format must update the digests in the same change and say why.
 The trained digests depend on floating-point summation order and were taken
 with BLAS pinned to one thread (see conftest.py).
 """
 
 import hashlib
+import json
 
 import pytest
 
+from immimo.cli import main
 from immimo.config import ExperimentConfig
 from immimo.dataset import generate_arrays, table_for, write_dataset
 from immimo.twostage import TrainConfig, build_aapd, build_se, train_full
@@ -89,3 +93,44 @@ def test_trained_checkpoint_bytes(variant, tmp_path):
     se.net.save(tmp_path / "s.cvnn")
     got = (_sha256(tmp_path / "a.cvnn"), _sha256(tmp_path / "s.cvnn"))
     assert got == TRAINED[variant]
+
+
+EVAL_CFG = """
+n_t = 4
+n_u = 2
+n_r = 4
+t = 8
+m = 4
+snr_db = 6
+csi_error_var = 0.05
+frames_train = 200
+frames_val = 100
+frames_test = 300
+seed = 5
+max_epochs = 2
+batch = 50
+conv_channels = 4, 4
+dense_units = 8, 8
+se_channels = 2, 2
+"""
+
+# (ber, aap_accuracy) per detector; 16 of the 300 SOMP supports are illegal
+EVAL_METRICS = {
+    "ml": (0.08735294117647059, 0.8933333333333333),
+    "nn-complex": (0.23401960784313725, 0.27),
+    "somp": (0.165, 0.61),
+}
+
+
+def test_eval_metrics(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(EVAL_CFG)
+    data, ckpt, out = tmp_path / "data", tmp_path / "ckpt", tmp_path / "eval.csv"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(data)]) == 0
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--out", str(ckpt)]) == 0
+    assert main(["eval", "--config", str(cfg), "--data", str(data), "--ckpt", str(ckpt),
+                 "--detectors", "ml,somp,nn-complex", "--out", str(out)]) == 0
+    rows = json.loads((tmp_path / "eval.json").read_text())["rows"]
+    got = {r["detector"]: (r["ber"], r["aap_accuracy"]) for r in rows}
+    assert got == EVAL_METRICS

@@ -170,6 +170,25 @@ class TestLsSolve:
         assert ls_solve(a, b).shape == (3,)
         assert ls_solve(a, b[:, None]).shape == (3, 1)
 
+    def test_stack_matches_each_system(self, np_rng):
+        a = np_rng.normal(size=(7, 5, 3)) + 1j * np_rng.normal(size=(7, 5, 3))
+        b = np_rng.normal(size=(7, 5, 4)) + 1j * np_rng.normal(size=(7, 5, 4))
+        got = ls_solve(a, b)
+        assert got.shape == (7, 3, 4)
+        for i in range(7):
+            assert np.array_equal(got[i], ls_solve(a[i], b[i]))
+        assert ls_solve(a, b[:, :, 0]).shape == (7, 3)
+
+    def test_stack_with_one_singular_system_raises(self, np_rng):
+        a = np_rng.normal(size=(4, 3, 2)) + 1j * np_rng.normal(size=(4, 3, 2))
+        a[2, :, 1] = 2.0 * a[2, :, 0]
+        with pytest.raises(SingularMatrixError):
+            ls_solve(a, np.ones((4, 3), dtype=complex))
+
+    def test_stack_size_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            ls_solve(np.ones((2, 3, 2), dtype=complex), np.ones((3, 3), dtype=complex))
+
 
 class TestCholesky:
     def test_hand_2x2(self):

@@ -105,11 +105,11 @@ class TestFrame:
     def test_round_trip_all_tacs(self, rng):
         table = build_tac_table(4, 2)
         const = QamConstellation(4)
-        for _ in range(50):
-            bits = rng.bits(frame_bit_count(table, const, 4))
-            fr = assemble_frame(bits, table, const, t=4)
-            back = demap_frame(fr.tac_index, fr.s, table, const)
-            assert np.array_equal(back, bits)
+        bits = np.stack([rng.bits(frame_bit_count(table, const, 4)) for _ in range(50)])
+        frames = [assemble_frame(b, table, const, t=4) for b in bits]
+        back = demap_frame([fr.tac_index for fr in frames],
+                           np.stack([fr.s for fr in frames]), table, const)
+        assert np.array_equal(back, bits)
 
     def test_identity_channel_round_trip(self, rng):
         # noiseless identity channel: read s straight off the active rows
@@ -120,7 +120,8 @@ class TestFrame:
         chan_h = np.eye(4, dtype=np.complex128)
         y = chan_h @ fr.x
         s_hat = y[[a - 1 for a in table.tacs[fr.tac_index]], :]
-        assert np.array_equal(demap_frame(fr.tac_index, s_hat, table, const), bits)
+        assert np.array_equal(demap_frame([fr.tac_index], s_hat[None], table, const)[0],
+                              bits)
 
     def test_wrong_bit_count_rejected(self):
         table = build_tac_table(4, 1)

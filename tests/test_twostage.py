@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from immimo import detectors, twostage
 from immimo.config import ExperimentConfig
 from immimo.dataset import generate_arrays, table_for
-from immimo.detectors import zf_estimate
+from immimo.linalg import ls_solve
 from immimo.modulation import QamConstellation
 from immimo.phy import TAC_PRESET_4X2, build_tac_table, demap_frame
 from immimo.twostage import (
@@ -40,12 +41,17 @@ def tac_from_probabilities(p, table):
     return int(np.argmax(sums))
 
 
+def zf_one(y, h, support):
+    """Reference per-frame ZF on one support."""
+    return ls_solve(h[:, [a - 1 for a in sorted(support)]], y)
+
+
 def detect_frame(y, h_est, aapd, se, table, constellation):
     """Reference per-frame two-stage detection for detect_frames."""
     p = aapd.probabilities(y[None])[0]
     ti = tac_from_probabilities(p, table)
-    s_zf = zf_estimate(y, h_est, table.tacs[ti])
-    return demap_frame(ti, se.enhance(s_zf[None])[0], table, constellation)
+    s_zf = zf_one(y, h_est, table.tacs[ti])
+    return demap_frame([ti], se.enhance(s_zf[None]), table, constellation)[0]
 
 
 def legalize_one(p, table):
@@ -145,6 +151,10 @@ class TestTacLegalization:
             p = np_rng.random(8)
             ti = legalize_one(p, table)
             assert 0 <= ti < table.n_l
+
+    def test_one_function_for_aapd_and_somp(self):
+        # SOMP legalizes 0/1 support rows with the AAPD legalization
+        assert twostage.tacs_from_probabilities is detectors.tacs_from_probabilities
 
     def test_vectorized_matches_scalar(self, np_rng):
         # random rows, rows rounded to 0.1 (top-N_u and sum ties) and
@@ -283,11 +293,10 @@ class TestInference:
         for i in range(6):
             ti = int(np.flatnonzero(self.data["g"][i])[0])
             ti = self.table.index_of((ti + 1,))
-            s_zf = zf_estimate(self.data["y"][i], self.data["h_est"][i],
-                               self.table.tacs[ti])
-            got = demap_frame(ti, self.se.enhance(s_zf[None])[0], self.table,
-                              self.const)
-            want = demap_frame(ti, s_zf, self.table, self.const)
+            s_zf = zf_one(self.data["y"][i], self.data["h_est"][i],
+                          self.table.tacs[ti])[None]
+            got = demap_frame([ti], self.se.enhance(s_zf), self.table, self.const)
+            want = demap_frame([ti], s_zf, self.table, self.const)
             assert np.array_equal(got, want)
 
     def test_probabilities_ignore_csi(self, np_rng):
@@ -325,7 +334,7 @@ class TestInference:
                                    self.data["h_est"], self.table)
         assert z.shape == (12, self.table.n_u, self.cfg.t)
         assert np.all((tacs >= 0) & (tacs < self.table.n_l))
-        i = 3
-        want = zf_estimate(self.data["y"][i], self.data["h_est"][i],
-                           self.table.tacs[tacs[i]])
-        assert np.allclose(z[i], want, rtol=1e-12)
+        for i in range(len(z)):
+            want = zf_one(self.data["y"][i], self.data["h_est"][i],
+                          self.table.tacs[tacs[i]])
+            assert np.array_equal(z[i], want)
