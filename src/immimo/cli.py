@@ -1,9 +1,8 @@
 """Command-line harness: gen-data, train, eval, bench, sweep-csi-error.
 
 Exit codes: 0 success, 2 usage/config error, 3 I/O error, 4 numerical
-failure. The --threads flag, the IMNET_THREADS variable and the `threads`
-config key are accepted for one more release and do nothing: detection and
-generation run in one thread. Malformed values still exit 2.
+failure. Detection and generation run in one thread; the `threads` config
+key is accepted and does nothing.
 """
 
 from __future__ import annotations
@@ -62,18 +61,6 @@ def _dataset_path(data_dir: str, snr_db: float, split: str) -> str:
     return os.path.join(data_dir, f"snr{snr_db:g}_{split}.imds")
 
 
-def _check_threads_env() -> None:
-    """IMNET_THREADS is a no-op, but a malformed value is still an error."""
-    env = os.environ.get("IMNET_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ConfigError(f"IMNET_THREADS must be an integer, got {env!r}")
-        if n < 1:
-            raise ConfigError("IMNET_THREADS must be >= 1")
-
-
 def _load_cfg(args) -> ExperimentConfig:
     cfg = load_config(args.config)
     if getattr(args, "seed", None) is not None:
@@ -91,7 +78,6 @@ def _warn_ml_guard(cfg: ExperimentConfig) -> None:
 
 def cmd_gen_data(args) -> int:
     cfg = _load_cfg(args)
-    _check_threads_env()
     os.makedirs(args.out, exist_ok=True)
     if not os.access(args.out, os.W_OK):
         raise ConfigError(f"output directory {args.out!r} is not writable")
@@ -178,7 +164,6 @@ def _eval_detector_rows(cfg, detectors, data_by_snr, ckpt_dir, variant):
 
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
-    _check_threads_env()
     detectors = args.detectors.split(",") if args.detectors else \
         [d if d != "nn" else f"nn-{args.variant}" for d in cfg.detectors]
     # a missing checkpoint fails before any dataset is read
@@ -242,7 +227,6 @@ def cmd_bench(args) -> int:
 
 def cmd_sweep_csi_error(args) -> int:
     cfg = _load_cfg(args)
-    _check_threads_env()
     snr = args.snr
     table = table_for(cfg)
     constellation = QamConstellation(cfg.m)
@@ -271,14 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="IM-MIMO simulation and detection harness")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=True, threads=True):
+    def common(sp, seed=True):
         sp.add_argument("--config", required=True, help="key=value config file")
         if seed:
             sp.add_argument("--seed", type=int, default=None,
                             help="override the config seed")
-        if threads:
-            sp.add_argument("--threads", type=int, default=None,
-                            help="accepted for compatibility; has no effect")
 
     sp = sub.add_parser("gen-data", help="generate train/val/test dataset files")
     common(sp)
@@ -286,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_gen_data)
 
     sp = sub.add_parser("train", help="train the two-stage detector per SNR")
-    common(sp, threads=False)
+    common(sp)
     sp.add_argument("--data", required=True, help="dataset directory")
     sp.add_argument("--out", required=True, help="checkpoint/log directory")
     sp.add_argument("--variant", choices=("complex", "real"), default="complex")
@@ -305,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("bench", help="parameter/FLOPs/latency table")
-    common(sp, seed=False, threads=False)
+    common(sp, seed=False)
     sp.add_argument("--variant", choices=("complex", "real"), default="complex")
     sp.add_argument("--out", default=None, help="output CSV path (default stdout)")
     sp.set_defaults(fn=cmd_bench)

@@ -44,7 +44,7 @@ class ExperimentConfig:
     se_channels: list = field(default_factory=lambda: [16, 16])
     # csi sweep points, as error variances
     sweep_error_var: list = field(default_factory=lambda: [0.0, 0.001, 0.01, 0.1])
-    threads: int = 1                # accepted for one more release; no effect
+    threads: int = 1                # no effect; perfbench/ still reads it
 
     def __post_init__(self):
         if not (1 <= self.n_u <= self.n_t):
@@ -76,13 +76,12 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown detector {d!r} (choose from {sorted(known)})")
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+_FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
 _LIST_KEYS = {"snr_db", "detectors", "conv_channels", "dense_units",
               "se_channels", "sweep_error_var"}
 _INT_KEYS = {"n_t", "n_u", "n_r", "t", "m", "frames_train", "frames_val",
              "frames_test", "seed", "batch", "max_epochs", "n_p", "threads"}
 _FLOAT_KEYS = {"rho", "csi_error_var", "e_p", "sigma_z2", "lr", "gamma1", "gamma2"}
-_STR_KEYS = {"tac_preset"}
 
 
 def _parse_scalar(key: str, raw: str):
@@ -109,7 +108,7 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, raw = body.partition("=")
         key = key.strip().replace("-", "_")
         raw = raw.strip()
-        if key not in _FIELD_TYPES:
+        if key not in _FIELD_NAMES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")

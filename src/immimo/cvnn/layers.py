@@ -7,11 +7,28 @@ split and Wirtinger-gradient descent coincide; each layer implements its
 backward rule directly in this packed form. Real layers carry plain real
 gradients.
 
+One implementation per operation. A twin pair shares one class body and
+differs only in `kind` and a class-level `dtype` (complex128 or float64):
+conv and dense run the same matmuls in that dtype, conjugating in backward
+(a no-op for reals). Elementwise layers use the float64 view: a
+C-contiguous complex128 array viewed as float64 holds its real and
+imaginary parts interleaved, so running the real activation on that view
+and viewing the result back is the split activation of Trabelsi et al.
+(Deep Complex Networks, ICLR 2018). The real readout reads complex
+features through the same view. Code that does not fit the rule stays
+separate: ComplexBatchNorm whitens the (re, im) pair jointly, which is not
+two real batch norms; SplitReIm/MergeReIm order the parts by channel
+block, not interleaved; and Adam (optim.py) keeps its complex branch
+because numpy divides a complex array by a real scalar as x * (1/c), which
+is not bit-identical to dividing the parts.
+
 Forward caches live on the layer, so one layer instance serves one
 forward/backward pair at a time.
 """
 
 from __future__ import annotations
+
+import inspect
 
 import numpy as np
 
@@ -41,6 +58,31 @@ def _init_complex(rng: Rng, shape, fan_in: int, fan_out: int) -> np.ndarray:
 
 def _init_real(rng: Rng, shape, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.symmetric_uniform(shape) * _glorot_limit(fan_in, fan_out)
+
+
+def _init_weight(rng: Rng | None, shape, fan_in: int, fan_out: int,
+                 dtype: type) -> np.ndarray:
+    """Glorot draw in `dtype`, or zeros without an rng (spec rebuilds)."""
+    if rng is None:
+        return np.zeros(shape, dtype=dtype)
+    init = _init_complex if dtype is np.complex128 else _init_real
+    return init(rng, shape, fan_in, fan_out)
+
+
+def _conj(a: np.ndarray) -> np.ndarray:
+    return a.conj() if np.iscomplexobj(a) else a
+
+
+def _float64_view(a: np.ndarray, dtype: type) -> np.ndarray:
+    """`a` as C-contiguous `dtype`, viewed as float64: complex128 (..., F)
+    becomes (..., 2F) = [re0, im0, re1, im1, ...]."""
+    return np.ascontiguousarray(a, dtype=dtype).view(np.float64)
+
+
+def _walk_items(layers, items: str, key) -> list:
+    """(key(i, name), array) for each layer i's `items`() list, in order."""
+    return [(key(i, n), a) for i, layer in enumerate(layers)
+            for n, a in getattr(layer, items)()]
 
 
 def _out_hw(h: int, w: int, k: int, padding: str) -> tuple[int, int, int]:
@@ -83,6 +125,10 @@ class Layer:
     """Base: forward/backward pair plus (de)serialization hooks."""
 
     kind = "layer"
+    # attribute names of learnable parameters and of running-state buffers,
+    # in checkpoint order
+    param_names: tuple = ()
+    buffer_names: tuple = ()
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -95,39 +141,36 @@ class Layer:
 
     # (name, array) lists; params are learnable, buffers are running state
     def param_items(self) -> list:
-        return []
+        return [(n, getattr(self, n)) for n in self.param_names]
 
     def grad_items(self) -> list:
-        return []
+        return [(n, self.grads[n]) for n in self.param_names]
 
     def buffer_items(self) -> list:
-        return []
+        return [(n, getattr(self, n)) for n in self.buffer_names]
 
     def tensor_items(self) -> list:
         return self.param_items() + self.buffer_items()
 
 
 class _ConvBase(Layer):
-    def __init__(self, in_channels: int, out_channels: int, kernel: int,
-                 padding: str, rng: Rng | None, complex_valued: bool):
+    """2-D convolution, stride 1, as one patch-matrix product in `dtype`."""
+
+    dtype: type
+    param_names = ("weight", "bias")
+
+    def __init__(self, in_channels: int, out_channels: int, kernel: int = 3,
+                 padding: str = "same", rng: Rng | None = None):
         if in_channels < 1 or out_channels < 1 or kernel < 1:
             raise ValueError("conv dims must be >= 1")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
         self.padding = padding
-        fan_in = in_channels * kernel * kernel
-        fan_out = out_channels * kernel * kernel
-        shape = (out_channels, in_channels, kernel, kernel)
-        if rng is None:
-            init = np.zeros
-            self.weight = init(shape, dtype=np.complex128 if complex_valued else np.float64)
-        elif complex_valued:
-            self.weight = _init_complex(rng, shape, fan_in, fan_out)
-        else:
-            self.weight = _init_real(rng, shape, fan_in, fan_out)
-        self.bias = np.zeros(out_channels,
-                             dtype=np.complex128 if complex_valued else np.float64)
+        self.weight = _init_weight(rng, (out_channels, in_channels, kernel, kernel),
+                                   in_channels * kernel * kernel,
+                                   out_channels * kernel * kernel, self.dtype)
+        self.bias = np.zeros(out_channels, dtype=self.dtype)
         self.grads: dict[str, np.ndarray] = {}
         self._cache = None
 
@@ -136,13 +179,8 @@ class _ConvBase(Layer):
                 "out_channels": self.out_channels, "kernel": self.kernel,
                 "padding": self.padding}
 
-    def param_items(self):
-        return [("weight", self.weight), ("bias", self.bias)]
-
-    def grad_items(self):
-        return [("weight", self.grads["weight"]), ("bias", self.grads["bias"])]
-
-    def _forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x, train=False):
+        x = np.asarray(x, dtype=self.dtype)
         b, c, h, w = x.shape
         if c != self.in_channels:
             raise ValueError(f"expected {self.in_channels} channels, got {c}")
@@ -153,19 +191,17 @@ class _ConvBase(Layer):
         self._cache = (cols, x.shape, pad)
         return out.reshape(b, self.out_channels, ho, wo)
 
-    def _backward(self, grad: np.ndarray, conj: bool) -> np.ndarray:
+    def backward(self, grad):
         cols, xshape, pad = self._cache
         b = grad.shape[0]
         g = grad.reshape(b, self.out_channels, -1)                # (B, Cout, P)
-        cc = cols.conj() if conj else cols
-        dw = np.einsum("bop,bip->oi", g, cc)
+        dw = np.einsum("bop,bip->oi", g, _conj(cols))
         self.grads = {
             "weight": dw.reshape(self.weight.shape),
             "bias": g.sum(axis=(0, 2)),
         }
         wmat = self.weight.reshape(self.out_channels, -1)
-        wb = wmat.conj() if conj else wmat
-        dcols = np.einsum("oi,bop->bip", wb, g)
+        dcols = np.einsum("oi,bop->bip", _conj(wmat), g)
         return _col2im(dcols, xshape, self.kernel, pad)
 
 
@@ -177,48 +213,30 @@ class ComplexConv2d(_ConvBase):
     """
 
     kind = "complex_conv2d"
-
-    def __init__(self, in_channels, out_channels, kernel=3, padding="same", rng=None):
-        super().__init__(in_channels, out_channels, kernel, padding, rng, True)
-
-    def forward(self, x, train=False):
-        return self._forward(np.asarray(x, dtype=np.complex128))
-
-    def backward(self, grad):
-        return self._backward(grad, conj=True)
+    dtype = np.complex128
 
 
 class RealConv2d(_ConvBase):
     """Real twin of ComplexConv2d."""
 
     kind = "real_conv2d"
-
-    def __init__(self, in_channels, out_channels, kernel=3, padding="same", rng=None):
-        super().__init__(in_channels, out_channels, kernel, padding, rng, False)
-
-    def forward(self, x, train=False):
-        return self._forward(np.asarray(x, dtype=np.float64))
-
-    def backward(self, grad):
-        return self._backward(grad, conj=False)
+    dtype = np.float64
 
 
 class _DenseBase(Layer):
-    def __init__(self, in_features: int, out_features: int, rng: Rng | None,
-                 complex_valued: bool):
+    """Fully-connected layer in `dtype`, y = x W^T + b."""
+
+    dtype: type
+    param_names = ("weight", "bias")
+
+    def __init__(self, in_features: int, out_features: int, rng: Rng | None = None):
         if in_features < 1 or out_features < 1:
             raise ValueError("dense dims must be >= 1")
         self.in_features = in_features
         self.out_features = out_features
-        shape = (out_features, in_features)
-        if rng is None:
-            self.weight = np.zeros(shape, dtype=np.complex128 if complex_valued else np.float64)
-        elif complex_valued:
-            self.weight = _init_complex(rng, shape, in_features, out_features)
-        else:
-            self.weight = _init_real(rng, shape, in_features, out_features)
-        self.bias = np.zeros(out_features,
-                             dtype=np.complex128 if complex_valued else np.float64)
+        self.weight = _init_weight(rng, (out_features, in_features), in_features,
+                                   out_features, self.dtype)
+        self.bias = np.zeros(out_features, dtype=self.dtype)
         self.grads: dict[str, np.ndarray] = {}
         self._x = None
 
@@ -226,105 +244,88 @@ class _DenseBase(Layer):
         return {"kind": self.kind, "in_features": self.in_features,
                 "out_features": self.out_features}
 
-    def param_items(self):
-        return [("weight", self.weight), ("bias", self.bias)]
-
-    def grad_items(self):
-        return [("weight", self.grads["weight"]), ("bias", self.grads["bias"])]
-
-    def _forward(self, x):
+    def forward(self, x, train=False):
+        x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(f"expected (B, {self.in_features}), got {x.shape}")
         self._x = x
         return x @ self.weight.T + self.bias
 
-    def _backward(self, grad, conj: bool):
-        x = self._x
-        xc = x.conj() if conj else x
-        wc = self.weight.conj() if conj else self.weight
-        self.grads = {"weight": grad.T @ xc, "bias": grad.sum(axis=0)}
-        return grad @ wc
+    def backward(self, grad):
+        self.grads = {"weight": grad.T @ _conj(self._x), "bias": grad.sum(axis=0)}
+        return grad @ _conj(self.weight)
 
 
 class ComplexDense(_DenseBase):
     """Complex fully-connected layer, y = x W^T + b."""
 
     kind = "complex_dense"
-
-    def __init__(self, in_features, out_features, rng=None):
-        super().__init__(in_features, out_features, rng, True)
-
-    def forward(self, x, train=False):
-        return self._forward(np.asarray(x, dtype=np.complex128))
-
-    def backward(self, grad):
-        return self._backward(grad, conj=True)
+    dtype = np.complex128
 
 
 class RealDense(_DenseBase):
     """Real twin of ComplexDense."""
 
     kind = "real_dense"
-
-    def __init__(self, in_features, out_features, rng=None):
-        super().__init__(in_features, out_features, rng, False)
-
-    def forward(self, x, train=False):
-        return self._forward(np.asarray(x, dtype=np.float64))
-
-    def backward(self, grad):
-        return self._backward(grad, conj=False)
+    dtype = np.float64
 
 
-class ComplexReLU(Layer):
-    """ReLU on real and imaginary parts independently."""
+class RealHeadDense(RealDense):
+    """Real dense readout over interleaved (re, im) features.
 
-    kind = "complex_relu"
+    Complex input (B, F) is read through its float64 view (B, 2F) =
+    [r0, i0, r1, i1, ...]; real input goes to the matmul as it is.
+    `in_features` is the real width either way.
+    """
+
+    kind = "real_head_dense"
 
     def forward(self, x, train=False):
-        self._mr = x.real > 0
-        self._mi = x.imag > 0
-        return x.real * self._mr + 1j * (x.imag * self._mi)
+        self._in_dtype = np.complex128 if np.iscomplexobj(x) else np.float64
+        return super().forward(_float64_view(x, self._in_dtype))
 
     def backward(self, grad):
-        return grad.real * self._mr + 1j * (grad.imag * self._mi)
+        return super().backward(grad).view(self._in_dtype)
 
 
 class RealReLU(Layer):
     kind = "real_relu"
+    dtype = np.float64
 
     def forward(self, x, train=False):
-        self._m = x > 0
-        return x * self._m
+        v = _float64_view(x, self.dtype)
+        self._m = v > 0
+        return (v * self._m).view(self.dtype)
 
     def backward(self, grad):
-        return grad * self._m
+        return (_float64_view(grad, self.dtype) * self._m).view(self.dtype)
 
 
-class ComplexSigmoid(Layer):
-    """Logistic sigmoid on real and imaginary parts independently."""
+class ComplexReLU(RealReLU):
+    """ReLU on real and imaginary parts independently."""
 
-    kind = "complex_sigmoid"
-
-    def forward(self, x, train=False):
-        self._sr = _sigmoid(x.real)
-        self._si = _sigmoid(x.imag)
-        return self._sr + 1j * self._si
-
-    def backward(self, grad):
-        return (grad.real * self._sr * (1 - self._sr)
-                + 1j * (grad.imag * self._si * (1 - self._si)))
+    kind = "complex_relu"
+    dtype = np.complex128
 
 
 class RealSigmoid(Layer):
     kind = "real_sigmoid"
+    dtype = np.float64
 
     def forward(self, x, train=False):
-        self._s = _sigmoid(x)
-        return self._s
+        self._s = _sigmoid(_float64_view(x, self.dtype))
+        return self._s.view(self.dtype)
 
     def backward(self, grad):
-        return grad * self._s * (1 - self._s)
+        g = _float64_view(grad, self.dtype)
+        return (g * self._s * (1 - self._s)).view(self.dtype)
+
+
+class ComplexSigmoid(RealSigmoid):
+    """Logistic sigmoid on real and imaginary parts independently."""
+
+    kind = "complex_sigmoid"
+    dtype = np.complex128
 
 
 class Flatten(Layer):
@@ -366,62 +367,14 @@ class MergeReIm(Layer):
         return np.concatenate([grad.real, grad.imag], axis=1)
 
 
-class RealHeadDense(Layer):
-    """Real dense readout over interleaved (re, im) features.
-
-    Complex input (B, F) is viewed as (B, 2F) reals [r0, i0, r1, i1, ...];
-    real input passes straight through to the matmul. `in_features` is the
-    real width either way.
-    """
-
-    kind = "real_head_dense"
-
-    def __init__(self, in_features: int, out_features: int, rng: Rng | None = None):
-        self.in_features = in_features
-        self.out_features = out_features
-        if rng is None:
-            self.weight = np.zeros((out_features, in_features))
-        else:
-            self.weight = _init_real(rng, (out_features, in_features),
-                                     in_features, out_features)
-        self.bias = np.zeros(out_features)
-        self.grads: dict[str, np.ndarray] = {}
-
-    def spec(self):
-        return {"kind": self.kind, "in_features": self.in_features,
-                "out_features": self.out_features}
-
-    def param_items(self):
-        return [("weight", self.weight), ("bias", self.bias)]
-
-    def grad_items(self):
-        return [("weight", self.grads["weight"]), ("bias", self.grads["bias"])]
-
-    def forward(self, x, train=False):
-        if np.iscomplexobj(x):
-            self._complex_in = True
-            xr = np.empty((x.shape[0], 2 * x.shape[1]))
-            xr[:, 0::2] = x.real
-            xr[:, 1::2] = x.imag
-        else:
-            self._complex_in = False
-            xr = x
-        if xr.shape[1] != self.in_features:
-            raise ValueError(f"expected {self.in_features} real features, got {xr.shape[1]}")
-        self._xr = xr
-        return xr @ self.weight.T + self.bias
-
-    def backward(self, grad):
-        self.grads = {"weight": grad.T @ self._xr, "bias": grad.sum(axis=0)}
-        gx = grad @ self.weight
-        if self._complex_in:
-            return gx[:, 0::2] + 1j * gx[:, 1::2]
-        return gx
-
-
 def _moments_axes(x: np.ndarray) -> tuple:
     # channel axis is 1 for conv maps, the feature axis for (B, F) inputs
     return (0, 2, 3) if x.ndim == 4 else (0,)
+
+
+def _expand(per_channel: np.ndarray, ndim: int) -> np.ndarray:
+    # broadcast a per-channel vector against (B, C, H, W) or (B, C)
+    return per_channel[None, :, None, None] if ndim == 4 else per_channel[None, :]
 
 
 class ComplexBatchNorm(Layer):
@@ -435,6 +388,8 @@ class ComplexBatchNorm(Layer):
     """
 
     kind = "complex_batchnorm"
+    param_names = ("gamma", "beta")
+    buffer_names = ("running_mean", "running_v")
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.9):
         if channels < 1:
@@ -459,15 +414,6 @@ class ComplexBatchNorm(Layer):
         return {"kind": self.kind, "channels": self.channels, "eps": self.eps,
                 "momentum": self.momentum}
 
-    def param_items(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
-
-    def grad_items(self):
-        return [("gamma", self.grads["gamma"]), ("beta", self.grads["beta"])]
-
-    def buffer_items(self):
-        return [("running_mean", self.running_mean), ("running_v", self.running_v)]
-
     @staticmethod
     def _whiten_coeffs(v11, v12, v22):
         """Entries of (V)^{-1/2} for symmetric 2x2 V (already eps-loaded).
@@ -485,11 +431,6 @@ class ComplexBatchNorm(Layer):
         w12 = -v12 / denom
         return w11, w12, w22, s, t
 
-    def _expand(self, per_channel: np.ndarray, ndim: int) -> np.ndarray:
-        if ndim == 4:
-            return per_channel[None, :, None, None]
-        return per_channel[None, :]
-
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.complex128)
         if x.ndim not in (2, 4):
@@ -503,7 +444,7 @@ class ComplexBatchNorm(Layer):
             if x.shape[0] < 2:
                 raise ValueError("train-mode batchnorm needs batch >= 2")
             mean = x.mean(axis=axes)
-            u = x - self._expand(mean, x.ndim)
+            u = x - _expand(mean, x.ndim)
             v11 = (u.real ** 2).mean(axis=axes)
             v12 = (u.real * u.imag).mean(axis=axes)
             v22 = (u.imag ** 2).mean(axis=axes)
@@ -512,19 +453,19 @@ class ComplexBatchNorm(Layer):
             self.running_v = self.momentum * self.running_v + (1 - self.momentum) * batch_v
         else:
             mean = self.running_mean
-            u = x - self._expand(mean, x.ndim)
+            u = x - _expand(mean, x.ndim)
             v11, v12, v22 = self.running_v.T
             n = 0
         w11, w12, w22, s, t = self._whiten_coeffs(v11 + self.eps, v12, v22 + self.eps)
-        W11 = self._expand(w11, x.ndim)
-        W12 = self._expand(w12, x.ndim)
-        W22 = self._expand(w22, x.ndim)
+        W11 = _expand(w11, x.ndim)
+        W12 = _expand(w12, x.ndim)
+        W22 = _expand(w22, x.ndim)
         xt_r = W11 * u.real + W12 * u.imag
         xt_i = W12 * u.real + W22 * u.imag
         g = self.gamma
-        y_r = self._expand(g[:, 0, 0], x.ndim) * xt_r + self._expand(g[:, 0, 1], x.ndim) * xt_i
-        y_i = self._expand(g[:, 1, 0], x.ndim) * xt_r + self._expand(g[:, 1, 1], x.ndim) * xt_i
-        beta = self._expand(self.beta, x.ndim)
+        y_r = _expand(g[:, 0, 0], x.ndim) * xt_r + _expand(g[:, 0, 1], x.ndim) * xt_i
+        y_i = _expand(g[:, 1, 0], x.ndim) * xt_r + _expand(g[:, 1, 1], x.ndim) * xt_i
+        beta = _expand(self.beta, x.ndim)
         self._cache = (u, xt_r, xt_i, (w11, w12, w22, s, t),
                        (v11 + self.eps, v12, v22 + self.eps), axes, n, train)
         return (y_r + beta.real) + 1j * (y_i + beta.imag)
@@ -543,10 +484,10 @@ class ComplexBatchNorm(Layer):
         self.grads = {"gamma": dgamma, "beta": dbeta}
         # through the affine: grad wrt whitened pair
         g = self.gamma
-        gt_r = self._expand(g[:, 0, 0], nd) * gr + self._expand(g[:, 1, 0], nd) * gi
-        gt_i = self._expand(g[:, 0, 1], nd) * gr + self._expand(g[:, 1, 1], nd) * gi
+        gt_r = _expand(g[:, 0, 0], nd) * gr + _expand(g[:, 1, 0], nd) * gi
+        gt_i = _expand(g[:, 0, 1], nd) * gr + _expand(g[:, 1, 1], nd) * gi
         if not train:
-            W11, W12, W22 = (self._expand(a, nd) for a in (w11, w12, w22))
+            W11, W12, W22 = (_expand(a, nd) for a in (w11, w12, w22))
             dx_r = W11 * gt_r + W12 * gt_i
             dx_i = W12 * gt_r + W22 * gt_i
             return dx_r + 1j * dx_i
@@ -568,8 +509,8 @@ class ComplexBatchNorm(Layer):
         dw12 = (dnum12 * denom + v12 * dden) / denom ** 2
         lv = lw11 * dw11 + lw12 * dw12 + lw22 * dw22                      # (3, C)
         lv11, lv12, lv22 = lv
-        W11, W12, W22 = (self._expand(a, nd) for a in (w11, w12, w22))
-        Lv11, Lv12, Lv22 = (self._expand(a, nd) for a in (lv11, lv12, lv22))
+        W11, W12, W22 = (_expand(a, nd) for a in (w11, w12, w22))
+        Lv11, Lv12, Lv22 = (_expand(a, nd) for a in (lv11, lv12, lv22))
         du_r = W11 * gt_r + W12 * gt_i + (2 * Lv11 * u.real + Lv12 * u.imag) / n
         du_i = W12 * gt_r + W22 * gt_i + (Lv12 * u.real + 2 * Lv22 * u.imag) / n
         dx_r = du_r - du_r.mean(axis=axes, keepdims=True)
@@ -581,6 +522,8 @@ class RealBatchNorm(Layer):
     """Standard per-channel batch normalization (real twin)."""
 
     kind = "real_batchnorm"
+    param_names = ("gamma", "beta")
+    buffer_names = ("running_mean", "running_var")
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.9):
         if channels < 1:
@@ -599,18 +542,6 @@ class RealBatchNorm(Layer):
         return {"kind": self.kind, "channels": self.channels, "eps": self.eps,
                 "momentum": self.momentum}
 
-    def param_items(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
-
-    def grad_items(self):
-        return [("gamma", self.grads["gamma"]), ("beta", self.grads["beta"])]
-
-    def buffer_items(self):
-        return [("running_mean", self.running_mean), ("running_var", self.running_var)]
-
-    def _expand(self, a, ndim):
-        return a[None, :, None, None] if ndim == 4 else a[None, :]
-
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
         if x.shape[1] != self.channels:
@@ -626,21 +557,21 @@ class RealBatchNorm(Layer):
         else:
             mean, var = self.running_mean, self.running_var
         inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - self._expand(mean, x.ndim)) * self._expand(inv, x.ndim)
+        xhat = (x - _expand(mean, x.ndim)) * _expand(inv, x.ndim)
         n = int(np.prod([x.shape[a] for a in axes]))
         self._cache = (xhat, inv, axes, n, train)
-        return self._expand(self.gamma, x.ndim) * xhat + self._expand(self.beta, x.ndim)
+        return _expand(self.gamma, x.ndim) * xhat + _expand(self.beta, x.ndim)
 
     def backward(self, grad):
         xhat, inv, axes, n, train = self._cache
         nd = grad.ndim
         self.grads = {"gamma": (grad * xhat).sum(axis=axes), "beta": grad.sum(axis=axes)}
-        gsc = grad * self._expand(self.gamma * inv, nd)
+        gsc = grad * _expand(self.gamma * inv, nd)
         if not train:
             return gsc
         return gsc - gsc.mean(axis=axes, keepdims=True) \
-            - xhat * self._expand((grad * xhat).mean(axis=axes)
-                                  * self.gamma * inv, nd)
+            - xhat * _expand((grad * xhat).mean(axis=axes)
+                             * self.gamma * inv, nd)
 
 
 class Residual(Layer):
@@ -655,22 +586,13 @@ class Residual(Layer):
         return {"kind": self.kind, "layers": [l.spec() for l in self.layers]}
 
     def param_items(self):
-        out = []
-        for i, l in enumerate(self.layers):
-            out.extend((f"{i}.{n}", a) for n, a in l.param_items())
-        return out
+        return _walk_items(self.layers, "param_items", "{}.{}".format)
 
     def grad_items(self):
-        out = []
-        for i, l in enumerate(self.layers):
-            out.extend((f"{i}.{n}", a) for n, a in l.grad_items())
-        return out
+        return _walk_items(self.layers, "grad_items", "{}.{}".format)
 
     def buffer_items(self):
-        out = []
-        for i, l in enumerate(self.layers):
-            out.extend((f"{i}.{n}", a) for n, a in l.buffer_items())
-        return out
+        return _walk_items(self.layers, "buffer_items", "{}.{}".format)
 
     def forward(self, x, train=False):
         out = x
@@ -687,27 +609,27 @@ class Residual(Layer):
         return grad + g
 
 
-_LAYER_CLASSES = {}
-for _cls in (ComplexConv2d, RealConv2d, ComplexDense, RealDense, ComplexReLU,
-             RealReLU, ComplexSigmoid, RealSigmoid, Flatten, SplitReIm,
-             MergeReIm, RealHeadDense, ComplexBatchNorm, RealBatchNorm, Residual):
-    _LAYER_CLASSES[_cls.kind] = _cls
+_LAYER_CLASSES = {cls.kind: cls for cls in (
+    ComplexConv2d, RealConv2d, ComplexDense, RealDense, ComplexReLU, RealReLU,
+    ComplexSigmoid, RealSigmoid, Flatten, SplitReIm, MergeReIm, RealHeadDense,
+    ComplexBatchNorm, RealBatchNorm, Residual)}
 
 
 def layer_from_spec(spec: dict) -> Layer:
-    """Rebuild a layer from its spec dict; parameters start at zero."""
-    kind = spec.get("kind")
+    """Rebuild a layer from its spec dict; parameters start at zero.
+
+    Spec keys must be exactly the constructor's arguments other than
+    `rng`, else ValueError.
+    """
+    args = dict(spec)
+    kind = args.pop("kind", None)
     if kind not in _LAYER_CLASSES:
         raise ValueError(f"unknown layer kind {kind!r}")
-    if kind in ("complex_conv2d", "real_conv2d"):
-        return _LAYER_CLASSES[kind](spec["in_channels"], spec["out_channels"],
-                                    spec["kernel"], spec["padding"], rng=None)
-    if kind in ("complex_dense", "real_dense"):
-        return _LAYER_CLASSES[kind](spec["in_features"], spec["out_features"], rng=None)
-    if kind == "real_head_dense":
-        return RealHeadDense(spec["in_features"], spec["out_features"], rng=None)
-    if kind in ("complex_batchnorm", "real_batchnorm"):
-        return _LAYER_CLASSES[kind](spec["channels"], spec["eps"], spec["momentum"])
-    if kind == "residual_add":
-        return Residual([layer_from_spec(s) for s in spec["layers"]])
-    return _LAYER_CLASSES[kind]()
+    cls = _LAYER_CLASSES[kind]
+    expected = set(inspect.signature(cls).parameters) - {"rng"}
+    if set(args) != expected:
+        raise ValueError(f"bad {kind} layer spec: keys {sorted(args)}, "
+                         f"expected {sorted(expected)}")
+    if cls is Residual:
+        args["layers"] = [layer_from_spec(s) for s in args["layers"]]
+    return cls(**args)

@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 
-from immimo.cvnn.layers import Layer, Residual, layer_from_spec
+from immimo.cvnn.layers import Layer, _walk_items, layer_from_spec
 
 _MAGIC = b"CVNN"
 _VERSION = 1
@@ -55,23 +55,15 @@ class Model:
             grad = layer.backward(grad)
         return grad
 
+    # items are keyed (layer index, tensor name)
     def param_items(self) -> list:
-        out = []
-        for i, layer in enumerate(self.layers):
-            out.extend(((i, n), a) for n, a in layer.param_items())
-        return out
+        return _walk_items(self.layers, "param_items", lambda i, n: (i, n))
 
     def grad_items(self) -> list:
-        out = []
-        for i, layer in enumerate(self.layers):
-            out.extend(((i, n), a) for n, a in layer.grad_items())
-        return out
+        return _walk_items(self.layers, "grad_items", lambda i, n: (i, n))
 
     def tensor_items(self) -> list:
-        out = []
-        for i, layer in enumerate(self.layers):
-            out.extend(((i, n), a) for n, a in layer.tensor_items())
-        return out
+        return _walk_items(self.layers, "tensor_items", lambda i, n: (i, n))
 
     def specs(self) -> list[dict]:
         return [layer.spec() for layer in self.layers]
@@ -184,13 +176,14 @@ def count_params(model: Model) -> int:
     """
     total = 0
     for s in _walk_specs(model.specs()):
-        kind = s["kind"]
-        if kind in ("complex_conv2d", "real_conv2d"):
+        prefix, _, op = s["kind"].partition("_")
+        if op == "conv2d":
             n = s["kernel"] ** 2 * s["in_channels"] * s["out_channels"]
-            total += 2 * n if kind == "complex_conv2d" else n
-        elif kind in ("complex_dense", "real_dense"):
+        elif op == "dense":
             n = s["in_features"] * s["out_features"]
-            total += 2 * n if kind == "complex_dense" else n
+        else:
+            continue
+        total += 2 * n if prefix == "complex" else n
     return total
 
 
@@ -206,21 +199,19 @@ def count_flops(model: Model, input_shape) -> int:
     total = 0
     for s in _walk_specs(model.specs()):
         kind = s["kind"]
-        if kind in ("complex_conv2d", "real_conv2d"):
+        prefix, _, op = kind.partition("_")
+        flops_per_mac = 8 if prefix == "complex" else 2
+        if op == "conv2d":
             c, h, w = shape
             if c != s["in_channels"]:
                 raise ValueError(f"shape {shape} does not feed {s}")
             if s["padding"] == "valid":
                 h, w = h - s["kernel"] + 1, w - s["kernel"] + 1
             macs = h * w * s["kernel"] ** 2 * s["in_channels"] * s["out_channels"]
-            total += macs * (8 if kind == "complex_conv2d" else 2)
+            total += macs * flops_per_mac
             shape = (s["out_channels"], h, w)
-        elif kind in ("complex_dense", "real_dense"):
-            macs = s["in_features"] * s["out_features"]
-            total += macs * (8 if kind == "complex_dense" else 2)
-            shape = (s["out_features"],)
-        elif kind == "real_head_dense":
-            total += s["in_features"] * s["out_features"] * 2
+        elif op in ("dense", "head_dense"):
+            total += s["in_features"] * s["out_features"] * flops_per_mac
             shape = (s["out_features"],)
         elif kind == "flatten":
             shape = (int(np.prod(shape)),)

@@ -87,25 +87,28 @@ def load_detector(ckpt_dir, variant: str, snr_db: float,
                   cfg: ExperimentConfig | None = None) -> tuple[AapdModel, SeModel]:
     """Load the AAPD/SE pair for one SNR point (see resolve_checkpoints).
 
-    With `cfg`, the checkpoints' n_r/t/n_t (AAPD) and n_u/t (SE) must match
-    it, else ConfigError.
+    A checkpoint whose meta lacks a model field is a ConfigError. With
+    `cfg`, the checkpoints' n_r/t/n_t (AAPD) and n_u/t (SE) must match it,
+    else ConfigError.
     """
-    aapd_path, se_path = resolve_checkpoints(ckpt_dir, variant, snr_db)
-    anet = Model.load(aapd_path)
-    snet = Model.load(se_path)
-    am = anet.meta
-    sm = snet.meta
-    if cfg is not None:
-        for path, meta, keys in ((aapd_path, am, ("n_r", "t", "n_t")),
-                                 (se_path, sm, ("n_u", "t"))):
-            bad = [f"{k}={meta.get(k)} (config {getattr(cfg, k)})"
-                   for k in keys if meta.get(k) != getattr(cfg, k)]
+    models = []
+    for path, cls, keys in zip(resolve_checkpoints(ckpt_dir, variant, snr_db),
+                               (AapdModel, SeModel),
+                               (("n_r", "t", "n_t"), ("n_u", "t"))):
+        net = Model.load(path)
+        meta = net.meta
+        missing = [k for k in ("variant",) + keys if k not in meta]
+        if missing:
+            raise ConfigError(f"{path}: checkpoint meta lacks {', '.join(missing)}")
+        if cfg is not None:
+            bad = [f"{k}={meta[k]} (config {getattr(cfg, k)})"
+                   for k in keys if meta[k] != getattr(cfg, k)]
             if bad:
                 raise ConfigError(f"{path}: checkpoint does not match config: "
                                   + ", ".join(bad))
-    return (AapdModel(net=anet, variant=am["variant"], n_r=am["n_r"],
-                      t=am["t"], n_t=am["n_t"]),
-            SeModel(net=snet, variant=sm["variant"], n_u=sm["n_u"], t=sm["t"]))
+        models.append(cls(net=net, variant=meta["variant"],
+                          **{k: meta[k] for k in keys}))
+    return tuple(models)
 
 
 def rows_to_csv(rows: list[dict], columns: list[str]) -> str:

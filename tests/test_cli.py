@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -94,20 +95,6 @@ class TestGenData:
         code = main(["gen-data", "--config", str(workspace["cfg"]),
                      "--out", str(blocker / "sub")])
         assert code == 3
-
-    def test_env_threads_must_be_integer(self, workspace, tmp_path, monkeypatch):
-        monkeypatch.setenv("IMNET_THREADS", "many")
-        assert main(["gen-data", "--config", str(workspace["cfg"]),
-                     "--out", str(tmp_path / "d")]) == 2
-
-    def test_env_threads_accepted_and_bytes_stable(self, workspace, tmp_path,
-                                                   monkeypatch):
-        monkeypatch.setenv("IMNET_THREADS", "3")
-        out = tmp_path / "threaded"
-        assert main(["gen-data", "--config", str(workspace["cfg"]),
-                     "--out", str(out)]) == 0
-        a = (workspace["data"] / "snr12_train.imds").read_bytes()
-        assert a == (out / "snr12_train.imds").read_bytes()
 
 
 class TestTrain:
@@ -254,6 +241,23 @@ class TestCheckpointInput:
         path = ckpt / "aapd_complex_snr12.cvnn"
         path.write_bytes(path.read_bytes() + b"junk")
         assert self._eval(workspace, ckpt, tmp_path) == 2
+
+    @pytest.mark.parametrize("edit, needle", [
+        (lambda h: h["meta"].pop("variant"), "variant"),
+        (lambda h: next(s for s in h["layers"] if "channels" in s).pop("channels"),
+         "channels"),
+    ], ids=["meta-without-variant", "spec-without-channels"])
+    def test_malformed_header_exits_2(self, workspace, tmp_path, capsys, edit, needle):
+        ckpt = self._ckpt_copy(workspace, tmp_path)
+        path = ckpt / "aapd_complex_snr12.cvnn"
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[6:10])   # after magic and version
+        header = json.loads(raw[10:10 + hlen])
+        edit(header)
+        hj = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(raw[:6] + struct.pack("<I", len(hj)) + hj + raw[10 + hlen:])
+        assert self._eval(workspace, ckpt, tmp_path) == 2
+        assert needle in capsys.readouterr().err
 
     def test_config_mismatch_exits_2(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "wide.cfg"

@@ -19,8 +19,10 @@ from immimo.cvnn.layers import (
     RealSigmoid,
     Residual,
     SplitReIm,
+    _LAYER_CLASSES,
     _col2im,
     _im2col,
+    _sigmoid,
     layer_from_spec,
 )
 from immimo.linalg import Rng
@@ -56,6 +58,46 @@ def naive_complex_conv(x, w, b, padding):
 
 def crandn(np_rng, *shape):
     return np_rng.normal(size=shape) + 1j * np_rng.normal(size=shape)
+
+
+# Componentwise references for the layers that run on the float64 view of
+# complex input; each returns (forward output, input gradient).
+
+def ref_complex_relu(x, grad):
+    mr, mi = x.real > 0, x.imag > 0
+    return (x.real * mr + 1j * (x.imag * mi),
+            grad.real * mr + 1j * (grad.imag * mi))
+
+
+def ref_complex_sigmoid(x, grad):
+    sr, si = _sigmoid(x.real), _sigmoid(x.imag)
+    return (sr + 1j * si,
+            grad.real * sr * (1 - sr) + 1j * (grad.imag * si * (1 - si)))
+
+
+def ref_head_dense(weight, bias, x, grad):
+    """Interleaving readout: (output, weight grad, bias grad, input grad)."""
+    xr = np.empty((x.shape[0], 2 * x.shape[1]))
+    xr[:, 0::2] = x.real
+    xr[:, 1::2] = x.imag
+    gx = grad @ weight
+    return (xr @ weight.T + bias, grad.T @ xr, grad.sum(axis=0),
+            gx[:, 0::2] + 1j * gx[:, 1::2])
+
+
+def edge_crandn(np_rng, *shape):
+    """Complex normals with zeros, negatives and +-1000 mixed into both parts."""
+    x = crandn(np_rng, *shape)
+    for part in (x.real, x.imag):
+        pick = np_rng.integers(0, 4, size=shape)
+        part[pick == 0] = 0.0
+        part[pick == 1] = np_rng.choice([-1000.0, 1000.0], size=int((pick == 1).sum()))
+    return x
+
+
+def non_contiguous_views(x):
+    """x itself, plus transposed and strided-slice views of the same data."""
+    return [x, x.T, x[::2], x[..., 1::3], x[:, ::-1]]
 
 
 class TestComplexConv:
@@ -162,6 +204,22 @@ class TestActivations:
         assert np.array_equal(RealReLU().forward(x), [[0.0, 0.0, 3.0]])
         assert RealSigmoid().forward(np.zeros((1, 1)))[0, 0] == 0.5
 
+    @pytest.mark.parametrize("layer, ref", [(ComplexReLU, ref_complex_relu),
+                                            (ComplexSigmoid, ref_complex_sigmoid)],
+                             ids=["relu", "sigmoid"])
+    def test_view_matches_componentwise_reference(self, np_rng, layer, ref):
+        base = edge_crandn(np_rng, 6, 4, 5, 7)
+        for x in non_contiguous_views(base):
+            grad = edge_crandn(np_rng, *x.shape)
+            for g in (grad, np.asfortranarray(grad)):
+                act = layer()
+                y = act.forward(x)
+                gx = act.backward(g)
+                want_y, want_gx = ref(x, g)
+                assert y.dtype == gx.dtype == np.complex128
+                assert np.array_equal(y, want_y)
+                assert np.array_equal(gx, want_gx)
+
     def test_sigmoid_extreme_inputs_finite(self):
         y = RealSigmoid().forward(np.array([[-1000.0, 1000.0]]))
         assert np.all(np.isfinite(y))
@@ -200,6 +258,19 @@ class TestRealHead:
         head = RealHeadDense(6, 2, rng=Rng(9))
         x = np_rng.normal(size=(4, 6))
         assert np.allclose(head.forward(x), x @ head.weight.T + head.bias)
+
+    def test_view_matches_interleaving_reference(self, np_rng):
+        base = edge_crandn(np_rng, 8, 6)
+        for x in (base, base[::2], base[:, ::2], edge_crandn(np_rng, 3, 8).T):
+            head = RealHeadDense(2 * x.shape[1], 3, rng=Rng(9))
+            grad = np_rng.normal(size=(x.shape[0], 3))
+            y = head.forward(x)
+            gx = head.backward(grad)
+            want = ref_head_dense(head.weight, head.bias, x, grad)
+            got = (y, head.grads["weight"], head.grads["bias"], gx)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                assert np.array_equal(g, w)
 
     def test_width_mismatch_rejected(self, np_rng):
         head = RealHeadDense(4, 2, rng=Rng(9))
@@ -311,7 +382,7 @@ class TestResidual:
 
 
 class TestSpecRoundTrip:
-    @pytest.mark.parametrize("make", [
+    MAKERS = [
         lambda: ComplexConv2d(2, 3, kernel=3, padding="same", rng=Rng(1)),
         lambda: RealConv2d(1, 2, kernel=1, padding="valid", rng=Rng(1)),
         lambda: ComplexDense(4, 5, rng=Rng(1)),
@@ -325,7 +396,14 @@ class TestSpecRoundTrip:
         lambda: SplitReIm(),
         lambda: MergeReIm(),
         lambda: Residual([ComplexDense(2, 2), ComplexReLU()]),
-    ])
+        lambda: ComplexSigmoid(),
+        lambda: RealReLU(),
+    ]
+
+    def test_every_kind_covered(self):
+        assert {make().kind for make in self.MAKERS} == set(_LAYER_CLASSES)
+
+    @pytest.mark.parametrize("make", MAKERS)
     def test_spec_rebuild_preserves_structure(self, make):
         layer = make()
         rebuilt = layer_from_spec(layer.spec())
@@ -338,3 +416,15 @@ class TestSpecRoundTrip:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             layer_from_spec({"kind": "attention"})
+        # malformed specs of known kinds, also inside a residual branch
+        for bad in ({"kind": "complex_batchnorm", "eps": 1e-5, "momentum": 0.9},
+                    {"kind": "real_batchnorm", "channels": 2, "eps": 1e-5},
+                    {"kind": "real_dense", "in_features": 2, "out_features": 2,
+                     "bias": True},
+                    {"kind": "real_dense", "in_features": 2, "out_features": 2,
+                     "rng": 1},
+                    {"kind": "complex_relu", "channels": 3},
+                    {"kind": "residual_add"},
+                    {"kind": "residual_add", "layers": [{"kind": "flatten", "x": 1}]}):
+            with pytest.raises(ValueError):
+                layer_from_spec(bad)
