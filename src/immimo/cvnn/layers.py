@@ -619,17 +619,23 @@ def layer_from_spec(spec: dict) -> Layer:
     """Rebuild a layer from its spec dict; parameters start at zero.
 
     Spec keys must be exactly the constructor's arguments other than
-    `rng`, else ValueError.
+    `rng`, else ValueError. A spec that is not a dict, and a value that
+    makes the constructor raise TypeError, are ValueErrors too.
     """
+    if not isinstance(spec, dict):
+        raise ValueError(f"layer spec must be an object, got {spec!r}")
     args = dict(spec)
     kind = args.pop("kind", None)
-    if kind not in _LAYER_CLASSES:
+    cls = _LAYER_CLASSES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise ValueError(f"unknown layer kind {kind!r}")
-    cls = _LAYER_CLASSES[kind]
     expected = set(inspect.signature(cls).parameters) - {"rng"}
     if set(args) != expected:
         raise ValueError(f"bad {kind} layer spec: keys {sorted(args)}, "
                          f"expected {sorted(expected)}")
-    if cls is Residual:
-        args["layers"] = [layer_from_spec(s) for s in args["layers"]]
-    return cls(**args)
+    try:
+        if cls is Residual:
+            args["layers"] = [layer_from_spec(s) for s in args["layers"]]
+        return cls(**args)
+    except TypeError as e:
+        raise ValueError(f"bad {kind} layer spec {spec!r}: {e}") from e

@@ -1,10 +1,12 @@
 """Sequential model container: forward/backward, checkpoints, complexity.
 
 Checkpoint layout (little-endian): magic "CVNN", version u16, u32 JSON
-header length, JSON header (layer specs, tensor manifest, metadata, Adam
-presence), then raw tensor blobs in manifest order. Real tensors are f32,
-complex tensors are c8 (interleaved re/im f32). In-memory compute stays
-f64/c16; loading upcasts, so save -> load -> save is byte identical.
+header length, JSON header, then raw tensor blobs in manifest order. The
+header is an object with exactly the keys `layers` (layer specs), `tensors`
+(manifest: layer index, name, disk dtype and shape per tensor), `meta` and
+`adam`, which is always null (optimizer state is not stored). Real tensors
+are f32, complex tensors are c8 (interleaved re/im f32). In-memory compute
+stays f64/c16; loading upcasts, so save -> load -> save is byte identical.
 """
 
 from __future__ import annotations
@@ -20,10 +22,14 @@ _MAGIC = b"CVNN"
 _VERSION = 1
 
 
-def _to_disk(a: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(a):
-        return a.astype("<c8")
-    return a.astype("<f4")
+def _disk_dtype(a: np.ndarray) -> np.dtype:
+    return np.dtype("<c8" if np.iscomplexobj(a) else "<f4")
+
+
+def _manifest_entry(key, a: np.ndarray) -> dict:
+    layer, name = key
+    return {"layer": layer, "name": name, "dtype": _disk_dtype(a).str,
+            "shape": list(a.shape)}
 
 
 def _read(f, nbytes: int) -> bytes:
@@ -33,9 +39,16 @@ def _read(f, nbytes: int) -> bytes:
     return buf
 
 
-def _from_disk(buf: bytes, dtype: str, shape) -> np.ndarray:
-    a = np.frombuffer(buf, dtype=dtype).reshape(shape)
-    return a.astype(np.complex128 if dtype == "<c8" else np.float64)
+# the JSON type of each header key; optimizer state is never stored
+_HEADER_TYPES = {"adam": type(None), "layers": list, "meta": dict, "tensors": list}
+
+
+def _check_header(header) -> None:
+    """ValueError unless `header` has the keys and types that save writes."""
+    if (not isinstance(header, dict) or header.keys() != _HEADER_TYPES.keys()
+            or any(type(header[k]) is not t for k, t in _HEADER_TYPES.items())):
+        raise ValueError("checkpoint header must be an object with exactly adam "
+                         "(null), layers (array), meta (object), tensors (array)")
 
 
 class Model:
@@ -83,43 +96,27 @@ class Model:
     def quantize_state(self) -> None:
         """Pass every tensor through its on-disk f32 precision in place."""
         for (_, _), a in self.tensor_items():
-            a[...] = _to_disk(a).astype(a.dtype)
+            a[...] = a.astype(_disk_dtype(a)).astype(a.dtype)
 
     # -- checkpoint io --
 
-    def save(self, path, adam_state: dict | None = None) -> None:
+    def save(self, path) -> None:
         tensors = self.tensor_items()
-        manifest = []
-        blobs = []
-        for (li, name), a in tensors:
-            d = _to_disk(a)
-            manifest.append({"layer": li, "name": name,
-                             "dtype": "<c8" if np.iscomplexobj(a) else "<f4",
-                             "shape": list(a.shape)})
-            blobs.append(d.tobytes())
-        header = {"layers": self.specs(), "tensors": manifest, "meta": self.meta,
-                  "adam": None}
-        if adam_state is not None:
-            adam_manifest = []
-            for slot in adam_state["slots"]:
-                for key in ("m", "v"):
-                    a = slot[key]
-                    adam_manifest.append({"dtype": "<c8" if np.iscomplexobj(a) else "<f4",
-                                          "shape": list(a.shape)})
-                    blobs.append(_to_disk(a).tobytes())
-            header["adam"] = {"step": adam_state["step"], "lr": adam_state["lr"],
-                              "tensors": adam_manifest}
+        header = {"layers": self.specs(),
+                  "tensors": [_manifest_entry(k, a) for k, a in tensors],
+                  "meta": self.meta, "adam": None}
         hj = json.dumps(header, sort_keys=True).encode()
         with open(path, "wb") as f:
             f.write(_MAGIC)
             f.write(struct.pack("<H", _VERSION))
             f.write(struct.pack("<I", len(hj)))
             f.write(hj)
-            for b in blobs:
-                f.write(b)
+            for _, a in tensors:
+                f.write(a.astype(_disk_dtype(a)).tobytes())
 
     @classmethod
-    def load(cls, path, with_adam: bool = False):
+    def load(cls, path):
+        """Read a checkpoint; ValueError on any malformed or truncated part."""
         with open(path, "rb") as f:
             magic = f.read(4)
             if magic != _MAGIC:
@@ -129,31 +126,23 @@ class Model:
                 raise ValueError(f"unsupported checkpoint version {version}")
             (hlen,) = struct.unpack("<I", _read(f, 4))
             header = json.loads(_read(f, hlen))
-            layers = [layer_from_spec(s) for s in header["layers"]]
-            model = cls(layers, meta=header.get("meta", {}))
+            _check_header(header)
+            model = cls([layer_from_spec(s) for s in header["layers"]],
+                        meta=header["meta"])
             items = model.tensor_items()
             if len(items) != len(header["tensors"]):
                 raise ValueError("checkpoint tensor manifest mismatch")
-            for ((li, name), dst), m in zip(items, header["tensors"]):
-                if list(dst.shape) != m["shape"]:
-                    raise ValueError(f"shape mismatch for layer {li} tensor {name}")
-                nbytes = int(np.prod(m["shape"])) * (8 if m["dtype"] == "<c8" else 4)
-                dst[...] = _from_disk(_read(f, nbytes), m["dtype"], m["shape"])
-            adam_state = None
-            if header.get("adam") is not None:
-                ah = header["adam"]
-                slots = []
-                arrays = []
-                for m in ah["tensors"]:
-                    nbytes = int(np.prod(m["shape"])) * (8 if m["dtype"] == "<c8" else 4)
-                    arrays.append(_from_disk(_read(f, nbytes), m["dtype"], m["shape"]))
-                for i in range(0, len(arrays), 2):
-                    slots.append({"m": arrays[i], "v": arrays[i + 1]})
-                adam_state = {"step": ah["step"], "lr": ah["lr"], "slots": slots}
+            for (key, dst), entry in zip(items, header["tensors"]):
+                # as JSON text, so that e.g. false does not pass for 0
+                if json.dumps(entry, sort_keys=True) != json.dumps(
+                        _manifest_entry(key, dst), sort_keys=True):
+                    raise ValueError(f"checkpoint manifest entry {entry!r} does not "
+                                     f"match layer {key[0]} tensor {key[1]}")
+                disk = _disk_dtype(dst)
+                dst[...] = np.frombuffer(_read(f, disk.itemsize * dst.size),
+                                         disk).reshape(dst.shape)
             if f.read(1):
                 raise ValueError("checkpoint has trailing bytes")
-        if with_adam:
-            return model, adam_state
         return model
 
 

@@ -2,8 +2,9 @@
 
 File layout (little-endian): magic "IMDS", version u16, header
 (n_t, n_u, n_r, t, m as u16; snr_db f32; record count u64; seed u64), then
-per record: packed payload bits (ceil(b/8) bytes, msb-first), Y (n_r*t c8),
-H (n_r*n_t c8), H_est (n_r*n_t c8), g (n_t bytes), S (n_u*t c8).
+`count` packed records of `DatasetHeader.record_dtype()` (fields bits, y,
+h, h_est, g, s), the one declaration of the record layout that the writer
+and the reader share.
 
 The channel is quasi-static: one realization per seed, shared by every
 frame, split, and SNR point generated from that seed, while payload bits,
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -64,12 +65,20 @@ class DatasetHeader:
         b1 = math.comb(self.n_t, self.n_u).bit_length() - 1  # log2 of N_L
         return b1 + self.n_u * int(math.log2(self.m)) * self.t
 
+    def record_dtype(self) -> np.dtype:
+        """One record, fields in file order: payload bits packed msb-first,
+        then Y, H, H_est, the activation indicator g and the symbols S."""
+        return np.dtype([
+            ("bits", "u1", ((self.bits_per_frame + 7) // 8,)),
+            ("y", "<c8", (self.n_r, self.t)),
+            ("h", "<c8", (self.n_r, self.n_t)),
+            ("h_est", "<c8", (self.n_r, self.n_t)),
+            ("g", "u1", (self.n_t,)),
+            ("s", "<c8", (self.n_u, self.t)),
+        ])
+
     def record_nbytes(self) -> int:
-        return ((self.bits_per_frame + 7) // 8
-                + 8 * self.n_r * self.t
-                + 8 * self.n_r * self.n_t * 2
-                + self.n_t
-                + 8 * self.n_u * self.t)
+        return self.record_dtype().itemsize
 
 
 def table_for(cfg: ExperimentConfig) -> TacTable:
@@ -91,18 +100,6 @@ def scenario_channel(cfg: ExperimentConfig) -> np.ndarray:
     """
     return draw_channel(Rng(cfg.seed).derive(_CHANNEL_STREAM), cfg.n_r, cfg.n_t,
                         rho=cfg.rho)
-
-
-def _pack_record(bits, y, h, h_est, g, s) -> bytes:
-    parts = [
-        np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes(),
-        np.asarray(y, dtype="<c8").tobytes(),
-        np.asarray(h, dtype="<c8").tobytes(),
-        np.asarray(h_est, dtype="<c8").tobytes(),
-        np.asarray(g, dtype=np.uint8).tobytes(),
-        np.asarray(s, dtype="<c8").tobytes(),
-    ]
-    return b"".join(parts)
 
 
 def generate_frame_data(cfg: ExperimentConfig, table: TacTable,
@@ -136,51 +133,55 @@ def generate_arrays(cfg: ExperimentConfig, snr_db: float, count: int,
     table = table_for(cfg)
     constellation = QamConstellation(cfg.m)
     h0 = scenario_channel(cfg)
-    out = {"bits": [], "y": [], "h": [], "h_est": [], "g": [], "s": []}
+    nbits = frame_bit_count(table, constellation, cfg.t)
+    out = {"bits": np.empty((count, nbits), np.int64),
+           "y": np.empty((count, cfg.n_r, cfg.t), np.complex128),
+           "h": np.empty((count, cfg.n_r, cfg.n_t), np.complex128),
+           "h_est": np.empty((count, cfg.n_r, cfg.n_t), np.complex128),
+           "g": np.empty((count, cfg.n_t), np.float64),
+           "s": np.empty((count, cfg.n_u, cfg.t), np.complex128)}
     for i in range(count):
-        bits, y, h, h_est, g, s = generate_frame_data(
-            cfg, table, constellation, float(snr_db), start_index + i, h=h0)
-        out["bits"].append(bits)
-        out["y"].append(y)
-        out["h"].append(h)
-        out["h_est"].append(h_est)
-        out["g"].append(g.astype(np.float64))
-        out["s"].append(s)
-    return {k: np.stack(v) for k, v in out.items()}
+        frame = generate_frame_data(cfg, table, constellation, float(snr_db),
+                                    start_index + i, h=h0)
+        for dst, v in zip(out.values(), frame):
+            dst[i] = v
+    return out
 
 
 def write_dataset(path, cfg: ExperimentConfig, snr_db: float, count: int,
                   start_index: int, threads: int = 1) -> DatasetHeader:
     """Generate `count` frames (global indices start_index..+count) to `path`.
 
+    The frames are those of generate_arrays, stored as one array of
+    `record_dtype()` records after the header (complex values at f32).
     `threads` is accepted and ignored.
     """
     header = DatasetHeader(cfg.n_t, cfg.n_u, cfg.n_r, cfg.t, cfg.m,
                            float(snr_db), count, cfg.seed)
-    table = table_for(cfg)
-    constellation = QamConstellation(cfg.m)
-    h0 = scenario_channel(cfg)
-
+    arrays = generate_arrays(cfg, snr_db, count, start_index)
+    records = np.empty(count, header.record_dtype())
+    for name, a in arrays.items():
+        records[name] = np.packbits(a, axis=1) if name == "bits" else a
     with open(path, "wb") as f:
-        f.write(_HEADER.pack(_MAGIC, _VERSION, cfg.n_t, cfg.n_u, cfg.n_r,
-                             cfg.t, cfg.m, float(snr_db), count, cfg.seed))
-        for i in range(count):
-            f.write(_pack_record(*generate_frame_data(
-                cfg, table, constellation, float(snr_db), start_index + i, h=h0)))
+        f.write(_HEADER.pack(_MAGIC, _VERSION, *astuple(header)))
+        f.write(records.tobytes())
     return header
 
 
-def read_header(path) -> DatasetHeader:
-    with open(path, "rb") as f:
-        raw = f.read(_HEADER.size)
+def _parse_header(raw: bytes, path) -> DatasetHeader:
     if len(raw) < _HEADER.size:
         raise ValueError(f"{path}: truncated header")
-    magic, version, n_t, n_u, n_r, t, m, snr_db, count, seed = _HEADER.unpack(raw)
+    magic, version, *fields = _HEADER.unpack_from(raw)
     if magic != _MAGIC:
         raise ValueError(f"{path}: bad magic {magic!r}")
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
-    return DatasetHeader(n_t, n_u, n_r, t, m, float(snr_db), count, seed)
+    return DatasetHeader(*fields)
+
+
+def read_header(path) -> DatasetHeader:
+    with open(path, "rb") as f:
+        return _parse_header(f.read(_HEADER.size), path)
 
 
 def read_dataset(path) -> tuple[DatasetHeader, dict]:
@@ -190,37 +191,21 @@ def read_dataset(path) -> tuple[DatasetHeader, dict]:
     h / h_est (N, n_r, n_t), g (N, n_t) float64, s (N, n_u, t); complex
     arrays are complex128.
     """
-    header = read_header(path)
-    nb = header.record_nbytes()
     with open(path, "rb") as f:
-        f.seek(_HEADER.size)
-        payload = f.read()
-    if len(payload) != nb * header.count:
+        raw = f.read()
+    header = _parse_header(raw, path)
+    dtype = header.record_dtype()
+    payload = memoryview(raw)[_HEADER.size:]
+    if len(payload) != dtype.itemsize * header.count:
         raise ValueError(f"{path}: payload is {len(payload)} bytes, "
-                         f"expected {nb * header.count}")
-    b = header.bits_per_frame
-    nbytes_bits = (b + 7) // 8
-    n = header.count
-    recs = np.frombuffer(payload, dtype=np.uint8).reshape(n, nb)
-    off = 0
-    bits_raw = recs[:, off:off + nbytes_bits]
-    off += nbytes_bits
-    bits = np.unpackbits(bits_raw, axis=1)[:, :b].astype(np.int8)
-
-    def take_complex(nvals, shape):
-        nonlocal off
-        block = recs[:, off:off + 8 * nvals]
-        off += 8 * nvals
-        a = np.frombuffer(np.ascontiguousarray(block).tobytes(), dtype="<c8")
-        return a.reshape((n,) + shape).astype(np.complex128)
-
-    y = take_complex(header.n_r * header.t, (header.n_r, header.t))
-    h = take_complex(header.n_r * header.n_t, (header.n_r, header.n_t))
-    h_est = take_complex(header.n_r * header.n_t, (header.n_r, header.n_t))
-    g = recs[:, off:off + header.n_t].astype(np.float64)
-    off += header.n_t
-    s = take_complex(header.n_u * header.t, (header.n_u, header.t))
-    return header, {"bits": bits, "y": y, "h": h, "h_est": h_est, "g": g, "s": s}
+                         f"expected {dtype.itemsize * header.count}")
+    records = np.frombuffer(payload, dtype)
+    return header, {
+        "bits": np.unpackbits(records["bits"], axis=1)[:, :header.bits_per_frame]
+                  .astype(np.int8),
+        **{k: records[k].astype(np.complex128) for k in ("y", "h", "h_est")},
+        "g": records["g"].astype(np.float64),
+        "s": records["s"].astype(np.complex128)}
 
 
 def check_header_matches(header: DatasetHeader, cfg: ExperimentConfig, path) -> None:

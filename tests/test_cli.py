@@ -3,13 +3,17 @@
 import json
 import os
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from immimo.cli import main
 from immimo.config import ExperimentConfig
-from immimo.dataset import read_header
+from immimo.dataset import read_dataset, read_header
 
 SMALL_CFG = """
 n_t = 4
@@ -88,6 +92,17 @@ class TestGenData:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["gen-data", "--config", str(tmp_path / "none.cfg"),
                      "--out", str(tmp_path / "d")]) == 2
+
+    def test_empty_split_written_and_readable(self, tmp_path):
+        cfg = tmp_path / "noval.cfg"
+        cfg.write_text(SMALL_CFG.replace("frames_val = 16", "frames_val = 0"))
+        assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
+        header, arrays = read_dataset(tmp_path / "d" / "snr12_val.imds")
+        assert header.count == 0
+        # b = log2(C(4, 1)) + n_u * log2(m) * t = 2 + 1 * 2 * 4
+        assert {k: a.shape for k, a in arrays.items()} == {
+            "bits": (0, 10), "y": (0, 2, 4), "h": (0, 2, 4), "h_est": (0, 2, 4),
+            "g": (0, 4), "s": (0, 1, 4)}
 
     def test_unwritable_out_exits_3(self, workspace, tmp_path):
         blocker = tmp_path / "file.txt"
@@ -215,6 +230,17 @@ class TestEval:
         assert float(row[4]) == 0.0 and float(row[5]) == 1.0
 
 
+def _drop(d: dict, key: str) -> dict:
+    return {k: v for k, v in d.items() if k != key}
+
+
+def _rewrite_header(raw: bytes, edit) -> bytes:
+    """A .cvnn file with its JSON header replaced by edit(header)."""
+    (hlen,) = struct.unpack("<I", raw[6:10])   # after magic and version
+    hj = json.dumps(edit(json.loads(raw[10:10 + hlen])), sort_keys=True).encode()
+    return raw[:6] + struct.pack("<I", len(hj)) + hj + raw[10 + hlen:]
+
+
 class TestCheckpointInput:
     """Malformed or mismatched checkpoints are usage errors (exit 2)."""
 
@@ -243,19 +269,28 @@ class TestCheckpointInput:
         assert self._eval(workspace, ckpt, tmp_path) == 2
 
     @pytest.mark.parametrize("edit, needle", [
-        (lambda h: h["meta"].pop("variant"), "variant"),
-        (lambda h: next(s for s in h["layers"] if "channels" in s).pop("channels"),
+        (lambda h: {**h, "meta": _drop(h["meta"], "variant")}, "variant"),
+        (lambda h: {**h, "layers": [_drop(s, "channels") for s in h["layers"]]},
          "channels"),
-    ], ids=["meta-without-variant", "spec-without-channels"])
+        (lambda h: _drop(h, "tensors"), "tensors"),
+        (lambda h: _drop(h, "layers"), "layers"),
+        (lambda h: [h], "object"),
+        (lambda h: {**h, "tensors": [_drop(t, "dtype") for t in h["tensors"]]},
+         "manifest"),
+        (lambda h: {**h, "layers": [{**s, "in_features": "3"} if "in_features" in s
+                                    else s for s in h["layers"]]}, "in_features"),
+        (lambda h: {**h, "layers": [{**s, "in_features": 2.5} if "in_features" in s
+                                    else s for s in h["layers"]]}, "in_features"),
+        (lambda h: {**h, "layers": [7] + h["layers"][1:]}, "object"),
+        (lambda h: {**h, "adam": {"step": 1, "lr": 1e-3, "tensors": []}}, "adam"),
+    ], ids=["meta-without-variant", "spec-without-channels", "without-tensors",
+            "without-layers", "header-is-a-list", "tensor-without-dtype",
+            "in-features-str", "in-features-float", "spec-not-an-object",
+            "adam-not-null"])
     def test_malformed_header_exits_2(self, workspace, tmp_path, capsys, edit, needle):
         ckpt = self._ckpt_copy(workspace, tmp_path)
         path = ckpt / "aapd_complex_snr12.cvnn"
-        raw = path.read_bytes()
-        (hlen,) = struct.unpack("<I", raw[6:10])   # after magic and version
-        header = json.loads(raw[10:10 + hlen])
-        edit(header)
-        hj = json.dumps(header, sort_keys=True).encode()
-        path.write_bytes(raw[:6] + struct.pack("<I", len(hj)) + hj + raw[10 + hlen:])
+        path.write_bytes(_rewrite_header(path.read_bytes(), edit))
         assert self._eval(workspace, ckpt, tmp_path) == 2
         assert needle in capsys.readouterr().err
 
@@ -267,6 +302,60 @@ class TestCheckpointInput:
         capsys.readouterr()
         assert self._eval(workspace, workspace["ckpt"], tmp_path, cfg=cfg, data=data) == 2
         assert "n_t" in capsys.readouterr().err
+
+
+_CKPTS = ("aapd_complex_snr12.cvnn", "se_complex_snr12.cvnn")
+_DROP = object()
+_FUZZ = settings(max_examples=30, deadline=None, derandomize=True)
+
+
+class TestInputFuzz:
+    """Damaged .imds/.cvnn input makes `immimo eval` exit 2, never raise."""
+
+    def _eval_damaged(self, workspace, name: str, damage) -> int:
+        with tempfile.TemporaryDirectory() as tmp:
+            data, ckpt = Path(tmp, "data"), Path(tmp, "ckpt")
+            data.mkdir()
+            ckpt.mkdir()
+            (data / "snr12_test.imds").write_bytes(
+                (workspace["data"] / "snr12_test.imds").read_bytes())
+            for n in _CKPTS:
+                (ckpt / n).write_bytes((workspace["ckpt"] / n).read_bytes())
+            path = (data if name.endswith(".imds") else ckpt) / name
+            path.write_bytes(damage(path.read_bytes()))
+            return main(["eval", "--config", str(workspace["cfg"]), "--data", str(data),
+                         "--ckpt", str(ckpt), "--detectors", "nn-complex",
+                         "--out", str(Path(tmp, "x.csv"))])
+
+    @_FUZZ
+    @given(name=st.sampled_from(("snr12_test.imds",) + _CKPTS), data=st.data())
+    def test_truncated_file_exits_2(self, workspace, name, data):
+        def truncate(raw):
+            return raw[:data.draw(st.integers(0, len(raw) - 1), label="keep")]
+        assert self._eval_damaged(workspace, name, truncate) == 2
+
+    @_FUZZ
+    @given(name=st.sampled_from(_CKPTS), data=st.data(),
+           value=st.one_of(st.just(_DROP), st.none(), st.booleans(),
+                           st.integers(-2, 2), st.text(max_size=3),
+                           st.lists(st.integers(0, 3), max_size=2),
+                           st.dictionaries(st.text(max_size=2), st.integers(0, 3),
+                                           max_size=2)))
+    def test_dropped_or_retyped_header_key_exits_2(self, workspace, name, data, value):
+        def edit(header):
+            # a key of the header itself, or of one tensor-manifest entry
+            parent = data.draw(st.one_of(st.just(header),
+                                         st.sampled_from(header["tensors"])),
+                               label="parent")
+            key = data.draw(st.sampled_from(sorted(parent)), label="key")
+            assume(value is _DROP or type(value) is not type(parent[key]))
+            if value is _DROP:
+                del parent[key]
+            else:
+                parent[key] = value
+            return header
+        assert self._eval_damaged(
+            workspace, name, lambda raw: _rewrite_header(raw, edit)) == 2
 
 
 class TestMixed:

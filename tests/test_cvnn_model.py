@@ -1,5 +1,8 @@
 """Model container, checkpoint format, Adam, losses, complexity accounting."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -164,21 +167,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="trailing"):
             Model.load(path)
 
-    def test_adam_state_round_trip(self, tmp_path):
+    def test_non_null_adam_rejected(self, tmp_path):
         model = small_model()
-        opt = train_steps(model, 4)
         path = tmp_path / "m.cvnn"
-        model.save(path, adam_state=opt.state())
-        loaded, state = Model.load(path, with_adam=True)
-        assert state["step"] == opt.step_count
-        assert state["lr"] == opt.lr
-        for mine, theirs in zip(opt.slots, state["slots"]):
-            # disk is f32, so compare after the same quantization
-            assert np.array_equal(theirs["m"],
-                                  mine["m"].astype("<c8" if np.iscomplexobj(mine["m"]) else "<f4").astype(mine["m"].dtype))
-        opt2 = Adam(loaded, lr=1.0)
-        opt2.load_state(state)
-        assert opt2.step_count == opt.step_count
+        model.save(path)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[6:10])
+        header = json.loads(raw[10:10 + hlen])
+        assert header["adam"] is None
+        header["adam"] = {"step": 4, "lr": 1e-3, "tensors": []}
+        hj = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(raw[:6] + struct.pack("<I", len(hj)) + hj + raw[10 + hlen:])
+        with pytest.raises(ValueError, match="adam"):
+            Model.load(path)
 
     def test_batchnorm_running_stats_round_trip(self, tmp_path):
         aapd = build_aapd(2, 4, 4, conv_channels=(2, 3), dense_units=(5, 4), seed=3)
@@ -252,6 +253,20 @@ class TestAdam:
                 assert np.all(v.real >= 0) and np.all(v.imag >= 0)
             else:
                 assert np.all(v >= 0)
+
+    def test_load_state_resumes_the_same_trajectory(self):
+        model, twin = small_model(), small_model()
+        opt = train_steps(model, 4)
+        twin.load_state_arrays(model.state_arrays())
+        opt2 = Adam(twin, lr=1.0)
+        opt2.load_state(opt.state())
+        assert (opt2.step_count, opt2.lr) == (opt.step_count, opt.lr)
+        x = np.full((8, 6), 0.3 - 0.1j)
+        for net, o in ((model, opt), (twin, opt2)):
+            net.backward(bce_backward(net.forward(x, train=True), np.ones((8, 3))))
+            o.step()
+        for (_, a), (_, b) in zip(model.tensor_items(), twin.tensor_items()):
+            assert np.array_equal(a, b)
 
     def test_missing_gradients_rejected(self):
         model = small_model()

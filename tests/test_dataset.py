@@ -162,6 +162,15 @@ class TestFileFormat:
             quantized = want[key].astype("<c8").astype(np.complex128)
             assert np.array_equal(got[key], quantized)
 
+    def test_zero_frames_match_an_empty_file(self, tmp_path):
+        cfg = base_cfg()
+        path = tmp_path / "empty.imds"
+        write_dataset(path, cfg, 10.0, 0, 0)
+        _, got = read_dataset(path)
+        want = generate_arrays(cfg, 10.0, 0, 0)
+        assert {k: a.shape for k, a in want.items()} == {k: a.shape for k, a in got.items()}
+        assert got["y"].shape == (0, 2, 8)
+
     def test_write_twice_identical_bytes(self, tmp_path):
         cfg = base_cfg()
         p1, p2 = tmp_path / "a.imds", tmp_path / "b.imds"
