@@ -15,12 +15,12 @@ C-contiguous complex128 array viewed as float64 holds its real and
 imaginary parts interleaved, so running the real activation on that view
 and viewing the result back is the split activation of Trabelsi et al.
 (Deep Complex Networks, ICLR 2018). The real readout reads complex
-features through the same view. Code that does not fit the rule stays
-separate: ComplexBatchNorm whitens the (re, im) pair jointly, which is not
-two real batch norms; SplitReIm/MergeReIm order the parts by channel
-block, not interleaved; and Adam (optim.py) keeps its complex branch
-because numpy divides a complex array by a real scalar as x * (1/c), which
-is not bit-identical to dividing the parts.
+features through the same view, and so does Adam (optim.py): it updates
+every parameter in place through its float64 view, so a complex parameter
+is two real slots and one code path serves both dtypes. Code that does not
+fit the rule stays separate: ComplexBatchNorm whitens the (re, im) pair
+jointly, which is not two real batch norms; SplitReIm/MergeReIm order the
+parts by channel block, not interleaved.
 
 Forward caches live on the layer, so one layer instance serves one
 forward/backward pair at a time.
@@ -29,6 +29,7 @@ forward/backward pair at a time.
 from __future__ import annotations
 
 import inspect
+import numbers
 
 import numpy as np
 
@@ -154,7 +155,14 @@ class Layer:
 
 
 class _ConvBase(Layer):
-    """2-D convolution, stride 1, as one patch-matrix product in `dtype`."""
+    """2-D convolution, stride 1, as patch-matrix products in `dtype`.
+
+    Forward is W (Cout, C*k*k) @ cols (B, C*k*k, P) over P = Ho*Wo output
+    positions. Backward is two GEMMs: the weight gradient merges batch and
+    position into one axis, (Cout, B*P) @ (B*P, C*k*k) with conjugated
+    patches, and the patch gradient is conj(W).T @ g, which _col2im folds
+    back onto the input.
+    """
 
     dtype: type
     param_names = ("weight", "bias")
@@ -195,13 +203,17 @@ class _ConvBase(Layer):
         cols, xshape, pad = self._cache
         b = grad.shape[0]
         g = grad.reshape(b, self.out_channels, -1)                # (B, Cout, P)
-        dw = np.einsum("bop,bip->oi", g, _conj(cols))
+        # conj(cols) with the batch and position axes merged: (B*P, CKK)
+        rows = np.empty((b, cols.shape[2], cols.shape[1]), dtype=cols.dtype)
+        np.conjugate(cols.transpose(0, 2, 1), out=rows)
+        dw = (g.transpose(1, 0, 2).reshape(self.out_channels, -1)
+              @ rows.reshape(-1, cols.shape[1]))
         self.grads = {
             "weight": dw.reshape(self.weight.shape),
             "bias": g.sum(axis=(0, 2)),
         }
         wmat = self.weight.reshape(self.out_channels, -1)
-        dcols = np.einsum("oi,bop->bip", _conj(wmat), g)
+        dcols = _conj(wmat).T @ g                                  # (B, CKK, P)
         return _col2im(dcols, xshape, self.kernel, pad)
 
 
@@ -253,7 +265,9 @@ class _DenseBase(Layer):
 
     def backward(self, grad):
         self.grads = {"weight": grad.T @ _conj(self._x), "bias": grad.sum(axis=0)}
-        return grad @ _conj(self.weight)
+        # grad @ conj(W) as conj(conj(grad) @ W): no conjugated copy of W
+        dx = _conj(grad) @ self.weight
+        return np.conjugate(dx, out=dx)
 
 
 class ComplexDense(_DenseBase):
@@ -367,6 +381,21 @@ class MergeReIm(Layer):
         return np.concatenate([grad.real, grad.imag], axis=1)
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _check_norm_args(channels, eps, momentum) -> None:
+    """ValueError unless channels >= 1, eps is a finite real > 0 and
+    momentum is a real in (0, 1); a bool is not a number here."""
+    if channels < 1:
+        raise ValueError("channels must be >= 1")
+    if not (_is_real(eps) and np.isfinite(eps) and eps > 0):
+        raise ValueError(f"batchnorm eps must be a finite real > 0, got {eps!r}")
+    if not (_is_real(momentum) and 0 < momentum < 1):
+        raise ValueError(f"batchnorm momentum must be in (0, 1), got {momentum!r}")
+
+
 def _moments_axes(x: np.ndarray) -> tuple:
     # channel axis is 1 for conv maps, the feature axis for (B, F) inputs
     return (0, 2, 3) if x.ndim == 4 else (0,)
@@ -392,10 +421,7 @@ class ComplexBatchNorm(Layer):
     buffer_names = ("running_mean", "running_v")
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.9):
-        if channels < 1:
-            raise ValueError("channels must be >= 1")
-        if not (0 < momentum < 1):
-            raise ValueError("momentum must be in (0, 1)")
+        _check_norm_args(channels, eps, momentum)
         self.channels = channels
         self.eps = eps
         self.momentum = momentum
@@ -526,8 +552,7 @@ class RealBatchNorm(Layer):
     buffer_names = ("running_mean", "running_var")
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.9):
-        if channels < 1:
-            raise ValueError("channels must be >= 1")
+        _check_norm_args(channels, eps, momentum)
         self.channels = channels
         self.eps = eps
         self.momentum = momentum

@@ -116,7 +116,8 @@ class Model:
 
     @classmethod
     def load(cls, path):
-        """Read a checkpoint; ValueError on any malformed or truncated part."""
+        """Read a checkpoint; ValueError on any malformed or truncated part
+        and on a NaN or infinite tensor (training never saves one)."""
         with open(path, "rb") as f:
             magic = f.read(4)
             if magic != _MAGIC:
@@ -141,6 +142,9 @@ class Model:
                 disk = _disk_dtype(dst)
                 dst[...] = np.frombuffer(_read(f, disk.itemsize * dst.size),
                                          disk).reshape(dst.shape)
+                if not np.isfinite(dst).all():
+                    raise ValueError(f"checkpoint layer {key[0]} tensor {key[1]} "
+                                     "is not finite")
             if f.read(1):
                 raise ValueError("checkpoint has trailing bytes")
         return model

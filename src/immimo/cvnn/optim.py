@@ -4,15 +4,26 @@ from __future__ import annotations
 
 import numpy as np
 
+from immimo.cvnn.layers import _float64_view
 from immimo.cvnn.model import Model
 
 
-class Adam:
-    """Standard Adam with bias correction.
+# Adam walks each tensor in blocks of this many float64 slots: its scratch
+# stays small, and a block's six operands (about 1.5 MB) stay in cache
+_BLOCK = 1 << 15
 
-    For complex parameters the second moment keeps separate accumulators for
-    the real and imaginary slots (packed as v.real / v.imag), so the update
-    is exactly the real-valued Adam run on the split representation.
+
+class Adam:
+    """Standard Adam with bias correction, run in place on real slots.
+
+    Every parameter, gradient and moment is updated through its flat
+    float64 view, so a complex parameter is exactly two real parameters
+    (its real and imaginary slots) and real and complex tensors share one
+    code path. The moments `m` and `v` keep the parameter's dtype, so a
+    complex `v` holds the real slot's second moment in v.real and the
+    imaginary slot's in v.imag. The update is elementwise, so walking a
+    tensor block by block through two preallocated scratch buffers gives
+    the same bits as one pass over the whole tensor.
     """
 
     def __init__(self, model: Model, lr: float = 1e-3, beta1: float = 0.9,
@@ -25,6 +36,7 @@ class Adam:
         self.step_count = 0
         self.slots = [{"m": np.zeros_like(a), "v": np.zeros_like(a)}
                       for _, a in model.param_items()]
+        self._scratch = np.empty((2, _BLOCK))
 
     def step(self) -> None:
         """Apply one update from the gradients currently held by the layers."""
@@ -33,24 +45,36 @@ class Adam:
         if len(grads) != len(params):
             raise RuntimeError("missing gradients; run backward first")
         self.step_count += 1
+        c1 = 1.0 - self.beta1 ** self.step_count
+        c2 = 1.0 - self.beta2 ** self.step_count
+        for slot, (key, p), (_, g) in zip(self.slots, params, grads):
+            # the flat views must alias p, m and v: reshape copies otherwise
+            if not p.flags.c_contiguous:
+                raise ValueError(f"parameter {key} is not C-contiguous")
+            flat = [a.view(np.float64).reshape(-1) for a in (p, slot["m"], slot["v"])]
+            flat.append(_float64_view(g, p.dtype).reshape(-1))
+            for lo in range(0, flat[0].size, _BLOCK):
+                self._update(*(a[lo:lo + _BLOCK] for a in flat), c1, c2)
+
+    def _update(self, p, m, v, g, c1: float, c2: float) -> None:
+        """One Adam update of a block of real slots, in place."""
         b1, b2 = self.beta1, self.beta2
-        c1 = 1.0 - b1 ** self.step_count
-        c2 = 1.0 - b2 ** self.step_count
-        for slot, (_, p), (_, g) in zip(self.slots, params, grads):
-            m, v = slot["m"], slot["v"]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            if np.iscomplexobj(p):
-                v += (1 - b2) * (g.real ** 2 + 1j * g.imag ** 2)
-                mh = m / c1
-                vh = v / c2
-                upd = (mh.real / (np.sqrt(vh.real) + self.eps)
-                       + 1j * (mh.imag / (np.sqrt(vh.imag) + self.eps)))
-            else:
-                v += (1 - b2) * g ** 2
-                upd = (m / c1) / (np.sqrt(v / c2) + self.eps)
-            p -= self.lr * upd
+        s, u = self._scratch[:, :p.size]
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+        m *= b1
+        m += np.multiply(g, 1 - b1, out=s)
+        v *= b2
+        np.multiply(g, g, out=s)
+        s *= 1 - b2
+        v += s
+        # p -= lr (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(v, c2, out=s)
+        np.sqrt(s, out=s)
+        s += self.eps
+        np.divide(m, c1, out=u)
+        u /= s
+        u *= self.lr
+        p -= u
 
     def state(self) -> dict:
         return {"step": self.step_count, "lr": self.lr, "slots": self.slots}

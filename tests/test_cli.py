@@ -234,6 +234,12 @@ def _drop(d: dict, key: str) -> dict:
     return {k: v for k, v in d.items() if k != key}
 
 
+def _edit_norms(header: dict, **values) -> dict:
+    """The header with `values` set in every batch-norm layer spec."""
+    return {**header, "layers": [{**s, **values} if s["kind"].endswith("batchnorm")
+                                 else s for s in header["layers"]]}
+
+
 def _rewrite_header(raw: bytes, edit) -> bytes:
     """A .cvnn file with its JSON header replaced by edit(header)."""
     (hlen,) = struct.unpack("<I", raw[6:10])   # after magic and version
@@ -283,16 +289,31 @@ class TestCheckpointInput:
                                     else s for s in h["layers"]]}, "in_features"),
         (lambda h: {**h, "layers": [7] + h["layers"][1:]}, "object"),
         (lambda h: {**h, "adam": {"step": 1, "lr": 1e-3, "tensors": []}}, "adam"),
+        (lambda h: _edit_norms(h, eps=None), "eps"),
+        (lambda h: _edit_norms(h, eps=-1.0), "eps"),
+        (lambda h: _edit_norms(h, kind="real_batchnorm", momentum=1.5), "momentum"),
     ], ids=["meta-without-variant", "spec-without-channels", "without-tensors",
             "without-layers", "header-is-a-list", "tensor-without-dtype",
             "in-features-str", "in-features-float", "spec-not-an-object",
-            "adam-not-null"])
+            "adam-not-null", "eps-null", "eps-negative", "real-momentum-1.5"])
     def test_malformed_header_exits_2(self, workspace, tmp_path, capsys, edit, needle):
         ckpt = self._ckpt_copy(workspace, tmp_path)
         path = ckpt / "aapd_complex_snr12.cvnn"
         path.write_bytes(_rewrite_header(path.read_bytes(), edit))
         assert self._eval(workspace, ckpt, tmp_path) == 2
         assert needle in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_tensor_exits_2(self, workspace, tmp_path, capsys, value):
+        ckpt = self._ckpt_copy(workspace, tmp_path)
+        path = ckpt / "aapd_complex_snr12.cvnn"
+        raw = bytearray(path.read_bytes())
+        (hlen,) = struct.unpack("<I", raw[6:10])
+        blob = 10 + hlen                      # first f32 of the first tensor
+        raw[blob:blob + 4] = struct.pack("<f", value)
+        path.write_bytes(bytes(raw))
+        assert self._eval(workspace, ckpt, tmp_path) == 2
+        assert "not finite" in capsys.readouterr().err
 
     def test_config_mismatch_exits_2(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "wide.cfg"

@@ -27,6 +27,8 @@ from immimo.cvnn.layers import (
 )
 from immimo.linalg import Rng
 
+from conftest import rel_err
+
 
 def naive_complex_conv(x, w, b, padding):
     """Direct complex convolution by explicit loops, stride 1.
@@ -151,6 +153,36 @@ class TestComplexConv:
         ref = naive_complex_conv(x.astype(complex), layer.weight.astype(complex),
                                  layer.bias.astype(complex), "same")
         assert np.abs(layer.forward(x) - ref.real).max() < 1e-12
+
+
+def einsum_conv_backward(layer, grad):
+    """The conv backward as two einsums, the form before the GEMMs:
+    (weight grad, bias grad, input grad) from `layer`'s forward cache."""
+    cols, xshape, pad = layer._cache
+    g = grad.reshape(grad.shape[0], layer.out_channels, -1)
+    dw = np.einsum("bop,bip->oi", g, cols.conj())
+    wmat = layer.weight.reshape(layer.out_channels, -1)
+    dcols = np.einsum("oi,bop->bip", wmat.conj(), g)
+    return (dw.reshape(layer.weight.shape), g.sum(axis=(0, 2)),
+            _col2im(dcols, xshape, layer.kernel, pad))
+
+
+class TestConvBackward:
+    @pytest.mark.parametrize("batch", [1, 7])
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("cls", [ComplexConv2d, RealConv2d])
+    def test_matches_einsum_reference(self, np_rng, cls, padding, kernel, batch):
+        layer = cls(3, 5, kernel=kernel, padding=padding, rng=Rng(8))
+        draw = crandn if cls is ComplexConv2d else (lambda r, *s: r.normal(size=s))
+        x = draw(np_rng, batch, 3, 4, 6)
+        grad = draw(np_rng, *layer.forward(x, train=True).shape)
+        want = einsum_conv_backward(layer, grad)
+        dx = layer.backward(grad)
+        got = (layer.grads["weight"], layer.grads["bias"], dx)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert rel_err(g, w) <= 1e-12
 
 
 class TestIm2Col:
@@ -283,7 +315,7 @@ class TestComplexBatchNorm:
         # batch {1, -1, 2j, -2j}: mean 0, Vrr=0.5, Vii=2, Vri=0.
         # Whitening is then diag(1/sqrt(0.5), 1/sqrt(2)); with gamma at its
         # default diag(1/sqrt(2)) the outputs are (1/sqrt(2)) * whitened.
-        bn = ComplexBatchNorm(1, eps=0.0)
+        bn = ComplexBatchNorm(1, eps=1e-300)   # eps must be > 0; this one vanishes
         x = np.array([[1.0], [-1.0], [2.0j], [-2.0j]])
         y = bn.forward(x, train=True)
         w = 1 / np.sqrt(2.0)
@@ -338,6 +370,18 @@ class TestComplexBatchNorm:
         bn = ComplexBatchNorm(3)
         with pytest.raises(ValueError):
             bn.forward(crandn(np_rng, 4, 2), train=True)
+
+
+@pytest.mark.parametrize("cls", [ComplexBatchNorm, RealBatchNorm])
+@pytest.mark.parametrize("kwargs", [
+    {"eps": None}, {"eps": -1.0}, {"eps": 0.0}, {"eps": float("nan")},
+    {"eps": float("inf")}, {"eps": True}, {"eps": "1e-5"},
+    {"momentum": 1.5}, {"momentum": 0.0}, {"momentum": 1}, {"momentum": False},
+    {"momentum": None},
+], ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
+def test_batchnorm_rejects_bad_eps_and_momentum(cls, kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        cls(4, **kwargs)
 
 
 class TestRealBatchNorm:

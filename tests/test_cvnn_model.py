@@ -23,8 +23,11 @@ from immimo.cvnn import (
     mse_backward,
 )
 from immimo.cvnn.layers import ComplexConv2d, RealConv2d
+from immimo.cvnn.optim import _BLOCK
 from immimo.linalg import Rng
 from immimo.twostage import build_aapd, build_se
+
+from conftest import rel_err
 
 
 def small_model(seed=5):
@@ -199,7 +202,62 @@ class TestCheckpoint:
             model.load_state_arrays(model.state_arrays()[:-1])
 
 
+def two_branch_adam_step(opt, params, grads, slots):
+    """One Adam step in the form before the in-place rewrite, on `params`
+    and `slots` (copies), with `opt`'s hyperparameters and step count: a
+    complex parameter takes the complex branch."""
+    b1, b2 = opt.beta1, opt.beta2
+    c1 = 1.0 - b1 ** opt.step_count
+    c2 = 1.0 - b2 ** opt.step_count
+    for slot, p, g in zip(slots, params, grads):
+        m, v = slot["m"], slot["v"]
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        if np.iscomplexobj(p):
+            v += (1 - b2) * (g.real ** 2 + 1j * g.imag ** 2)
+            mh = m / c1
+            vh = v / c2
+            upd = (mh.real / (np.sqrt(vh.real) + opt.eps)
+                   + 1j * (mh.imag / (np.sqrt(vh.imag) + opt.eps)))
+        else:
+            v += (1 - b2) * g ** 2
+            upd = (m / c1) / (np.sqrt(v / c2) + opt.eps)
+        p -= opt.lr * upd
+
+
 class TestAdam:
+    @pytest.mark.parametrize("variant", ["complex", "real"])
+    def test_matches_two_branch_reference(self, variant):
+        # same gradients into both forms each step: real parameters move
+        # bit-equally, complex ones within rounding of the complex division;
+        # the first dense weight spans more than one of Adam's blocks
+        net = build_aapd(2, 4, 3, variant, conv_channels=(2, 3),
+                         dense_units=(700, 3), seed=2).net
+        assert max(a.view(np.float64).size for _, a in net.param_items()) > _BLOCK
+        opt = Adam(net, lr=1e-2)
+        ref_slots = [{k: a.copy() for k, a in s.items()} for s in opt.slots]
+        rng = np.random.default_rng(11)
+        kinds = set()
+        for _ in range(5):
+            x = rng.normal(size=(7, 1, 2, 4)) + 1j * rng.normal(size=(7, 1, 2, 4))
+            out = net.forward(x, train=True)
+            net.backward(bce_backward(out, (rng.random(out.shape) < 0.5) * 1.0))
+            before = [p.copy() for _, p in net.param_items()]
+            ref = [p.copy() for p in before]
+            opt.step()
+            two_branch_adam_step(opt, ref, [g for _, g in net.grad_items()], ref_slots)
+            for p0, want, (_, got) in zip(before, ref, net.param_items()):
+                kinds.add(got.dtype.kind)
+                if got.dtype.kind == "f":
+                    assert np.array_equal(got, want)
+                else:
+                    assert rel_err(got - p0, want - p0) <= 1e-12
+        for mine, theirs in zip(opt.slots, ref_slots):
+            for k in ("m", "v"):
+                assert rel_err(mine[k], theirs[k]) <= 1e-12
+        assert kinds == ({"c", "f"} if variant == "complex" else {"f"})
+
     def test_zero_gradient_leaves_params_unchanged(self):
         model = small_model()
         x = np.ones((4, 6), dtype=complex)
