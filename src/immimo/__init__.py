@@ -12,7 +12,6 @@ from immimo.modulation import QamConstellation
 from immimo.phy import (
     TacTable,
     build_tac_table,
-    Frame,
     assemble_frame,
     demap_frame,
     draw_channel,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from immimo.phy import csi_error_variance
@@ -47,6 +48,16 @@ class ExperimentConfig:
     threads: int = 1                # no effect; perfbench/ still reads it
 
     def __post_init__(self):
+        # rho and csi_error_var get range checks below that NaN and inf fail
+        for name in ("e_p", "sigma_z2", "lr", "gamma1", "gamma2"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if not all(map(math.isfinite, self.sweep_error_var)):
+            raise ConfigError(f"sweep_error_var entries must be finite, "
+                              f"got {self.sweep_error_var}")
+        if any(math.isnan(v) or v == -math.inf for v in self.snr_db):
+            raise ConfigError(f"snr_db entries must be finite or +inf, got {self.snr_db}")
         if not (1 <= self.n_u <= self.n_t):
             raise ConfigError(f"need 1 <= n_u <= n_t, got n_u={self.n_u}, n_t={self.n_t}")
         if self.n_u > self.n_r:
@@ -66,8 +77,8 @@ class ExperimentConfig:
         if self.n_p is not None:
             self.csi_error_var = csi_error_variance(self.n_t, self.sigma_z2,
                                                     self.n_p, self.e_p)
-        if self.csi_error_var < 0:
-            raise ConfigError("csi_error_var must be >= 0")
+        if not 0 <= self.csi_error_var < math.inf:
+            raise ConfigError(f"csi_error_var must be finite and >= 0, got {self.csi_error_var}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         known = {"ml", "somp", "nn", "nn-complex", "nn-real"}

@@ -87,16 +87,12 @@ def _walk_items(layers, items: str, key) -> list:
 
 
 def _out_hw(h: int, w: int, k: int, padding: str) -> tuple[int, int, int]:
+    # padding and kernel were checked by _ConvBase.__init__
     if padding == "same":
-        if k % 2 == 0:
-            raise ValueError("same padding needs an odd kernel")
-        p = k // 2
-        return h, w, p
-    if padding == "valid":
-        if h < k or w < k:
-            raise ValueError("kernel larger than input")
-        return h - k + 1, w - k + 1, 0
-    raise ValueError(f"unknown padding {padding!r}")
+        return h, w, k // 2
+    if h < k or w < k:
+        raise ValueError("kernel larger than input")
+    return h - k + 1, w - k + 1, 0
 
 
 def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
@@ -171,6 +167,10 @@ class _ConvBase(Layer):
                  padding: str = "same", rng: Rng | None = None):
         if in_channels < 1 or out_channels < 1 or kernel < 1:
             raise ValueError("conv dims must be >= 1")
+        if padding not in ("same", "valid"):
+            raise ValueError(f"conv padding must be 'same' or 'valid', got {padding!r}")
+        if padding == "same" and kernel % 2 == 0:
+            raise ValueError("same padding needs an odd kernel")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel

@@ -14,9 +14,11 @@ the same across the frames it is fitted and evaluated on; change the seed
 to get an independent realization.
 
 Generation derives one RNG stream per global frame index, so any record can
-be regenerated in isolation and files are byte-identical across runs.
-Generation runs in one thread; the `threads` argument of write_dataset is
-accepted for compatibility and ignored.
+be regenerated in isolation and files are byte-identical across runs. Only
+those per-frame stream draws loop over frames; assembly, the channel and the
+indicators run over the whole batch. Generation runs in one thread; the
+`threads` argument of write_dataset is accepted for compatibility and
+ignored.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from immimo.config import ExperimentConfig
-from immimo.linalg import Rng
+from immimo.linalg import Rng, complex_gaussian
 from immimo.modulation import QamConstellation
 from immimo.phy import (
     TAC_PRESET_4X2,
@@ -39,6 +41,7 @@ from immimo.phy import (
     corrupt_csi,
     draw_channel,
     frame_bit_count,
+    noise_variance,
 )
 
 _MAGIC = b"IMDS"
@@ -102,50 +105,40 @@ def scenario_channel(cfg: ExperimentConfig) -> np.ndarray:
                         rho=cfg.rho)
 
 
-def generate_frame_data(cfg: ExperimentConfig, table: TacTable,
-                        constellation: QamConstellation, snr_db: float,
-                        frame_index: int, h: np.ndarray | None = None) -> tuple:
-    """One deterministic frame; frame_index is global across splits.
-
-    Returns (bits, y, h, h_est, g, s). Bits, CSI error, and noise each use
-    their own sub-stream so changing e.g. the CSI error variance cannot
-    shift the bit or noise draws. Pass h to avoid recomputing
-    scenario_channel per frame; it must equal scenario_channel(cfg).
-    """
-    snr_key = 0x7FFFFFFF if math.isinf(snr_db) else int(round(snr_db * 100)) & 0x7FFFFFFF
-    base = Rng(cfg.seed).derive(snr_key, frame_index)
-    nbits = frame_bit_count(table, constellation, cfg.t)
-    bits = base.derive(0).bits(nbits)
-    frame = assemble_frame(bits, table, constellation, cfg.t)
-    if h is None:
-        h = scenario_channel(cfg)
-    h_est = corrupt_csi(h, cfg.csi_error_var, base.derive(1))
-    y = apply_channel(frame, h, snr_db, base.derive(2))
-    g = np.zeros(cfg.n_t, dtype=np.uint8)
-    g[[a - 1 for a in table.tacs[frame.tac_index]]] = 1
-    return bits, y, h, h_est, g, frame.s
-
-
 def generate_arrays(cfg: ExperimentConfig, snr_db: float, count: int,
                     start_index: int) -> dict:
-    """In-memory equivalent of write_dataset+read_dataset for the same frames,
-    without the f32 round trip (full f64 precision)."""
+    """Frames start_index..start_index+count-1 at one SNR, over the frame axis.
+
+    Returns bits (N, b) int64, y (N, n_r, t), h and h_est (N, n_r, n_t),
+    g (N, n_t) float64 and s (N, n_u, t), complex at f64: what write_dataset
+    stores, without its f32 round trip. The frame with global index i draws
+    its bits, CSI error and noise from sub-streams 0, 1 and 2 of
+    Rng(seed).derive(snr_key, i), so changing e.g. the CSI error variance
+    cannot shift the bit or noise draws. An SNR that noise_variance rejects
+    (NaN, -inf dB) is a ValueError before any draw.
+    """
+    snr_db = float(snr_db)
+    var = noise_variance(snr_db, cfg.n_r, cfg.n_u)
     table = table_for(cfg)
     constellation = QamConstellation(cfg.m)
-    h0 = scenario_channel(cfg)
+    h = scenario_channel(cfg)
     nbits = frame_bit_count(table, constellation, cfg.t)
-    out = {"bits": np.empty((count, nbits), np.int64),
-           "y": np.empty((count, cfg.n_r, cfg.t), np.complex128),
-           "h": np.empty((count, cfg.n_r, cfg.n_t), np.complex128),
-           "h_est": np.empty((count, cfg.n_r, cfg.n_t), np.complex128),
-           "g": np.empty((count, cfg.n_t), np.float64),
-           "s": np.empty((count, cfg.n_u, cfg.t), np.complex128)}
+    snr_key = 0x7FFFFFFF if snr_db == math.inf else int(round(snr_db * 100)) & 0x7FFFFFFF
+    root = Rng(cfg.seed)
+    bits = np.empty((count, nbits), np.int64)
+    h_est = np.empty((count, cfg.n_r, cfg.n_t), np.complex128)
+    noise = np.empty((count, cfg.n_r, cfg.t), np.complex128) if var > 0 else None
     for i in range(count):
-        frame = generate_frame_data(cfg, table, constellation, float(snr_db),
-                                    start_index + i, h=h0)
-        for dst, v in zip(out.values(), frame):
-            dst[i] = v
-    return out
+        base = root.derive(snr_key, start_index + i)
+        bits[i] = base.derive(0).bits(nbits)
+        h_est[i] = corrupt_csi(h, cfg.csi_error_var, base.derive(1))
+        if noise is not None:
+            noise[i] = complex_gaussian(base.derive(2), cfg.n_r, cfg.t, var)
+    tac_indices, s = assemble_frame(bits, table, constellation, cfg.t)
+    g = np.zeros((count, cfg.n_t))
+    g[np.arange(count)[:, None], np.asarray(table.tacs, dtype=np.intp)[tac_indices] - 1] = 1.0
+    return {"bits": bits, "y": apply_channel(h, tac_indices, s, table, noise),
+            "h": np.broadcast_to(h, h_est.shape).copy(), "h_est": h_est, "g": g, "s": s}
 
 
 def write_dataset(path, cfg: ExperimentConfig, snr_db: float, count: int,

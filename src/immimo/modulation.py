@@ -42,7 +42,8 @@ class QamConstellation:
         bits = np.asarray(bits)
         if bits.shape[-1] % self.bits_per_symbol != 0:
             raise ValueError("bit count not a multiple of bits_per_symbol")
-        groups = bits.reshape(bits.shape[:-1] + (-1, self.bits_per_symbol))
+        d = self.bits_per_symbol
+        groups = bits.reshape(bits.shape[:-1] + (bits.shape[-1] // d, d))
         labels = (groups * self._pows).sum(axis=-1)
         return self.points[labels]
 
@@ -52,7 +53,7 @@ class QamConstellation:
         d2 = np.abs(symbols[..., None] - self.points) ** 2
         labels = np.argmin(d2, axis=-1)
         bits = (labels[..., None] >> np.arange(self.bits_per_symbol - 1, -1, -1)) & 1
-        return bits.reshape(symbols.shape[:-1] + (-1,))
+        return bits.reshape(symbols.shape[:-1] + (symbols.shape[-1] * self.bits_per_symbol,))
 
     def nearest(self, symbols: np.ndarray) -> np.ndarray:
         """Snap each entry to the nearest constellation point."""

@@ -2,7 +2,10 @@
 
 A frame holds one transmit antenna combination (TAC) for T slots; only the
 N_u active antennas carry symbols, so the transmit matrix X is row-sparse
-with the same support in every column.
+with the same support in every column. Frames travel as batches over a
+leading frame axis: a TAC index (B,) and symbols (B, n_u, t) per frame, from
+assemble_frame to apply_channel and back through demap_frame; one frame is
+a batch of 1.
 """
 
 from __future__ import annotations
@@ -86,43 +89,30 @@ def build_tac_table(n_t: int, n_u: int, tacs=None) -> TacTable:
 TAC_PRESET_4X2 = ((1, 3), (1, 4), (2, 4), (2, 3))
 
 
-@dataclass(frozen=True)
-class Frame:
-    """One transmit frame: payload bits, chosen TAC, symbols and X matrix."""
-
-    bits: np.ndarray          # (b,) 0/1
-    tac_index: int
-    s: np.ndarray             # (n_u, t) symbols, link order = ascending antenna
-    x: np.ndarray             # (n_t, t) row-sparse transmit matrix
-    t: int
-
-
 def frame_bit_count(table: TacTable, constellation: QamConstellation, t: int) -> int:
     """Payload bits per frame: spatial bits once + fresh symbols every slot."""
     return table.b1 + table.n_u * constellation.bits_per_symbol * t
 
 
-def assemble_frame(bits, table: TacTable, constellation: QamConstellation, t: int) -> Frame:
-    """Map payload bits to a frame.
+def assemble_frame(bits, table: TacTable, constellation: QamConstellation,
+                   t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Map a batch of payload bits to frames; the inverse of demap_frame.
 
-    Layout: bits[0:b1] select the TAC (msb-first), then slot-major groups of
+    bits (B, b) -> tac_indices (B,) and symbols s (B, n_u, t). Layout per
+    frame: bits[0:b1] select the TAC (msb-first), then slot-major groups of
     N_u * d bits modulate the active links in ascending antenna order.
     """
-    bits = np.asarray(bits, dtype=np.int64).reshape(-1)
+    bits = np.asarray(bits, dtype=np.int64)
     want = frame_bit_count(table, constellation, t)
-    if bits.size != want:
-        raise ValueError(f"expected {want} bits, got {bits.size}")
+    if bits.ndim != 2 or bits.shape[1] != want:
+        raise ValueError(f"expected (B, {want}) bits, got shape {bits.shape}")
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError("bits must be 0/1")
     b1 = table.b1
-    tac_index = 0
-    for b in bits[:b1]:
-        tac_index = (tac_index << 1) | int(b)
-    sym_bits = bits[b1:].reshape(t, table.n_u * constellation.bits_per_symbol)
-    s = constellation.modulate(sym_bits).T  # (n_u, t)
-    x = np.zeros((table.n_t, t), dtype=np.complex128)
-    x[[a - 1 for a in table.tacs[tac_index]], :] = s
-    return Frame(bits=bits, tac_index=tac_index, s=s, x=x, t=t)
+    tac_indices = bits[:, :b1] @ (1 << np.arange(b1 - 1, -1, -1))
+    sym_bits = bits[:, b1:].reshape(len(bits), t, table.n_u * constellation.bits_per_symbol)
+    s = np.ascontiguousarray(constellation.modulate(sym_bits).transpose(0, 2, 1))
+    return tac_indices, s
 
 
 def demap_frame(tac_indices, s_hat, table: TacTable,
@@ -138,7 +128,8 @@ def demap_frame(tac_indices, s_hat, table: TacTable,
     b1 = table.b1
     head = (tac_indices[:, None] >> np.arange(b1 - 1, -1, -1)) & 1
     sym_bits = constellation.demodulate(s_hat.transpose(0, 2, 1))  # (B, t, n_u*d)
-    return np.concatenate([head, sym_bits.reshape(len(s_hat), -1)], axis=1)
+    flat = sym_bits.reshape(len(s_hat), sym_bits.shape[1] * sym_bits.shape[2])
+    return np.concatenate([head, flat], axis=1)
 
 
 def make_correlated(h: np.ndarray, rho: float, rho_rx: float | None = None) -> np.ndarray:
@@ -192,22 +183,35 @@ def noise_variance(snr_db: float, n_r: int, n_u: int) -> float:
 
     With unit-energy symbols and E|h|^2 = 1/N_r, the received signal energy
     per slot is N_u, the noise energy is N_r * sigma^2, so
-    sigma^2 = N_u / (N_r * 10^(SNR/10)).
+    sigma^2 = N_u / (N_r * 10^(SNR/10)). +inf dB is the noiseless link
+    (0.0); NaN, -inf and a finite SNR whose power overflows a float are
+    ValueError.
     """
-    if math.isinf(snr_db):
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"SNR must be finite or +inf dB, got {snr_db}")
+    if snr_db == math.inf:
         return 0.0
-    return n_u / (n_r * 10.0 ** (snr_db / 10.0))
+    try:
+        return n_u / (n_r * 10.0 ** (snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"SNR {snr_db} dB is out of range") from None
 
 
-def apply_channel(frame: Frame, h: np.ndarray, snr_db: float,
-                  rng: Rng) -> np.ndarray:
-    """Receive matrix Y = H X + N at the requested SNR (inf => noiseless)."""
-    y = h @ frame.x
-    n_r = h.shape[0]
-    var = noise_variance(snr_db, n_r, frame.s.shape[0])
-    if var > 0:
-        y = y + complex_gaussian(rng, n_r, frame.t, var)
-    return y
+def apply_channel(h: np.ndarray, tac_indices, s: np.ndarray, table: TacTable,
+                  noise: np.ndarray | None = None) -> np.ndarray:
+    """Receive matrices Y = H X + N for a batch of frames.
+
+    X (B, n_t, t) is row-sparse: frame i carries s[i] (n_u, t) on the rows of
+    TAC tac_indices[i] and zeros elsewhere. h is one (n_r, n_t) channel for
+    every frame, or (B, n_r, n_t); noise is (B, n_r, t), or None for a
+    noiseless link.
+    """
+    s = np.asarray(s, dtype=np.complex128)
+    rows = np.asarray(table.tacs, dtype=np.intp)[tac_indices] - 1      # (B, n_u)
+    x = np.zeros((len(s), table.n_t, s.shape[2]), dtype=np.complex128)
+    x[np.arange(len(s))[:, None], rows] = s
+    y = h @ x
+    return y if noise is None else y + noise
 
 
 def ber(bits_true, bits_hat) -> float:

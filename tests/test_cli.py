@@ -89,6 +89,17 @@ class TestGenData:
                      "--out", str(tmp_path / "d")]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["csi_error_var = nan", "gamma1 = nan",
+                                      "snr_db = 12, -inf"],
+                             ids=["csi-error-var-nan", "gamma1-nan", "snr-minus-inf"])
+    def test_non_finite_config_value_exits_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SMALL_CFG.replace("snr_db = 12", "") + line + "\n")
+        out = tmp_path / "d"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+        assert line.split()[0] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["gen-data", "--config", str(tmp_path / "none.cfg"),
                      "--out", str(tmp_path / "d")]) == 2
@@ -234,9 +245,9 @@ def _drop(d: dict, key: str) -> dict:
     return {k: v for k, v in d.items() if k != key}
 
 
-def _edit_norms(header: dict, **values) -> dict:
-    """The header with `values` set in every batch-norm layer spec."""
-    return {**header, "layers": [{**s, **values} if s["kind"].endswith("batchnorm")
+def _edit_layers(header: dict, suffix: str, **values) -> dict:
+    """The header with `values` set in every layer spec whose kind ends in suffix."""
+    return {**header, "layers": [{**s, **values} if s["kind"].endswith(suffix)
                                  else s for s in header["layers"]]}
 
 
@@ -289,13 +300,17 @@ class TestCheckpointInput:
                                     else s for s in h["layers"]]}, "in_features"),
         (lambda h: {**h, "layers": [7] + h["layers"][1:]}, "object"),
         (lambda h: {**h, "adam": {"step": 1, "lr": 1e-3, "tensors": []}}, "adam"),
-        (lambda h: _edit_norms(h, eps=None), "eps"),
-        (lambda h: _edit_norms(h, eps=-1.0), "eps"),
-        (lambda h: _edit_norms(h, kind="real_batchnorm", momentum=1.5), "momentum"),
+        (lambda h: _edit_layers(h, "batchnorm", eps=None), "eps"),
+        (lambda h: _edit_layers(h, "batchnorm", eps=-1.0), "eps"),
+        (lambda h: _edit_layers(h, "batchnorm", kind="real_batchnorm", momentum=1.5),
+         "momentum"),
+        (lambda h: _edit_layers(h, "conv2d", padding="bogus"), "'same' or 'valid'"),
+        (lambda h: _edit_layers(h, "conv2d", kernel=2), "odd kernel"),
     ], ids=["meta-without-variant", "spec-without-channels", "without-tensors",
             "without-layers", "header-is-a-list", "tensor-without-dtype",
             "in-features-str", "in-features-float", "spec-not-an-object",
-            "adam-not-null", "eps-null", "eps-negative", "real-momentum-1.5"])
+            "adam-not-null", "eps-null", "eps-negative", "real-momentum-1.5",
+            "padding-bogus", "same-even-kernel"])
     def test_malformed_header_exits_2(self, workspace, tmp_path, capsys, edit, needle):
         ckpt = self._ckpt_copy(workspace, tmp_path)
         path = ckpt / "aapd_complex_snr12.cvnn"
@@ -455,3 +470,18 @@ class TestSweep:
         assert main(["sweep-csi-error", "--config", str(workspace["cfg"]),
                      "--ckpt", str(tmp_path / "none"), "--snr", "12",
                      "--out", str(tmp_path / "s.csv")]) == 2
+
+    @pytest.mark.parametrize("snr", ["-inf", "nan"])
+    def test_nan_or_minus_inf_snr_exits_2(self, workspace, tmp_path, capsys, snr):
+        # the 12 dB pair as the mixed fallback, so loading succeeds for any
+        # SNR; "--snr=-inf" because argparse reads a bare "-inf" as an option
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        for net in ("aapd", "se"):
+            (ckpt / f"{net}_complex_mixed.cvnn").write_bytes(
+                (workspace["ckpt"] / f"{net}_complex_snr12.cvnn").read_bytes())
+        out = tmp_path / "s.csv"
+        assert main(["sweep-csi-error", "--config", str(workspace["cfg"]),
+                     "--ckpt", str(ckpt), f"--snr={snr}", "--out", str(out)]) == 2
+        assert "SNR" in capsys.readouterr().err
+        assert not out.exists()

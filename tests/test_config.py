@@ -107,6 +107,31 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(csi_error_var=-0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["rho", "csi_error_var", "e_p", "sigma_z2", "lr",
+                                     "gamma1", "gamma2"])
+    def test_non_finite_scalar_rejected(self, key, value):
+        pilots = dict(n_p=8, e_p=2.0, sigma_z2=0.1) if key in ("e_p", "sigma_z2") else {}
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(**{**pilots, key: value})
+
+    def test_pilot_overflow_to_infinite_csi_error_var_rejected(self):
+        with pytest.raises(ConfigError, match="csi_error_var"):
+            ExperimentConfig(n_p=1, e_p=1.0, sigma_z2=1e308)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_sweep_error_var_rejected(self, value):
+        with pytest.raises(ConfigError, match="sweep_error_var"):
+            ExperimentConfig(sweep_error_var=[0.0, value])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")], ids=["nan", "-inf"])
+    def test_snr_db_must_be_finite_or_plus_inf(self, value):
+        with pytest.raises(ConfigError, match="snr_db"):
+            ExperimentConfig(snr_db=[10.0, value])
+        assert ExperimentConfig(snr_db=[10.0, float("inf")]).snr_db[1] == float("inf")
+
     def test_threads_positive(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(threads=0)

@@ -2,6 +2,7 @@
 
 import math
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,14 +12,15 @@ from immimo.dataset import (
     DatasetHeader,
     check_header_matches,
     generate_arrays,
-    generate_frame_data,
     read_dataset,
     read_header,
     scenario_channel,
     table_for,
     write_dataset,
 )
+from immimo.linalg import Rng, complex_gaussian
 from immimo.modulation import QamConstellation
+from immimo.phy import corrupt_csi, frame_bit_count, noise_variance
 
 
 def base_cfg(**kw):
@@ -104,20 +106,16 @@ class TestScenarioChannel:
 class TestFrameStreams:
     def test_deterministic(self):
         cfg = base_cfg()
-        table = table_for(cfg)
-        const = QamConstellation(cfg.m)
-        a = generate_frame_data(cfg, table, const, 10.0, 7)
-        b = generate_frame_data(cfg, table, const, 10.0, 7)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
+        a = generate_arrays(cfg, 10.0, 1, 7)
+        b = generate_arrays(cfg, 10.0, 1, 7)
+        for k in a:
+            assert np.array_equal(a[k], b[k])
 
     def test_frame_index_changes_draws(self):
         cfg = base_cfg()
-        table = table_for(cfg)
-        const = QamConstellation(cfg.m)
-        a = generate_frame_data(cfg, table, const, 10.0, 0)
-        b = generate_frame_data(cfg, table, const, 10.0, 1)
-        assert not np.array_equal(a[0], b[0]) or not np.array_equal(a[1], b[1])
+        a = generate_arrays(cfg, 10.0, 1, 0)
+        b = generate_arrays(cfg, 10.0, 1, 1)
+        assert not np.array_equal(a["bits"], b["bits"]) or not np.array_equal(a["y"], b["y"])
 
     def test_csi_error_leaves_bits_and_y_alone(self):
         clean = generate_arrays(base_cfg(), 10.0, 3, 0)
@@ -139,12 +137,114 @@ class TestFrameStreams:
             want = arr["h"][i][:, active] @ arr["s"][i]
             assert np.allclose(arr["y"][i], want, atol=1e-12)
 
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("-inf")])
+    def test_nan_and_minus_inf_snr_rejected(self, snr_db):
+        # -inf dB must not pass as noiseless or share +inf's stream key
+        with pytest.raises(ValueError, match="SNR"):
+            generate_arrays(base_cfg(), snr_db, 3, 0)
+
     def test_start_index_is_a_global_offset(self):
         cfg = base_cfg()
         whole = generate_arrays(cfg, 10.0, 4, 0)
         tail = generate_arrays(cfg, 10.0, 2, 2)
         assert np.array_equal(whole["y"][2:], tail["y"])
         assert np.array_equal(whole["bits"][2:], tail["bits"])
+
+
+@dataclass(frozen=True)
+class RefFrame:
+    """One transmit frame: payload bits, chosen TAC, symbols and X matrix."""
+
+    bits: np.ndarray          # (b,) 0/1
+    tac_index: int
+    s: np.ndarray             # (n_u, t) symbols, link order = ascending antenna
+    x: np.ndarray             # (n_t, t) row-sparse transmit matrix
+    t: int
+
+
+def ref_assemble_frame(bits, table, constellation, t) -> RefFrame:
+    bits = np.asarray(bits, dtype=np.int64).reshape(-1)
+    b1 = table.b1
+    tac_index = 0
+    for b in bits[:b1]:
+        tac_index = (tac_index << 1) | int(b)
+    sym_bits = bits[b1:].reshape(t, table.n_u * constellation.bits_per_symbol)
+    s = constellation.modulate(sym_bits).T  # (n_u, t)
+    x = np.zeros((table.n_t, t), dtype=np.complex128)
+    x[[a - 1 for a in table.tacs[tac_index]], :] = s
+    return RefFrame(bits=bits, tac_index=tac_index, s=s, x=x, t=t)
+
+
+def ref_apply_channel(frame: RefFrame, h, snr_db, rng):
+    y = h @ frame.x
+    n_r = h.shape[0]
+    var = noise_variance(snr_db, n_r, frame.s.shape[0])
+    if var > 0:
+        y = y + complex_gaussian(rng, n_r, frame.t, var)
+    return y
+
+
+def ref_generate_frame_data(cfg, table, constellation, snr_db, frame_index, h):
+    snr_key = 0x7FFFFFFF if math.isinf(snr_db) else int(round(snr_db * 100)) & 0x7FFFFFFF
+    base = Rng(cfg.seed).derive(snr_key, frame_index)
+    nbits = frame_bit_count(table, constellation, cfg.t)
+    bits = base.derive(0).bits(nbits)
+    frame = ref_assemble_frame(bits, table, constellation, cfg.t)
+    h_est = corrupt_csi(h, cfg.csi_error_var, base.derive(1))
+    y = ref_apply_channel(frame, h, snr_db, base.derive(2))
+    g = np.zeros(cfg.n_t, dtype=np.uint8)
+    g[[a - 1 for a in table.tacs[frame.tac_index]]] = 1
+    return bits, y, h, h_est, g, frame.s
+
+
+def ref_generate_arrays(cfg, snr_db, count, start_index) -> dict:
+    """The per-frame generation path: one frame at a time, copied into place."""
+    table = table_for(cfg)
+    constellation = QamConstellation(cfg.m)
+    h0 = scenario_channel(cfg)
+    nbits = frame_bit_count(table, constellation, cfg.t)
+    out = {"bits": np.empty((count, nbits), np.int64),
+           "y": np.empty((count, cfg.n_r, cfg.t), np.complex128),
+           "h": np.empty((count, cfg.n_r, cfg.n_t), np.complex128),
+           "h_est": np.empty((count, cfg.n_r, cfg.n_t), np.complex128),
+           "g": np.empty((count, cfg.n_t), np.float64),
+           "s": np.empty((count, cfg.n_u, cfg.t), np.complex128)}
+    for i in range(count):
+        frame = ref_generate_frame_data(cfg, table, constellation, float(snr_db),
+                                        start_index + i, h0)
+        for dst, v in zip(out.values(), frame):
+            dst[i] = v
+    return out
+
+
+REFERENCE_SYSTEMS = {
+    "4x1": dict(n_t=4, n_u=1, n_r=4, t=16, m=4, seed=7),
+    "8x2-csi-rho": dict(n_t=8, n_u=2, n_r=8, t=16, m=4, csi_error_var=0.01,
+                        rho=0.5, seed=3),
+    "preset-4x2-16qam": dict(n_t=4, n_u=2, n_r=4, t=8, m=16,
+                             tac_preset="preset-4x2", seed=2),
+    "8x3": dict(n_t=8, n_u=3, n_r=6, t=4, m=4, seed=9),
+}
+
+
+class TestMatchesPerFrameReference:
+    """generate_arrays runs over the frame axis; the per-frame path it
+    replaced must give the same six arrays bit for bit."""
+
+    @pytest.mark.parametrize("snr_db", [15.0, -3.5, float("inf")])
+    @pytest.mark.parametrize("start, count", [(0, 40), (1234, 1), (97, 0)])
+    @pytest.mark.parametrize("system", sorted(REFERENCE_SYSTEMS))
+    def test_bit_for_bit(self, system, snr_db, start, count):
+        cfg = ExperimentConfig(**REFERENCE_SYSTEMS[system])
+        got = generate_arrays(cfg, snr_db, count, start)
+        want = ref_generate_arrays(cfg, snr_db, count, start)
+        assert list(got) == list(want)
+        for key, w in want.items():
+            assert got[key].dtype == w.dtype, key
+            assert got[key].shape == w.shape, key
+            assert np.array_equal(got[key], w), key
+            # byte equality also tells apart -0.0 from 0.0
+            assert got[key].tobytes() == w.tobytes(), key
 
 
 class TestFileFormat:

@@ -26,6 +26,7 @@ from immimo.phy import (
     demap_frame,
     draw_channel,
     frame_bit_count,
+    noise_variance,
 )
 
 
@@ -100,19 +101,22 @@ def legalize(support, table):
     return int(tacs_from_probabilities(row, table)[0])
 
 
-def random_frame(rng, table, constellation, t, n_r, snr_db):
-    bits = rng.derive(0).bits(frame_bit_count(table, constellation, t))
-    fr = assemble_frame(bits, table, constellation, t)
-    h = draw_channel(rng.derive(1), n_r, table.n_t)
-    y = apply_channel(fr, h, snr_db, rng.derive(2))
-    return fr, h, y
+def random_frames(streams, table, constellation, t, n_r, snr_db):
+    """One frame per Rng stream, each with its own channel: bits (B, b),
+    tac_indices (B,), s (B, n_u, t), h (B, n_r, n_t) and y (B, n_r, t)."""
+    var = noise_variance(snr_db, n_r, table.n_u)
+    bits = np.stack([r.derive(0).bits(frame_bit_count(table, constellation, t))
+                     for r in streams])
+    tac_indices, s = assemble_frame(bits, table, constellation, t)
+    h = np.stack([draw_channel(r.derive(1), n_r, table.n_t) for r in streams])
+    noise = np.stack([complex_gaussian(r.derive(2), n_r, t, var) for r in streams])
+    return bits, tac_indices, s, h, apply_channel(h, tac_indices, s, table, noise)
 
 
 def random_batch(rng, table, constellation, t, n_r, snr_db, count):
-    """(frames, h (B, n_r, n_t), y (B, n_r, t)), one channel per frame."""
-    frames, hs, ys = zip(*(random_frame(rng.derive(i), table, constellation, t,
-                                        n_r, snr_db) for i in range(count)))
-    return frames, np.stack(hs), np.stack(ys)
+    """random_frames on the streams rng.derive(0..count-1)."""
+    return random_frames([rng.derive(i) for i in range(count)], table,
+                         constellation, t, n_r, snr_db)
 
 
 class TestMlDetect:
@@ -124,7 +128,7 @@ class TestMlDetect:
     def test_matches_brute_force(self, n_t, n_u, m, n_r, snr):
         table = build_tac_table(n_t, n_u)
         const = QamConstellation(m)
-        _, h, y = random_batch(Rng(500), table, const, 3, n_r, snr, 15)
+        *_, h, y = random_batch(Rng(500), table, const, 3, n_r, snr, 15)
         got_ti, got_s = ml_detect(y, h, table, const)
         for i in range(15):
             ref_ti, ref_s = brute_force_ml(y[i], h[i], table, const)
@@ -134,22 +138,21 @@ class TestMlDetect:
     def test_noiseless_exact(self):
         table = build_tac_table(4, 2)
         const = QamConstellation(4)
-        frames, h, y = random_batch(Rng(501), table, const, 4, 4, float("inf"), 30)
+        _, tac, s, h, y = random_batch(Rng(501), table, const, 4, 4, float("inf"), 30)
         ti, s_hat = ml_detect(y, h, table, const)
-        assert np.array_equal(ti, [fr.tac_index for fr in frames])
-        assert np.allclose(s_hat, np.stack([fr.s for fr in frames]))
+        assert np.array_equal(ti, tac)
+        assert np.allclose(s_hat, s)
 
 
 class TestSompDetect:
     def test_recovers_support_high_snr(self):
         table = build_tac_table(8, 2)
         const = QamConstellation(4)
-        rng = Rng(502)
+        _, tac, _, h, y = random_batch(Rng(502), table, const, 8, 8, 30.0, 200)
         hits = 0
         for i in range(200):
-            fr, h, y = random_frame(rng.derive(i), table, const, 8, 8, 30.0)
-            got = somp_detect(y, h, table.n_u)
-            hits += got == table.tacs[fr.tac_index]
+            got = somp_detect(y[i], h[i], table.n_u)
+            hits += got == table.tacs[tac[i]]
         assert hits >= 195
 
     def test_returns_sorted_1based(self):
@@ -204,9 +207,9 @@ class TestZf:
         table = build_tac_table(4, 2)
         const = QamConstellation(16)
         rng = Rng(504)
-        fr, h, y = random_frame(rng, table, const, 6, 4, float("inf"))
-        s_hat = zf_estimate(y[None], h[None], [table.tacs[fr.tac_index]])[0]
-        assert np.allclose(s_hat, fr.s, atol=1e-10)
+        _, tac, s, h, y = random_frames([rng], table, const, 6, 4, float("inf"))
+        s_hat = zf_estimate(y, h, [table.tacs[tac[0]]])
+        assert np.allclose(s_hat, s, atol=1e-10)
 
     def test_estimate_row_order_is_ascending_antenna(self):
         h = np.eye(4, dtype=np.complex128)
@@ -225,7 +228,7 @@ class TestZf:
     def test_one_singular_frame_fails_the_batch(self):
         table = build_tac_table(4, 2)
         const = QamConstellation(4)
-        _, h, y = random_batch(Rng(507), table, const, 4, 4, 10.0, 6)
+        *_, h, y = random_batch(Rng(507), table, const, 4, 4, 10.0, 6)
         h[3, :, 1] = h[3, :, 0]  # frame 3: antennas 1 and 2 see the same column
         supports = [(1, 2)] * 6
         zf_estimate(np.delete(y, 3, 0), np.delete(h, 3, 0), supports[:5])
@@ -238,11 +241,11 @@ class TestClassicalFrontend:
         table = build_tac_table(4, 1)
         const = QamConstellation(4)
         rng = Rng(505)
-        fr, h, y = random_frame(rng, table, const, 8, 2, 20.0)
+        bits_sent, _, _, h, y = random_frames([rng], table, const, 8, 2, 20.0)
         for method in ("ml", "somp"):
-            ti, s_hat = classical_detect(y[None], h[None], table, const, method)
+            ti, s_hat = classical_detect(y, h, table, const, method)
             bits = demap_frame(ti, s_hat, table, const)
-            assert bits.shape == (1,) + fr.bits.shape
+            assert bits.shape == bits_sent.shape
             assert ti.shape == (1,) and 0 <= ti[0] < table.n_l
 
     def test_somp_pipeline_legalizes(self):
@@ -250,8 +253,8 @@ class TestClassicalFrontend:
         table = build_tac_table(4, 2)
         const = QamConstellation(4)
         rng = Rng(506)
-        fr, h, y = random_frame(rng, table, const, 8, 4, 25.0)
-        ti, _ = classical_detect(y[None], h[None], table, const, "somp")
+        *_, h, y = random_frames([rng], table, const, 8, 4, 25.0)
+        ti, _ = classical_detect(y, h, table, const, "somp")
         assert 0 <= ti[0] < table.n_l
 
     def test_unknown_method_rejected(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from immimo.linalg import Rng
+from immimo.linalg import Rng, complex_gaussian
 from immimo.modulation import QamConstellation
 from immimo.phy import (
     TAC_PRESET_4X2,
@@ -82,58 +82,81 @@ class TestFrame:
         table = build_tac_table(4, 1)
         const = QamConstellation(4)
         # spatial bits 10 -> tac index 2 -> antenna 3; slot bits 00, 11
-        bits = np.array([1, 0, 0, 0, 1, 1])
-        fr = assemble_frame(bits, table, const, t=2)
-        assert fr.tac_index == 2
-        s = np.sqrt(2.0)
-        assert np.allclose(fr.s, [[(1 + 1j) / s, (-1 - 1j) / s]])
-        assert np.allclose(fr.x[2], fr.s[0])
+        bits = np.array([[1, 0, 0, 0, 1, 1]])
+        tac, s = assemble_frame(bits, table, const, t=2)
+        assert tac.tolist() == [2]
+        r = np.sqrt(2.0)
+        assert np.allclose(s, [[[(1 + 1j) / r, (-1 - 1j) / r]]])
+        x = transmit_matrices(tac, s, table)[0]
+        assert np.allclose(x[2], s[0, 0])
         mask = np.ones(4, dtype=bool)
         mask[2] = False
-        assert np.all(fr.x[mask] == 0)
+        assert np.all(x[mask] == 0)
 
     def test_row_sparsity_constant_support(self, rng):
         table = build_tac_table(8, 2)
         const = QamConstellation(16)
-        bits = rng.bits(frame_bit_count(table, const, 8))
-        fr = assemble_frame(bits, table, const, t=8)
-        active = np.flatnonzero(np.any(fr.x != 0, axis=1))
-        assert np.array_equal(active + 1, table.tacs[fr.tac_index])
-        # every slot uses the same support
-        assert np.all((fr.x[active] != 0).all(axis=0))
+        bits = np.stack([rng.bits(frame_bit_count(table, const, 8)) for _ in range(20)])
+        tac, s = assemble_frame(bits, table, const, t=8)
+        for ti, x in zip(tac, transmit_matrices(tac, s, table)):
+            active = np.flatnonzero(np.any(x != 0, axis=1))
+            assert np.array_equal(active + 1, table.tacs[ti])
+            # every slot uses the same support
+            assert np.all((x[active] != 0).all(axis=0))
 
     def test_round_trip_all_tacs(self, rng):
         table = build_tac_table(4, 2)
         const = QamConstellation(4)
         bits = np.stack([rng.bits(frame_bit_count(table, const, 4)) for _ in range(50)])
-        frames = [assemble_frame(b, table, const, t=4) for b in bits]
-        back = demap_frame([fr.tac_index for fr in frames],
-                           np.stack([fr.s for fr in frames]), table, const)
+        back = demap_frame(*assemble_frame(bits, table, const, t=4), table, const)
         assert np.array_equal(back, bits)
+
+    @pytest.mark.parametrize("n_t,n_u,m,t,preset", [
+        (4, 1, 4, 16, None),
+        (8, 2, 4, 16, None),
+        (4, 2, 16, 8, TAC_PRESET_4X2),
+        (8, 3, 64, 3, None),
+        (4, 4, 4, 5, None),     # one legal TAC: no spatial bits
+    ])
+    @pytest.mark.parametrize("count", [37, 1, 0])
+    def test_demap_inverts_assemble_over_a_batch(self, rng, n_t, n_u, m, t, preset, count):
+        table = build_tac_table(n_t, n_u, tacs=preset)
+        const = QamConstellation(m)
+        nbits = frame_bit_count(table, const, t)
+        bits = rng.bits(count * nbits).reshape(count, nbits)
+        tac, s = assemble_frame(bits, table, const, t)
+        assert tac.shape == (count,) and s.shape == (count, n_u, t)
+        assert np.array_equal(demap_frame(tac, s, table, const), bits)
 
     def test_identity_channel_round_trip(self, rng):
         # noiseless identity channel: read s straight off the active rows
         table = build_tac_table(4, 1)
         const = QamConstellation(16)
-        bits = rng.bits(frame_bit_count(table, const, 8))
-        fr = assemble_frame(bits, table, const, t=8)
-        chan_h = np.eye(4, dtype=np.complex128)
-        y = chan_h @ fr.x
-        s_hat = y[[a - 1 for a in table.tacs[fr.tac_index]], :]
-        assert np.array_equal(demap_frame([fr.tac_index], s_hat[None], table, const)[0],
-                              bits)
+        bits = rng.bits(frame_bit_count(table, const, 8))[None]
+        tac, s = assemble_frame(bits, table, const, t=8)
+        y = transmit_matrices(tac, s, table)
+        s_hat = y[0][[a - 1 for a in table.tacs[tac[0]]], :]
+        assert np.array_equal(demap_frame(tac, s_hat[None], table, const), bits)
 
     def test_wrong_bit_count_rejected(self):
         table = build_tac_table(4, 1)
         const = QamConstellation(4)
-        with pytest.raises(ValueError):
-            assemble_frame(np.zeros(7, dtype=int), table, const, t=2)
+        with pytest.raises(ValueError, match="expected"):
+            assemble_frame(np.zeros((1, 7), dtype=int), table, const, t=2)
+        with pytest.raises(ValueError, match="expected"):  # one frame is a batch of 1
+            assemble_frame(np.zeros(6, dtype=int), table, const, t=2)
 
     def test_non_binary_rejected(self):
         table = build_tac_table(4, 1)
         const = QamConstellation(4)
         with pytest.raises(ValueError):
-            assemble_frame(np.full(6, 2), table, const, t=2)
+            assemble_frame(np.full((1, 6), 2), table, const, t=2)
+
+
+def transmit_matrices(tac_indices, s, table):
+    """The row-sparse X (B, n_t, t) of each frame: the noiseless receive
+    matrices of an identity channel."""
+    return apply_channel(np.eye(table.n_t), tac_indices, s, table)
 
 
 class TestChannel:
@@ -195,35 +218,40 @@ class TestNoise:
         assert noise_variance(0.0, 2, 2) == pytest.approx(1.0)
         assert noise_variance(float("inf"), 4, 1) == 0.0
 
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("-inf"), 4000.0, -4000.0])
+    def test_out_of_range_snr_rejected(self, snr_db):
+        # only +inf dB is the noiseless link; +-4000 dB overflow 10^(SNR/10)
+        with pytest.raises(ValueError, match="SNR"):
+            noise_variance(snr_db, 4, 1)
+
     def test_snr_realized_empirically(self):
         # measured E||Hx||^2 / E||n||^2 across many frames should match
         # the requested SNR
         table = build_tac_table(4, 2)
         const = QamConstellation(4)
         snr_db = 7.0
-        rng = Rng(20)
-        sig = noise = 0.0
-        for i in range(2000):
-            r = rng.derive(i)
-            bits = r.derive(0).bits(frame_bit_count(table, const, 4))
-            fr = assemble_frame(bits, table, const, t=4)
-            h = draw_channel(r.derive(1), 4, 4)
-            clean = h @ fr.x
-            y = apply_channel(fr, h, snr_db, r.derive(2))
-            sig += np.sum(np.abs(clean) ** 2)
-            noise += np.sum(np.abs(y - clean) ** 2)
-        got_db = 10 * np.log10(sig / noise)
+        streams = [Rng(20).derive(i) for i in range(2000)]
+        bits = np.stack([r.derive(0).bits(frame_bit_count(table, const, 4))
+                         for r in streams])
+        tac, s = assemble_frame(bits, table, const, t=4)
+        h = np.stack([draw_channel(r.derive(1), 4, 4) for r in streams])
+        var = noise_variance(snr_db, 4, table.n_u)
+        noise = np.stack([complex_gaussian(r.derive(2), 4, 4, var) for r in streams])
+        clean = apply_channel(h, tac, s, table)
+        y = apply_channel(h, tac, s, table, noise)
+        got_db = 10 * np.log10(np.sum(np.abs(clean) ** 2) / np.sum(np.abs(y - clean) ** 2))
         assert abs(got_db - snr_db) < 0.15
 
     def test_noiseless_at_inf(self):
         table = build_tac_table(4, 1)
         const = QamConstellation(4)
         rng = Rng(21)
-        bits = rng.bits(frame_bit_count(table, const, 4))
-        fr = assemble_frame(bits, table, const, t=4)
+        bits = rng.bits(frame_bit_count(table, const, 4))[None]
+        tac, s = assemble_frame(bits, table, const, t=4)
         h = draw_channel(rng, 4, 4)
-        y = apply_channel(fr, h, float("inf"), rng)
-        assert np.array_equal(y, h @ fr.x)
+        noise = complex_gaussian(rng, 4, 4, noise_variance(float("inf"), 4, 1))[None]
+        y = apply_channel(h, tac, s, table, noise)
+        assert np.array_equal(y, h @ transmit_matrices(tac, s, table))
 
 
 class TestMetrics:
