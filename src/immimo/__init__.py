@@ -26,7 +26,6 @@ from immimo.detectors import (
     ml_detect,
     somp_detect,
     zf_estimate,
-    zf_matrix,
     tacs_from_probabilities,
     classical_detect,
 )

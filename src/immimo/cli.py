@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from immimo.config import ConfigError, ExperimentConfig, load_config
+from immimo.config import ConfigError, ExperimentConfig, check_detectors, load_config
 from immimo.cvnn import count_flops, count_params
 from immimo.dataset import (
     check_header_matches,
@@ -141,19 +141,26 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _eval_detector_rows(cfg, detectors, data_by_snr, ckpt_dir, variant):
+def _nn_variant(name: str, default: str) -> str | None:
+    """The NN variant a detector name runs ("nn" runs `default`); None for
+    ml and somp."""
+    if name in ("ml", "somp"):
+        return None
+    return name.partition("-")[2] or default
+
+
+def _eval_detector_rows(cfg, detectors, data_by_snr, ckpt_dir):
     table = table_for(cfg)
     constellation = QamConstellation(cfg.m)
-    if "ml" in detectors:
+    if ("ml", None) in detectors:
         _warn_ml_guard(cfg)
     rows = []
-    for name in detectors:
+    for name, var in detectors:
         for snr in cfg.snr_db:
             data = data_by_snr[snr]
-            if name in ("ml", "somp"):
+            if var is None:
                 res = run_classical(name, data, table, constellation)
             else:
-                var = name.split("-", 1)[1] if "-" in name else variant
                 aapd, se = load_detector(ckpt_dir, var, snr, cfg)
                 res = run_nn(aapd, se, data, table, constellation)
             rows.append({"schema": EVAL_SCHEMA, "detector": name,
@@ -164,18 +171,18 @@ def _eval_detector_rows(cfg, detectors, data_by_snr, ckpt_dir, variant):
 
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
-    detectors = args.detectors.split(",") if args.detectors else \
+    names = args.detectors.split(",") if args.detectors else \
         [d if d != "nn" else f"nn-{args.variant}" for d in cfg.detectors]
-    # a missing checkpoint fails before any dataset is read
-    needs_ckpt = [d for d in detectors if d.startswith("nn")]
-    for d in needs_ckpt:
-        var = d.split("-", 1)[1] if "-" in d else args.variant
-        for snr in cfg.snr_db:
-            resolve_checkpoints(args.ckpt, var, snr)
+    # an unknown name, then a missing checkpoint, fail before any dataset is read
+    check_detectors(names)
+    detectors = [(d, _nn_variant(d, args.variant)) for d in names]
+    for _, var in detectors:
+        if var is not None:
+            for snr in cfg.snr_db:
+                resolve_checkpoints(args.ckpt, var, snr)
     data_by_snr = {snr: _load_split(args.data, cfg, snr, "test")
                    for snr in cfg.snr_db}
-    rows = _eval_detector_rows(cfg, detectors, data_by_snr, args.ckpt,
-                               args.variant)
+    rows = _eval_detector_rows(cfg, detectors, data_by_snr, args.ckpt)
     write_results(args.out, rows, EVAL_COLUMNS, extra={"command": "eval"})
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0

@@ -81,10 +81,19 @@ class ExperimentConfig:
             raise ConfigError(f"csi_error_var must be finite and >= 0, got {self.csi_error_var}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
-        known = {"ml", "somp", "nn", "nn-complex", "nn-real"}
-        for d in self.detectors:
-            if d not in known:
-                raise ConfigError(f"unknown detector {d!r} (choose from {sorted(known)})")
+        check_detectors(self.detectors)
+
+
+# detector names of the config key and of `eval --detectors`; "nn" is the
+# variant chosen on the command line
+DETECTORS = ("ml", "somp", "nn", "nn-complex", "nn-real")
+
+
+def check_detectors(names) -> None:
+    """ConfigError naming the first detector outside DETECTORS."""
+    for d in names:
+        if d not in DETECTORS:
+            raise ConfigError(f"unknown detector {d!r} (choose from {', '.join(DETECTORS)})")
 
 
 _FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}

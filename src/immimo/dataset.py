@@ -135,10 +135,9 @@ def generate_arrays(cfg: ExperimentConfig, snr_db: float, count: int,
         if noise is not None:
             noise[i] = complex_gaussian(base.derive(2), cfg.n_r, cfg.t, var)
     tac_indices, s = assemble_frame(bits, table, constellation, cfg.t)
-    g = np.zeros((count, cfg.n_t))
-    g[np.arange(count)[:, None], np.asarray(table.tacs, dtype=np.intp)[tac_indices] - 1] = 1.0
     return {"bits": bits, "y": apply_channel(h, tac_indices, s, table, noise),
-            "h": np.broadcast_to(h, h_est.shape).copy(), "h_est": h_est, "g": g, "s": s}
+            "h": np.broadcast_to(h, h_est.shape).copy(), "h_est": h_est,
+            "g": table.patterns[tac_indices], "s": s}
 
 
 def write_dataset(path, cfg: ExperimentConfig, snr_db: float, count: int,
@@ -147,18 +146,28 @@ def write_dataset(path, cfg: ExperimentConfig, snr_db: float, count: int,
 
     The frames are those of generate_arrays, stored as one array of
     `record_dtype()` records after the header (complex values at f32).
-    `threads` is accepted and ignored.
+    A value that is not finite at f32 (e.g. noise at an extreme SNR) is a
+    ValueError before the file is opened. `threads` is accepted and ignored.
     """
     header = DatasetHeader(cfg.n_t, cfg.n_u, cfg.n_r, cfg.t, cfg.m,
                            float(snr_db), count, cfg.seed)
     arrays = generate_arrays(cfg, snr_db, count, start_index)
     records = np.empty(count, header.record_dtype())
-    for name, a in arrays.items():
-        records[name] = np.packbits(a, axis=1) if name == "bits" else a
+    with np.errstate(over="ignore"):  # an f32 overflow is an inf, refused below
+        for name, a in arrays.items():
+            records[name] = np.packbits(a, axis=1) if name == "bits" else a
+    _check_finite(records, path)
     with open(path, "wb") as f:
         f.write(_HEADER.pack(_MAGIC, _VERSION, *astuple(header)))
         f.write(records.tobytes())
     return header
+
+
+def _check_finite(records: np.ndarray, path) -> None:
+    """ValueError naming the first complex field with a NaN or inf entry."""
+    for name in ("y", "h", "h_est", "s"):
+        if not np.isfinite(records[name]).all():
+            raise ValueError(f"{path}: field {name} holds non-finite values")
 
 
 def _parse_header(raw: bytes, path) -> DatasetHeader:
@@ -182,7 +191,7 @@ def read_dataset(path) -> tuple[DatasetHeader, dict]:
 
     Returns (header, arrays) with arrays: bits (N, b) int8, y (N, n_r, t),
     h / h_est (N, n_r, n_t), g (N, n_t) float64, s (N, n_u, t); complex
-    arrays are complex128.
+    arrays are complex128. A NaN or inf in y, h, h_est or s is a ValueError.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -193,6 +202,7 @@ def read_dataset(path) -> tuple[DatasetHeader, dict]:
         raise ValueError(f"{path}: payload is {len(payload)} bytes, "
                          f"expected {dtype.itemsize * header.count}")
     records = np.frombuffer(payload, dtype)
+    _check_finite(records, path)
     return header, {
         "bits": np.unpackbits(records["bits"], axis=1)[:, :header.bits_per_frame]
                   .astype(np.int8),

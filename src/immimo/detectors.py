@@ -4,7 +4,8 @@ All detectors see the receiver-side channel estimate only and work on
 batches of frames: y (B, n_r, t), h (B, n_r, n_t); a single frame is a
 batch of 1. Frame-level structure (one TAC across all T slots) is exploited
 everywhere: ML sums per-slot minima per TAC, SOMP correlates residuals
-across all slots.
+across all slots. Supports are 0-based antenna columns (`TacTable.cols`);
+somp_detect alone returns a 1-based tuple, like `TacTable.tacs`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ def ml_detect(y: np.ndarray, h: np.ndarray, table: TacTable,
     h = np.asarray(h, dtype=np.complex128)
     grid = _symbol_grid(constellation, table.n_u)  # (n_u, K)
     chunk = max(1, ML_CHUNK_ELEMENTS // (y.shape[2] * grid.shape[1]))
-    cols = np.asarray(table.tacs, dtype=np.intp) - 1
     tacs = np.zeros(len(y), dtype=np.int64)
     kbest = np.zeros((len(y), y.shape[2]), dtype=np.intp)
     for lo in range(0, len(y), chunk):
@@ -49,7 +49,7 @@ def ml_detect(y: np.ndarray, h: np.ndarray, table: TacTable,
         y_energy = np.sum(np.abs(yc) ** 2, axis=1)                      # (b, t)
         y_conj_t = np.swapaxes(yc.conj(), 1, 2)                          # (b, t, n_r)
         best_cost = np.full(len(yc), np.inf)
-        for ti, tac_cols in enumerate(cols):
+        for ti, tac_cols in enumerate(table.cols):
             v = hc[:, :, tac_cols] @ grid                                # (b, n_r, K)
             g = np.sum(np.abs(v) ** 2, axis=1)                           # (b, K)
             d = y_energy[:, :, None] - 2.0 * (y_conj_t @ v).real + g[:, None, :]
@@ -99,32 +99,24 @@ def tacs_from_probabilities(p: np.ndarray, table: TacTable) -> np.ndarray:
     0/1 support indicators (for which the sum is the overlap count).
     """
     p = np.asarray(p, dtype=np.float64)
-    cols = np.asarray(table.tacs, dtype=np.intp).reshape(table.n_l, table.n_u) - 1
     top = np.argsort(-p, axis=1, kind="stable")[:, :table.n_u]
     chosen = np.zeros(p.shape, dtype=bool)
     np.put_along_axis(chosen, top, True, axis=1)
-    hit = chosen[:, cols].all(axis=2)        # (B, n_l): the top set is this TAC
-    sums = p[:, cols].sum(axis=2)            # (B, n_l)
+    hit = chosen[:, table.cols].all(axis=2)  # (B, n_l): the top set is this TAC
+    sums = p[:, table.cols].sum(axis=2)      # (B, n_l)
     return np.where(hit.any(axis=1), hit.argmax(axis=1), sums.argmax(axis=1))
 
 
-def zf_estimate(y: np.ndarray, h: np.ndarray, supports) -> np.ndarray:
+def zf_estimate(y: np.ndarray, h: np.ndarray, cols) -> np.ndarray:
     """Zero-forcing symbol estimates of a batch on fixed supports.
 
-    supports (B, n_u) holds each frame's 1-based antennas. Solves
-    min ||H_J S - Y|| per frame, i.e. S = (H_J^H H_J)^-1 H_J^H Y, with rows
-    in ascending antenna order; returns (B, n_u, t).
+    cols (B, n_u) holds each frame's 0-based antenna columns, usually
+    `table.cols[tac_indices]`. Solves min ||H_J S - Y|| per frame, i.e.
+    S = (H_J^H H_J)^-1 H_J^H Y, with rows in the order of `cols`; returns
+    (B, n_u, t). With Y = I it is the explicit ZF combiner W (n_u, n_r).
     """
-    cols = np.sort(np.asarray(supports, dtype=np.intp), axis=1) - 1
-    h = np.asarray(h, dtype=np.complex128)
-    return ls_solve(np.take_along_axis(h, cols[:, None, :], axis=2), y)
-
-
-def zf_matrix(h: np.ndarray, support) -> np.ndarray:
-    """Explicit ZF combiner W = (H_J^H H_J)^-1 H_J^H, shape (n_u, n_r)."""
-    cols = sorted(support)
-    sub = np.asarray(h, dtype=np.complex128)[:, [a - 1 for a in cols]]
-    return ls_solve(sub, np.eye(sub.shape[0], dtype=np.complex128))
+    sub = np.take_along_axis(np.asarray(h), np.asarray(cols)[:, None, :], axis=2)
+    return ls_solve(sub, y)
 
 
 def classical_detect(y, h_est, table: TacTable, constellation: QamConstellation,
@@ -142,5 +134,5 @@ def classical_detect(y, h_est, table: TacTable, constellation: QamConstellation,
         for i in range(len(y)):
             support[i, [a - 1 for a in somp_detect(y[i], h_est[i], table.n_u)]] = 1.0
         tacs = tacs_from_probabilities(support, table)
-        return tacs, zf_estimate(y, h_est, np.asarray(table.tacs)[tacs])
+        return tacs, zf_estimate(y, h_est, table.cols[tacs])
     raise ValueError(f"unknown method {method!r}")

@@ -5,14 +5,16 @@ N_u active antennas carry symbols, so the transmit matrix X is row-sparse
 with the same support in every column. Frames travel as batches over a
 leading frame axis: a TAC index (B,) and symbols (B, n_u, t) per frame, from
 assemble_frame to apply_channel and back through demap_frame; one frame is
-a batch of 1.
+a batch of 1. A TAC index becomes antennas through one table, built once:
+`TacTable.cols` (0-based columns) or `TacTable.patterns` (0/1 rows).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,10 +33,6 @@ class TacTable:
     n_t: int
     n_u: int
     tacs: tuple[tuple[int, ...], ...]
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.tacs)})
 
     @property
     def n_l(self) -> int:
@@ -44,17 +42,22 @@ class TacTable:
     def b1(self) -> int:
         return self.n_l.bit_length() - 1
 
-    def index_of(self, tac: tuple[int, ...]) -> int:
-        """Codeword index of a legal TAC; KeyError if not in the table."""
-        return self._index[tuple(tac)]
-
     def __contains__(self, tac) -> bool:
-        return tuple(tac) in self._index
+        return tuple(tac) in self.tacs
 
-    def aap(self, index: int) -> np.ndarray:
-        """Antenna activation pattern of codeword `index` as a 0/1 vector (n_t,)."""
-        g = np.zeros(self.n_t, dtype=np.float64)
-        g[[a - 1 for a in self.tacs[index]]] = 1.0
+    @functools.cached_property
+    def cols(self) -> np.ndarray:
+        """0-based ascending antenna columns of every codeword, (n_l, n_u) intp."""
+        cols = np.array(self.tacs, dtype=np.intp) - 1
+        cols.flags.writeable = False
+        return cols
+
+    @functools.cached_property
+    def patterns(self) -> np.ndarray:
+        """Antenna activation pattern of every codeword as 0/1 rows, (n_l, n_t)."""
+        g = np.zeros((self.n_l, self.n_t))
+        np.put_along_axis(g, self.cols, 1.0, axis=1)
+        g.flags.writeable = False
         return g
 
 
@@ -132,26 +135,24 @@ def demap_frame(tac_indices, s_hat, table: TacTable,
     return np.concatenate([head, flat], axis=1)
 
 
-def make_correlated(h: np.ndarray, rho: float, rho_rx: float | None = None) -> np.ndarray:
+def make_correlated(h: np.ndarray, rho: float) -> np.ndarray:
     """Apply Kronecker spatial correlation: H_c = L_r H L_t^H.
 
-    R entries are rho^|i-j| on each side (rho_rx defaults to rho); L are
-    Cholesky factors, which satisfy the required L L^H = R.
+    R entries are rho^|i-j| on both the receive and the transmit side; L
+    are Cholesky factors, which satisfy the required L L^H = R.
     """
     h = np.asarray(h, dtype=np.complex128)
     n_r, n_t = h.shape
-    if rho_rx is None:
-        rho_rx = rho
-    if not (0 <= rho < 1 and 0 <= rho_rx < 1):
-        raise ValueError("correlation coefficients must be in [0, 1)")
-    if rho == 0 and rho_rx == 0:
+    if not 0 <= rho < 1:
+        raise ValueError("correlation coefficient must be in [0, 1)")
+    if rho == 0:
         return h.copy()
 
     def expfact(n, r):
         idx = np.arange(n)
         return cholesky_factor((r ** np.abs(idx[:, None] - idx[None, :])).astype(np.complex128))
 
-    return expfact(n_r, rho_rx) @ h @ expfact(n_t, rho).conj().T
+    return expfact(n_r, rho) @ h @ expfact(n_t, rho).conj().T
 
 
 def corrupt_csi(h: np.ndarray, error_var: float, rng: Rng) -> np.ndarray:
@@ -207,9 +208,8 @@ def apply_channel(h: np.ndarray, tac_indices, s: np.ndarray, table: TacTable,
     noiseless link.
     """
     s = np.asarray(s, dtype=np.complex128)
-    rows = np.asarray(table.tacs, dtype=np.intp)[tac_indices] - 1      # (B, n_u)
     x = np.zeros((len(s), table.n_t, s.shape[2]), dtype=np.complex128)
-    x[np.arange(len(s))[:, None], rows] = s
+    x[np.arange(len(s))[:, None], table.cols[tac_indices]] = s
     y = h @ x
     return y if noise is None else y + noise
 

@@ -38,8 +38,7 @@ def ml_hypotheses_per_slot(table: TacTable, m: int) -> int:
 def _score(data: dict, table: TacTable, tacs, bits_hat, seconds: float) -> dict:
     """BER and TAC accuracy of detected frames; a TAC is right when its
     activation pattern equals the frame's 0/1 row g (phy.aap_accuracy)."""
-    aaps = np.stack([table.aap(i) for i in range(table.n_l)])
-    hits = np.all(aaps[np.asarray(tacs)] == data["g"], axis=1)
+    hits = np.all(table.patterns[np.asarray(tacs)] == data["g"], axis=1)
     return {"frames": len(tacs), "ber": ber(data["bits"], bits_hat),
             "aap_accuracy": float(np.mean(hits)), "wall_time_s": seconds}
 

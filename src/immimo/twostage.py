@@ -267,7 +267,7 @@ def build_zf_dataset(aapd: AapdModel, y: np.ndarray, h_est: np.ndarray,
     within each predicted TAC.
     """
     tacs = tacs_from_probabilities(aapd.probabilities(y), table)
-    return zf_estimate(y, h_est, np.asarray(table.tacs)[tacs]), tacs
+    return zf_estimate(y, h_est, table.cols[tacs]), tacs
 
 
 def train_se(se: SeModel, train: tuple, val: tuple, cfg: TrainConfig) -> list[dict]:

@@ -22,7 +22,7 @@ from immimo.config import ExperimentConfig
 from immimo.cvnn.layers import ComplexBatchNorm, ComplexConv2d
 from immimo.cvnn.model import count_params
 from immimo.dataset import DatasetHeader, generate_arrays, table_for
-from immimo.detectors import somp_detect, zf_matrix
+from immimo.detectors import somp_detect, zf_estimate
 from immimo.modulation import QamConstellation
 from immimo.runner import (BENCH_COLUMNS, EVAL_COLUMNS, SWEEP_COLUMNS,
                            checkpoint_paths, load_detector, rows_to_csv,
@@ -125,12 +125,11 @@ class TestClassicalExactness:
             n_u = int(rng.integers(1, min(n_r, n_t) + 1))
             while True:
                 h = crand(rng, (n_r, n_t)) / np.sqrt(2.0)
-                support = tuple(sorted(
-                    rng.choice(n_t, size=n_u, replace=False) + 1))
-                sub = h[:, [a - 1 for a in support]]
+                cols = np.sort(rng.choice(n_t, size=n_u, replace=False))
+                sub = h[:, cols]
                 if np.linalg.cond(sub) < 1e3:
                     break
-            w = zf_matrix(h, support)
+            w = zf_estimate(np.eye(n_r)[None], h[None], cols[None])[0]
             err = np.linalg.norm(w @ sub - np.eye(n_u))
             eye_err = max(eye_err, float(err))
         elapsed = time.perf_counter() - t0

@@ -100,6 +100,16 @@ class TestGenData:
         assert line.split()[0] in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_f32_data_exits_2(self, tmp_path, capsys):
+        # the noise at -800 dB overflows the f32 record fields to inf
+        cfg = tmp_path / "loud.cfg"
+        cfg.write_text(SMALL_CFG.replace("snr_db = 12", "snr_db = 12, -800"))
+        out = tmp_path / "d"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert (out / "snr12_test.imds").exists()
+        assert not list(out.glob("snr-800_*"))
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["gen-data", "--config", str(tmp_path / "none.cfg"),
                      "--out", str(tmp_path / "d")]) == 2
@@ -144,7 +154,9 @@ class TestTrain:
             a = (workspace["ckpt"] / name).read_bytes()
             assert a == (out2 / name).read_bytes()
 
-    def test_nan_in_training_data_exits_4_and_writes_nothing(self, workspace, tmp_path):
+    def test_nan_in_training_data_exits_2_and_writes_nothing(self, workspace, tmp_path,
+                                                             capsys):
+        # refused when the file is read, before any training step
         data = tmp_path / "data"
         data.mkdir()
         for split in ("train", "val"):
@@ -159,7 +171,8 @@ class TestTrain:
         path.write_bytes(bytes(raw))
         out = tmp_path / "ckpt"
         assert main(["train", "--config", str(workspace["cfg"]),
-                     "--data", str(data), "--out", str(out)]) == 4
+                     "--data", str(data), "--out", str(out)]) == 2
+        assert "snr12_train.imds: field y holds non-finite values" in capsys.readouterr().err
         assert not list(out.glob("*.cvnn")) and not list(out.glob("*.jsonl"))
 
     def test_missing_dataset_exits_2(self, workspace, tmp_path):
@@ -204,6 +217,16 @@ class TestEval:
                      "--detectors", "nn-complex",
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert "aapd_complex_snr12.cvnn" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("names", ["somp,zf", "nn-bogus"])
+    def test_unknown_detector_exits_2(self, workspace, tmp_path, capsys, names):
+        out = tmp_path / "x.csv"
+        assert main(["eval", "--config", str(workspace["cfg"]),
+                     "--data", str(workspace["data"]),
+                     "--ckpt", str(workspace["ckpt"]),
+                     "--detectors", names, "--out", str(out)]) == 2
+        assert "unknown detector" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_singular_zf_exits_4(self, workspace, tmp_path):
         # zero one test frame's H_est: its ZF system has no solution
@@ -369,6 +392,22 @@ class TestInputFuzz:
         def truncate(raw):
             return raw[:data.draw(st.integers(0, len(raw) - 1), label="keep")]
         assert self._eval_damaged(workspace, name, truncate) == 2
+
+    @_FUZZ
+    @given(field=st.sampled_from(("y", "h", "h_est", "s")),
+           value=st.sampled_from((np.nan, np.inf, -np.inf)), data=st.data())
+    def test_non_finite_record_value_exits_2(self, workspace, field, value, data):
+        def poison(raw):
+            header = read_header(workspace["data"] / "snr12_test.imds")
+            buf = bytearray(raw)
+            records = np.frombuffer(buf, header.record_dtype(),
+                                    offset=len(buf) - header.count * header.record_nbytes())
+            entry = records[field][data.draw(st.integers(0, header.count - 1),
+                                             label="record")]
+            parts = entry.reshape(-1).view(np.float32)  # re/im parts, in place
+            parts[data.draw(st.integers(0, parts.size - 1), label="part")] = value
+            return bytes(buf)
+        assert self._eval_damaged(workspace, "snr12_test.imds", poison) == 2
 
     @_FUZZ
     @given(name=st.sampled_from(_CKPTS), data=st.data(),

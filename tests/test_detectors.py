@@ -15,7 +15,6 @@ from immimo.detectors import (
     somp_detect,
     tacs_from_probabilities,
     zf_estimate,
-    zf_matrix,
 )
 from immimo.linalg import Rng, SingularMatrixError, complex_gaussian, ls_solve
 from immimo.modulation import QamConstellation
@@ -85,7 +84,7 @@ def legalize_support(support, table):
     legal TAC of maximal overlap, ties toward the earliest entry."""
     sup = set(support)
     if tuple(sorted(sup)) in table:
-        return table.index_of(tuple(sorted(sup)))
+        return table.tacs.index(tuple(sorted(sup)))
     return int(np.argmax([len(sup & set(t)) for t in table.tacs]))
 
 
@@ -198,9 +197,9 @@ class TestZf:
         # W^ZF H_J = I for well-conditioned channels
         for _ in range(50):
             h = np_rng.normal(size=(6, 8)) + 1j * np_rng.normal(size=(6, 8))
-            sup = tuple(np_rng.choice(8, size=3, replace=False) + 1)
-            w = zf_matrix(h, sup)
-            hs = h[:, [a - 1 for a in sorted(sup)]]
+            cols = np.sort(np_rng.choice(8, size=3, replace=False))
+            w = zf_estimate(np.eye(6)[None], h[None], cols[None])[0]
+            hs = h[:, cols]
             assert np.abs(w @ hs - np.eye(3)).max() < 1e-10
 
     def test_estimate_noiseless(self):
@@ -208,32 +207,32 @@ class TestZf:
         const = QamConstellation(16)
         rng = Rng(504)
         _, tac, s, h, y = random_frames([rng], table, const, 6, 4, float("inf"))
-        s_hat = zf_estimate(y, h, [table.tacs[tac[0]]])
+        s_hat = zf_estimate(y, h, table.cols[tac])
         assert np.allclose(s_hat, s, atol=1e-10)
 
-    def test_estimate_row_order_is_ascending_antenna(self):
+    def test_estimate_rows_follow_cols_order(self):
         h = np.eye(4, dtype=np.complex128)
         y = np.zeros((4, 1), dtype=np.complex128)
         y[0, 0] = 1.0
         y[2, 0] = 2.0
-        s = zf_estimate(y[None], h[None], [(3, 1)])[0]  # unsorted support on purpose
-        assert np.allclose(s[:, 0], [1.0, 2.0])
+        s = zf_estimate(y[None], h[None], [(2, 0)])[0]  # unsorted columns on purpose
+        assert np.allclose(s[:, 0], [2.0, 1.0])
 
     def test_singular_support_raises(self):
         h = np.ones((4, 4), dtype=np.complex128)  # identical columns
         y = np.ones((4, 2), dtype=np.complex128)
         with pytest.raises(SingularMatrixError):
-            zf_estimate(y[None], h[None], [(1, 2)])
+            zf_estimate(y[None], h[None], [(0, 1)])
 
     def test_one_singular_frame_fails_the_batch(self):
         table = build_tac_table(4, 2)
         const = QamConstellation(4)
         *_, h, y = random_batch(Rng(507), table, const, 4, 4, 10.0, 6)
         h[3, :, 1] = h[3, :, 0]  # frame 3: antennas 1 and 2 see the same column
-        supports = [(1, 2)] * 6
-        zf_estimate(np.delete(y, 3, 0), np.delete(h, 3, 0), supports[:5])
+        cols = [(0, 1)] * 6
+        zf_estimate(np.delete(y, 3, 0), np.delete(h, 3, 0), cols[:5])
         with pytest.raises(SingularMatrixError):
-            zf_estimate(y, h, supports)
+            zf_estimate(y, h, cols)
 
 
 class TestClassicalFrontend:
@@ -311,10 +310,10 @@ class TestBatchedMatchesPerFrame:
     def test_zf(self, system):
         _, table, _, data = system
         y, h = data["y"], data["h_est"]
-        supports = [tuple(np.flatnonzero(g) + 1) for g in data["g"]]
-        got = zf_estimate(y, h, supports)
+        cols = [np.flatnonzero(g) for g in data["g"]]
+        got = zf_estimate(y, h, cols)
         for i in range(len(y)):
-            assert np.array_equal(got[i], zf_one(y[i], h[i], supports[i]))
+            assert np.array_equal(got[i], zf_one(y[i], h[i], cols[i] + 1))
 
     def test_somp(self, system):
         name, table, const, data = system

@@ -41,18 +41,44 @@ class TestTacTable:
     def test_index_round_trip(self):
         table = build_tac_table(8, 2)
         for i, tac in enumerate(table.tacs):
-            assert table.index_of(tac) == i
+            assert table.tacs.index(tac) == i
         assert (1, 2) in table
+        assert [1, 2] in table  # any sequence of antennas
         assert (7, 8) not in table  # beyond the 16 kept combinations
 
     def test_aap_vector(self):
         table = build_tac_table(4, 2)
-        assert np.array_equal(table.aap(1), [1, 0, 1, 0])  # tac (1,3)
+        assert np.array_equal(table.patterns[1], [1, 0, 1, 0])  # tac (1,3)
 
     def test_preset_4x2(self):
         table = build_tac_table(4, 2, tacs=TAC_PRESET_4X2)
         assert table.tacs == ((1, 3), (1, 4), (2, 4), (2, 3))
-        assert table.index_of((2, 4)) == 2
+        assert table.tacs.index((2, 4)) == 2
+
+    @pytest.mark.parametrize("n_t,n_u,tacs", [
+        (4, 1, None), (8, 2, None), (8, 3, None), (16, 4, None),
+        (4, 2, TAC_PRESET_4X2),
+    ], ids=["4x1", "8x2", "8x3", "16x4", "preset-4x2"])
+    def test_cols_and_patterns_match_the_tuples(self, n_t, n_u, tacs):
+        table = build_tac_table(n_t, n_u, tacs=tacs)
+        want_cols = [[a - 1 for a in tac] for tac in table.tacs]
+        want_patterns = np.zeros((table.n_l, n_t))
+        for i, tac in enumerate(table.tacs):
+            want_patterns[i, [a - 1 for a in tac]] = 1.0
+        assert table.cols.shape == (table.n_l, n_u) and table.cols.dtype == np.intp
+        assert np.array_equal(table.cols, want_cols)
+        assert table.patterns.dtype == np.float64
+        assert np.array_equal(table.patterns, want_patterns)
+        assert table.cols is table.cols and table.patterns is table.patterns
+
+    def test_cols_and_patterns_are_read_only(self):
+        table = build_tac_table(8, 2)
+        with pytest.raises(ValueError):
+            table.cols[0, 0] = 5
+        with pytest.raises(ValueError):
+            table.patterns[0] = 0.0
+        assert table == build_tac_table(8, 2)
+        assert hash(table) == hash(build_tac_table(8, 2))
 
     def test_explicit_table_validation(self):
         with pytest.raises(ValueError):

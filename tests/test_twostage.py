@@ -36,7 +36,7 @@ def tac_from_probabilities(p, table):
     order = np.argsort(-p, kind="stable")
     cand = tuple(sorted(int(a) + 1 for a in order[: table.n_u]))
     if cand in table:
-        return table.index_of(cand)
+        return table.tacs.index(cand)
     sums = [p[[a - 1 for a in tac]].sum() for tac in table.tacs]
     return int(np.argmax(sums))
 
@@ -126,7 +126,7 @@ class TestTacLegalization:
     def test_top1_direct(self):
         table = build_tac_table(4, 1)
         p = np.array([0.9, 0.1, 0.8, 0.2])
-        assert legalize_one(p, table) == table.index_of((1,))
+        assert legalize_one(p, table) == table.tacs.index((1,))
 
     def test_top2_already_legal_kept(self):
         table = build_tac_table(4, 2, tacs=TAC_PRESET_4X2)
@@ -292,7 +292,7 @@ class TestInference:
         zero_params(self.se.net)  # residual branch off: SE is the identity
         for i in range(6):
             ti = int(np.flatnonzero(self.data["g"][i])[0])
-            ti = self.table.index_of((ti + 1,))
+            ti = self.table.tacs.index((ti + 1,))
             s_zf = zf_one(self.data["y"][i], self.data["h_est"][i],
                           self.table.tacs[ti])[None]
             got = demap_frame([ti], self.se.enhance(s_zf), self.table, self.const)
