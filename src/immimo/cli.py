@@ -20,6 +20,7 @@ from immimo.config import ConfigError, ExperimentConfig, check_detectors, load_c
 from immimo.cvnn import count_flops, count_params
 from immimo.dataset import (
     check_header_matches,
+    check_indicators,
     generate_arrays,
     read_dataset,
     table_for,
@@ -99,6 +100,7 @@ def _load_split(data_dir: str, cfg: ExperimentConfig, snr: float, split: str):
         raise ConfigError(f"missing dataset file {path}")
     header, arrays = read_dataset(path)
     check_header_matches(header, cfg, path)
+    check_indicators(arrays, table_for(cfg), path)
     return arrays
 
 
@@ -149,6 +151,21 @@ def _nn_variant(name: str, default: str) -> str | None:
     return name.partition("-")[2] or default
 
 
+def _resolve_detectors(names, default: str) -> list:
+    """(name, NN variant) per detector name; ConfigError on an unknown name
+    or on two names that run the same detector (e.g. "nn" and
+    "nn-complex" when the default variant is complex)."""
+    check_detectors(names)
+    detectors = [(d, _nn_variant(d, default)) for d in names]
+    seen = {}
+    for d, var in detectors:
+        key = (d if var is None else "nn", var)
+        if key in seen:
+            raise ConfigError(f"repeated detector {d!r} (runs the same detector as {seen[key]!r})")
+        seen[key] = d
+    return detectors
+
+
 def _eval_detector_rows(cfg, detectors, data_by_snr, ckpt_dir):
     table = table_for(cfg)
     constellation = QamConstellation(cfg.m)
@@ -173,9 +190,9 @@ def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
     names = args.detectors.split(",") if args.detectors else \
         [d if d != "nn" else f"nn-{args.variant}" for d in cfg.detectors]
-    # an unknown name, then a missing checkpoint, fail before any dataset is read
-    check_detectors(names)
-    detectors = [(d, _nn_variant(d, args.variant)) for d in names]
+    # an unknown or repeated name, then a missing checkpoint, fail before any
+    # dataset is read
+    detectors = _resolve_detectors(names, args.variant)
     for _, var in detectors:
         if var is not None:
             for snr in cfg.snr_db:

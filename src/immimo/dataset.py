@@ -14,11 +14,18 @@ the same across the frames it is fitted and evaluated on; change the seed
 to get an independent realization.
 
 Generation derives one RNG stream per global frame index, so any record can
-be regenerated in isolation and files are byte-identical across runs. Only
-those per-frame stream draws loop over frames; assembly, the channel and the
-indicators run over the whole batch. Generation runs in one thread; the
-`threads` argument of write_dataset is accepted for compatibility and
-ignored.
+be regenerated in isolation and files are byte-identical across runs. No
+step loops over frames: the streams' words and their bits, CSI error and
+noise are drawn over the frame axis (`linalg.derive_stream`,
+`linalg.philox_raw`) in blocks of frames of about _DRAW_WORDS raw words,
+and assembly, the channel and the indicators run over the whole batch. The
+result is what `Rng(seed).derive(snr_key, i)` gives frame by frame.
+Generation runs in one thread; the `threads` argument of write_dataset is
+accepted for compatibility and ignored.
+
+A file's records are checked on read: values must be finite
+(`read_dataset`), and `check_indicators` refuses a `g` that is not the
+pattern of the TAC its bits select, which needs the config's codebook.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from immimo.config import ExperimentConfig
-from immimo.linalg import Rng, complex_gaussian
+from immimo.linalg import Rng, derive_stream, stream_bits, stream_complex_gaussian
 from immimo.modulation import QamConstellation
 from immimo.phy import (
     TAC_PRESET_4X2,
@@ -38,10 +45,10 @@ from immimo.phy import (
     apply_channel,
     assemble_frame,
     build_tac_table,
-    corrupt_csi,
     draw_channel,
     frame_bit_count,
     noise_variance,
+    tac_indices_of,
 )
 
 _MAGIC = b"IMDS"
@@ -50,6 +57,10 @@ _HEADER = struct.Struct("<4sH5HfQQ")
 
 # stream tag for the per-seed channel draw, outside the per-frame index space
 _CHANNEL_STREAM = 0x6368616E
+
+# Cap on the raw Philox words one block of frames draws (the stream
+# temporaries scale with it); a block always holds at least one frame.
+_DRAW_WORDS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -101,8 +112,8 @@ def scenario_channel(cfg: ExperimentConfig) -> np.ndarray:
     train, validation, and test splits of one experiment all see the same
     realization. Entries are CN(0, 1/N_r) with optional Kronecker correlation.
     """
-    return draw_channel(Rng(cfg.seed).derive(_CHANNEL_STREAM), cfg.n_r, cfg.n_t,
-                        rho=cfg.rho)
+    return draw_channel(Rng(cfg.seed, derive_stream(cfg.seed, 0, _CHANNEL_STREAM)),
+                        cfg.n_r, cfg.n_t, rho=cfg.rho)
 
 
 def generate_arrays(cfg: ExperimentConfig, snr_db: float, count: int,
@@ -124,16 +135,24 @@ def generate_arrays(cfg: ExperimentConfig, snr_db: float, count: int,
     h = scenario_channel(cfg)
     nbits = frame_bit_count(table, constellation, cfg.t)
     snr_key = 0x7FFFFFFF if snr_db == math.inf else int(round(snr_db * 100)) & 0x7FFFFFFF
-    root = Rng(cfg.seed)
+    seed = cfg.seed
     bits = np.empty((count, nbits), np.int64)
-    h_est = np.empty((count, cfg.n_r, cfg.n_t), np.complex128)
+    h_est = np.broadcast_to(h, (count,) + h.shape).copy()
     noise = np.empty((count, cfg.n_r, cfg.t), np.complex128) if var > 0 else None
-    for i in range(count):
-        base = root.derive(snr_key, start_index + i)
-        bits[i] = base.derive(0).bits(nbits)
-        h_est[i] = corrupt_csi(h, cfg.csi_error_var, base.derive(1))
+    words = ((nbits + 63) // 64 + (2 * h.size if cfg.csi_error_var else 0)
+             + (2 * cfg.n_r * cfg.t if noise is not None else 0))
+    block = max(1, _DRAW_WORDS // words)
+    frames = np.arange(start_index, start_index + count, dtype=np.uint64)
+    for lo in range(0, count, block):
+        rows = slice(lo, lo + block)
+        base = derive_stream(seed, 0, snr_key, frames[rows])
+        bits[rows] = stream_bits(seed, derive_stream(seed, base, 0), nbits)
+        if cfg.csi_error_var:
+            h_est[rows] += stream_complex_gaussian(
+                seed, derive_stream(seed, base, 1), h.shape, cfg.csi_error_var)
         if noise is not None:
-            noise[i] = complex_gaussian(base.derive(2), cfg.n_r, cfg.t, var)
+            noise[rows] = stream_complex_gaussian(
+                seed, derive_stream(seed, base, 2), noise.shape[1:], var)
     tac_indices, s = assemble_frame(bits, table, constellation, cfg.t)
     return {"bits": bits, "y": apply_channel(h, tac_indices, s, table, noise),
             "h": np.broadcast_to(h, h_est.shape).copy(), "h_est": h_est,
@@ -218,3 +237,14 @@ def check_header_matches(header: DatasetHeader, cfg: ExperimentConfig, path) -> 
         want = getattr(cfg, name)
         if have != want:
             raise ValueError(f"{path}: header {name}={have} does not match config {name}={want}")
+
+
+def check_indicators(arrays: dict, table: TacTable, path) -> None:
+    """Refuse records whose activation indicator g is not the pattern of the
+    TAC that their bits select: a spliced or flipped g would corrupt the
+    AAPD targets and the scored TAC accuracy unseen."""
+    want = table.patterns[tac_indices_of(arrays["bits"], table)]
+    bad = np.flatnonzero(np.any(arrays["g"] != want, axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: record {bad[0]} has an activation indicator g "
+                         f"that does not match its TAC bits")

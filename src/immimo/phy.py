@@ -97,6 +97,12 @@ def frame_bit_count(table: TacTable, constellation: QamConstellation, t: int) ->
     return table.b1 + table.n_u * constellation.bits_per_symbol * t
 
 
+def tac_indices_of(bits, table: TacTable) -> np.ndarray:
+    """(B,) TAC indices that the first b1 payload bits of each frame select,
+    msb-first."""
+    return bits[:, :table.b1] @ (1 << np.arange(table.b1 - 1, -1, -1))
+
+
 def assemble_frame(bits, table: TacTable, constellation: QamConstellation,
                    t: int) -> tuple[np.ndarray, np.ndarray]:
     """Map a batch of payload bits to frames; the inverse of demap_frame.
@@ -112,7 +118,7 @@ def assemble_frame(bits, table: TacTable, constellation: QamConstellation,
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError("bits must be 0/1")
     b1 = table.b1
-    tac_indices = bits[:, :b1] @ (1 << np.arange(b1 - 1, -1, -1))
+    tac_indices = tac_indices_of(bits, table)
     sym_bits = bits[:, b1:].reshape(len(bits), t, table.n_u * constellation.bits_per_symbol)
     s = np.ascontiguousarray(constellation.modulate(sym_bits).transpose(0, 2, 1))
     return tac_indices, s

@@ -228,6 +228,25 @@ class TestEval:
         assert "unknown detector" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("names", ["ml,ml", "nn,nn-complex"])
+    def test_repeated_detector_exits_2(self, workspace, tmp_path, capsys, names):
+        out = tmp_path / "x.csv"
+        assert main(["eval", "--config", str(workspace["cfg"]),
+                     "--data", str(tmp_path / "nowhere"),
+                     "--ckpt", str(tmp_path / "nowhere"),
+                     "--detectors", names, "--out", str(out)]) == 2
+        assert "repeated detector" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_config_detector_exits_2(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text(SMALL_CFG + "detectors = somp, nn, nn-complex\n")
+        out = tmp_path / "x.csv"
+        assert main(["eval", "--config", str(cfg), "--data", str(workspace["data"]),
+                     "--ckpt", str(workspace["ckpt"]), "--out", str(out)]) == 2
+        assert "repeated detector" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_singular_zf_exits_4(self, workspace, tmp_path):
         # zero one test frame's H_est: its ZF system has no solution
         data = tmp_path / "data"
@@ -408,6 +427,20 @@ class TestInputFuzz:
             parts[data.draw(st.integers(0, parts.size - 1), label="part")] = value
             return bytes(buf)
         assert self._eval_damaged(workspace, "snr12_test.imds", poison) == 2
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_flipped_indicator_exits_2(self, workspace, data):
+        def flip(raw):
+            header = read_header(workspace["data"] / "snr12_test.imds")
+            buf = bytearray(raw)
+            records = np.frombuffer(buf, header.record_dtype(),
+                                    offset=len(buf) - header.count * header.record_nbytes())
+            g = records["g"][data.draw(st.integers(0, header.count - 1), label="record")]
+            g[data.draw(st.integers(0, g.size - 1), label="byte")] ^= data.draw(
+                st.integers(1, 255), label="mask")
+            return bytes(buf)
+        assert self._eval_damaged(workspace, "snr12_test.imds", flip) == 2
 
     @_FUZZ
     @given(name=st.sampled_from(_CKPTS), data=st.data(),

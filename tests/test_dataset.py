@@ -6,11 +6,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from immimo import dataset, linalg
 from immimo.config import ExperimentConfig
 from immimo.dataset import (
     DatasetHeader,
     check_header_matches,
+    check_indicators,
     generate_arrays,
     read_dataset,
     read_header,
@@ -232,7 +236,10 @@ class TestMatchesPerFrameReference:
     replaced must give the same six arrays bit for bit."""
 
     @pytest.mark.parametrize("snr_db", [15.0, -3.5, float("inf")])
-    @pytest.mark.parametrize("start, count", [(0, 40), (1234, 1), (97, 0)])
+    # the last case crosses frame index 2**63 and spans several draw blocks
+    # at every finite SNR
+    @pytest.mark.parametrize("start, count", [(0, 40), (1234, 1), (97, 0),
+                                              (2**63 - 700, 1400)])
     @pytest.mark.parametrize("system", sorted(REFERENCE_SYSTEMS))
     def test_bit_for_bit(self, system, snr_db, start, count):
         cfg = ExperimentConfig(**REFERENCE_SYSTEMS[system])
@@ -245,6 +252,51 @@ class TestMatchesPerFrameReference:
             assert np.array_equal(got[key], w), key
             # byte equality also tells apart -0.0 from 0.0
             assert got[key].tobytes() == w.tobytes(), key
+
+
+class TestDrawBlocks:
+    """Frames are drawn in blocks of bounded word count; where a block ends
+    must not show in the frames."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(split=st.integers(0, 90))
+    def test_split_calls_concatenate_to_one_call(self, split):
+        cfg = ExperimentConfig(**REFERENCE_SYSTEMS["8x2-csi-rho"])
+        want = generate_arrays(cfg, 15.0, 90, 5)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataset, "_DRAW_WORDS", 1000)  # 2 frames per block
+            whole = generate_arrays(cfg, 15.0, 90, 5)
+            head = generate_arrays(cfg, 15.0, split, 5)
+            tail = generate_arrays(cfg, 15.0, 90 - split, 5 + split)
+        for key, w in want.items():
+            assert whole[key].tobytes() == w.tobytes(), key
+            joined = np.concatenate([head[key], tail[key]])
+            assert joined.tobytes() == w.tobytes(), key
+
+    def test_one_rng_per_call(self, monkeypatch):
+        built = []
+        init = linalg.Rng.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(linalg.Rng, "__init__", counting_init)
+        generate_arrays(base_cfg(csi_error_var=0.1), 10.0, 300, 0)
+        assert len(built) == 1  # the scenario channel's stream
+
+
+class TestIndicatorCheck:
+    def test_generated_records_pass(self):
+        cfg = base_cfg(n_t=8, n_u=2, n_r=4)
+        check_indicators(generate_arrays(cfg, 10.0, 50, 0), table_for(cfg), "x.imds")
+
+    def test_flipped_g_names_the_record(self):
+        cfg = base_cfg(n_u=2)
+        arrays = generate_arrays(cfg, 10.0, 6, 0)
+        arrays["g"][4, 0] = 1.0 - arrays["g"][4, 0]
+        with pytest.raises(ValueError, match="x.imds: record 4 "):
+            check_indicators(arrays, table_for(cfg), "x.imds")
 
 
 class TestFileFormat:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.random import Philox
 
 from immimo.linalg import (
     DecompositionError,
@@ -9,8 +12,15 @@ from immimo.linalg import (
     SingularMatrixError,
     cholesky_factor,
     complex_gaussian,
+    derive_stream,
     ls_solve,
+    philox_raw,
+    stream_bits,
+    stream_complex_gaussian,
 )
+
+_U64 = st.integers(0, 2**64 - 1)
+_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
 
 class TestRng:
@@ -98,6 +108,59 @@ class TestRng:
     def test_derive_order_sensitive(self):
         r = Rng(77)
         assert not np.array_equal(r.derive(1, 2).raw(8), r.derive(2, 1).raw(8))
+
+
+class TestFrameAxisStreams:
+    """The frame-axis draws reproduce the scalar `Rng` streams bit for bit."""
+
+    @_PROPERTY
+    @given(seed=_U64, stream=_U64, n=st.integers(0, 40))
+    @example(seed=0, stream=0, n=0)
+    @example(seed=2**64 - 1, stream=2**64 - 1, n=39)
+    @example(seed=0, stream=2**64 - 1, n=5)
+    @example(seed=2**64 - 1, stream=0, n=4)
+    def test_philox_matches_numpy(self, seed, stream, n):
+        want = Philox(key=np.array([seed, stream], dtype=np.uint64)).random_raw(n)
+        got = philox_raw(seed, [stream], n)
+        assert got.shape == (1, n)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got[0], want)
+
+    def test_philox_rows_are_independent_streams(self):
+        streams = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+        got = philox_raw(9, streams, 7)
+        for row, stream in zip(got, streams):
+            assert np.array_equal(row, Rng(9, int(stream)).raw(7))
+
+    @_PROPERTY
+    @given(seed=_U64, a=_U64, frames=st.lists(_U64, min_size=1, max_size=5))
+    @example(seed=2**64 - 1, a=2**64 - 1, frames=[0, 2**64 - 1])
+    def test_derive_matches_rng(self, seed, a, frames):
+        base = derive_stream(seed, 0, a, np.array(frames, dtype=np.uint64))
+        children = [derive_stream(seed, base, k) for k in range(3)]
+        assert base.dtype == np.uint64
+        for j, i in enumerate(frames):
+            ref = Rng(seed).derive(a, i)
+            assert int(base[j]) == ref._stream
+            for k, child in enumerate(children):
+                assert int(child[j]) == ref.derive(k)._stream
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+    def test_stream_bits_match_rng(self, n):
+        streams = np.array([3, 2**64 - 1], dtype=np.uint64)
+        got = stream_bits(11, streams, n)
+        assert got.shape == (2, n) and got.dtype == np.int64
+        for row, stream in zip(got, streams):
+            assert np.array_equal(row, Rng(11, int(stream)).bits(n))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (4, 16)])
+    def test_stream_complex_gaussian_matches_rng(self, shape):
+        streams = np.array([5, 6, 7], dtype=np.uint64)
+        got = stream_complex_gaussian(11, streams, shape, 0.3)
+        assert got.shape == (3,) + shape
+        for draw, stream in zip(got, streams):
+            want = complex_gaussian(Rng(11, int(stream)), *shape, 0.3)
+            assert draw.tobytes() == want.tobytes()
 
 
 class TestComplexGaussian:
