@@ -24,7 +24,7 @@ from immimo.phy import (
 )
 from immimo.detectors import (
     ml_detect,
-    somp_detect,
+    somp_supports,
     zf_estimate,
     tacs_from_probabilities,
     classical_detect,

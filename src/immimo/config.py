@@ -12,6 +12,13 @@ class ConfigError(Exception):
     """Invalid configuration contents."""
 
 
+# Field limits of the .imds header: u16 dimensions, u64 seed and frame
+# counts, f32 SNR (the largest finite f32; +inf is stored as is).
+_U16_MAX = 2**16 - 1
+_U64_MAX = 2**64 - 1
+_F32_MAX = 3.4028234663852886e38
+
+
 @dataclass
 class ExperimentConfig:
     # system dimensions
@@ -56,8 +63,15 @@ class ExperimentConfig:
         if not all(map(math.isfinite, self.sweep_error_var)):
             raise ConfigError(f"sweep_error_var entries must be finite, "
                               f"got {self.sweep_error_var}")
+        if not self.snr_db:
+            raise ConfigError("snr_db must list at least one SNR")
         if any(math.isnan(v) or v == -math.inf for v in self.snr_db):
             raise ConfigError(f"snr_db entries must be finite or +inf, got {self.snr_db}")
+        if any(math.isfinite(v) and abs(v) > _F32_MAX for v in self.snr_db):
+            raise ConfigError(f"snr_db entries must fit a float32, got {self.snr_db}")
+        for name in ("n_t", "n_u", "n_r", "t", "m"):
+            if getattr(self, name) > _U16_MAX:
+                raise ConfigError(f"{name} must be <= {_U16_MAX}, got {getattr(self, name)}")
         if not (1 <= self.n_u <= self.n_t):
             raise ConfigError(f"need 1 <= n_u <= n_t, got n_u={self.n_u}, n_t={self.n_t}")
         if self.n_u > self.n_r:
@@ -69,8 +83,9 @@ class ExperimentConfig:
             raise ConfigError(f"rho must be in [0, 1), got {self.rho}")
         if self.t < 1:
             raise ConfigError("t must be >= 1")
-        if min(self.frames_train, self.frames_val, self.frames_test) < 0:
-            raise ConfigError("frame counts must be >= 0")
+        for name in ("seed", "frames_train", "frames_val", "frames_test"):
+            if not 0 <= getattr(self, name) <= _U64_MAX:
+                raise ConfigError(f"{name} must be in [0, 2**64 - 1], got {getattr(self, name)}")
         if (self.n_p is not None) != (self.e_p is not None) or \
            (self.n_p is not None) != (self.sigma_z2 is not None):
             raise ConfigError("n_p, e_p, sigma_z2 must be given together")

@@ -31,6 +31,7 @@ pattern of the TAC its bits select, which needs the config's codebook.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import astuple, dataclass
 
@@ -165,21 +166,38 @@ def write_dataset(path, cfg: ExperimentConfig, snr_db: float, count: int,
 
     The frames are those of generate_arrays, stored as one array of
     `record_dtype()` records after the header (complex values at f32).
-    A value that is not finite at f32 (e.g. noise at an extreme SNR) is a
-    ValueError before the file is opened. `threads` is accepted and ignored.
+    A header field out of range is a struct.error and a value that is not
+    finite at f32 (e.g. noise at an extreme SNR) a ValueError, both before
+    any frame is written. The file is written beside `path` and moved into
+    place, so a failed call leaves no file at `path`. `threads` is accepted
+    and ignored.
     """
     header = DatasetHeader(cfg.n_t, cfg.n_u, cfg.n_r, cfg.t, cfg.m,
                            float(snr_db), count, cfg.seed)
+    head = _HEADER.pack(_MAGIC, _VERSION, *astuple(header))
     arrays = generate_arrays(cfg, snr_db, count, start_index)
     records = np.empty(count, header.record_dtype())
     with np.errstate(over="ignore"):  # an f32 overflow is an inf, refused below
         for name, a in arrays.items():
             records[name] = np.packbits(a, axis=1) if name == "bits" else a
     _check_finite(records, path)
-    with open(path, "wb") as f:
-        f.write(_HEADER.pack(_MAGIC, _VERSION, *astuple(header)))
-        f.write(records.tobytes())
+    _replace_file(path, head, records.tobytes())
     return header
+
+
+def _replace_file(path, *chunks: bytes) -> None:
+    """Write `chunks` to a new file beside `path`, then rename it to `path`;
+    on any failure the partial file is removed."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    f = open(tmp, "wb")
+    try:
+        with f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _check_finite(records: np.ndarray, path) -> None:

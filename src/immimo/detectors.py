@@ -4,8 +4,8 @@ All detectors see the receiver-side channel estimate only and work on
 batches of frames: y (B, n_r, t), h (B, n_r, n_t); a single frame is a
 batch of 1. Frame-level structure (one TAC across all T slots) is exploited
 everywhere: ML sums per-slot minima per TAC, SOMP correlates residuals
-across all slots. Supports are 0-based antenna columns (`TacTable.cols`);
-somp_detect alone returns a 1-based tuple, like `TacTable.tacs`.
+across all slots. Supports are 0-based antenna columns, as in
+`TacTable.cols`.
 """
 
 from __future__ import annotations
@@ -62,30 +62,31 @@ def ml_detect(y: np.ndarray, h: np.ndarray, table: TacTable,
     return tacs, np.moveaxis(grid[:, kbest], 0, 1)
 
 
-def somp_detect(y: np.ndarray, h: np.ndarray, n_u: int) -> tuple[int, ...]:
-    """Simultaneous OMP support recovery over one frame.
+def somp_supports(y: np.ndarray, h: np.ndarray, n_u: int) -> np.ndarray:
+    """Simultaneous OMP support recovery over a batch of frames.
 
-    Greedy: N_u rounds of picking the column maximizing the residual
-    correlation summed over slots, normalized by column norm, followed by a
-    least-squares re-projection on the chosen set. Returns the sorted
-    1-based support (not necessarily a legal TAC).
+    Greedy: N_u rounds of picking, per frame, the column maximizing the
+    residual correlation summed over slots, normalized by column norm
+    (ties: lowest index), followed by a least-squares re-projection on the
+    chosen set. Returns (B, n_u) sorted 0-based columns, not necessarily a
+    legal TAC. A zero column is a ValueError; a rank-deficient chosen set
+    in any frame a SingularMatrixError.
     """
     y = np.asarray(y, dtype=np.complex128)
     h = np.asarray(h, dtype=np.complex128)
-    norms = np.linalg.norm(h, axis=0)
+    norms = np.linalg.norm(h, axis=1)                                    # (B, n_t)
     if np.any(norms == 0):
         raise ValueError("channel matrix has a zero column")
-    chosen: list[int] = []
+    h_conj_t = np.swapaxes(h.conj(), 1, 2)                               # (B, n_t, n_r)
+    chosen = np.zeros((len(y), n_u), dtype=np.intp)                      # in pick order
     r = y
-    for _ in range(n_u):
-        scores = np.sum(np.abs(h.conj().T @ r), axis=1) / norms
-        scores[chosen] = -np.inf
-        k = int(np.argmax(scores))  # ties: lowest index wins
-        chosen.append(k)
-        sub = h[:, chosen]
-        s = ls_solve(sub, y)
-        r = y - sub @ s
-    return tuple(sorted(a + 1 for a in chosen))
+    for k in range(n_u):
+        scores = np.sum(np.abs(h_conj_t @ r), axis=2) / norms            # (B, n_t)
+        np.put_along_axis(scores, chosen[:, :k], -np.inf, axis=1)
+        chosen[:, k] = scores.argmax(axis=1)
+        sub = np.take_along_axis(h, chosen[:, None, :k + 1], axis=2)     # (B, n_r, k + 1)
+        r = y - sub @ ls_solve(sub, y)
+    return np.sort(chosen, axis=1)
 
 
 def tacs_from_probabilities(p: np.ndarray, table: TacTable) -> np.ndarray:
@@ -124,15 +125,14 @@ def classical_detect(y, h_est, table: TacTable, constellation: QamConstellation,
     """Run one classical detector on a batch of frames; returns
     (tac_indices (B,), s_hat (B, n_u, t)).
 
-    SOMP searches each frame's support in turn, legalizes the supports as
+    SOMP searches every frame's support at once, legalizes the supports as
     0/1 indicator rows and zero-forces on the legal TACs.
     """
     if method == "ml":
         return ml_detect(y, h_est, table, constellation)
     if method == "somp":
         support = np.zeros((len(y), table.n_t))
-        for i in range(len(y)):
-            support[i, [a - 1 for a in somp_detect(y[i], h_est[i], table.n_u)]] = 1.0
+        np.put_along_axis(support, somp_supports(y, h_est, table.n_u), 1.0, axis=1)
         tacs = tacs_from_probabilities(support, table)
         return tacs, zf_estimate(y, h_est, table.cols[tacs])
     raise ValueError(f"unknown method {method!r}")

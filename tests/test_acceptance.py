@@ -22,7 +22,7 @@ from immimo.config import ExperimentConfig
 from immimo.cvnn.layers import ComplexBatchNorm, ComplexConv2d
 from immimo.cvnn.model import count_params
 from immimo.dataset import DatasetHeader, generate_arrays, table_for
-from immimo.detectors import somp_detect, zf_estimate
+from immimo.detectors import somp_supports, zf_estimate
 from immimo.modulation import QamConstellation
 from immimo.runner import (BENCH_COLUMNS, EVAL_COLUMNS, SWEEP_COLUMNS,
                            checkpoint_paths, load_detector, rows_to_csv,
@@ -144,9 +144,9 @@ class TestClassicalExactness:
         t0 = time.perf_counter()
         data = generate_arrays(cfg, 25.0, 10000, 0)
         y, h_est = data["y"], data["h_est"]
+        supports = somp_supports(y, h_est, cfg.n_u) + 1
         agree = sum(
-            somp_detect(y[f], h_est[f], cfg.n_u)
-            == exhaustive_support(y[f], h_est[f], cfg.n_u)
+            tuple(supports[f]) == exhaustive_support(y[f], h_est[f], cfg.n_u)
             for f in range(len(y)))
         elapsed = time.perf_counter() - t0
         assert agree / len(y) >= 0.99

@@ -100,6 +100,28 @@ class TestGenData:
         assert line.split()[0] in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", [
+        "seed = 18446744073709551616", "seed = -1", "t = 70000", "n_t = 65536",
+        "n_u = 65536", "n_r = 65536", "m = 65536", "frames_test = 18446744073709551616",
+        "snr_db =", "snr_db = 1e39"])
+    def test_value_the_header_cannot_hold_exits_2(self, tmp_path, capsys, line):
+        key = line.split()[0]
+        body = "\n".join(l for l in SMALL_CFG.splitlines() if l.split(" = ")[0] != key)
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(body + "\n" + line + "\n")
+        out = tmp_path / "d"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_seed_override_past_u64_exits_2(self, workspace, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["gen-data", "--config", str(workspace["cfg"]),
+                     "--seed", str(2 ** 64), "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_f32_data_exits_2(self, tmp_path, capsys):
         # the noise at -800 dB overflows the f32 record fields to inf
         cfg = tmp_path / "loud.cfg"
@@ -263,6 +285,26 @@ class TestEval:
         assert main(["eval", "--config", str(workspace["cfg"]), "--data", str(data),
                      "--ckpt", str(workspace["ckpt"]), "--detectors", "nn-complex",
                      "--out", str(tmp_path / "x.csv")]) == 4
+
+    def test_singular_somp_subset_exits_4(self, tmp_path, capsys):
+        # one test frame's H_est has rank 1: SOMP's second pick is singular
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text(SMALL_CFG.replace("n_u = 1", "n_u = 2"))
+        data = tmp_path / "data"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(data)]) == 0
+        eval_somp = ["eval", "--config", str(cfg), "--data", str(data),
+                     "--detectors", "somp", "--out", str(tmp_path / "x.csv")]
+        assert main(eval_somp) == 0
+        path = data / "snr12_test.imds"
+        hdr = read_header(path)
+        raw = bytearray(path.read_bytes())
+        records = np.frombuffer(raw, hdr.record_dtype(), offset=len(raw) - hdr.count
+                                * hdr.record_nbytes())
+        h_est = records["h_est"][3]
+        h_est[:] = h_est[:, :1] * np.array([1, 2, 4, 8], dtype=np.float32)
+        path.write_bytes(bytes(raw))
+        assert main(eval_somp) == 4
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_mismatched_dataset_exits_2(self, workspace, tmp_path):
         cfg2 = tmp_path / "other.cfg"
@@ -484,6 +526,12 @@ class TestMixed:
 
 
 class TestBench:
+    def test_empty_snr_list_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "nosnr.cfg"
+        cfg.write_text(SMALL_CFG.replace("snr_db = 12", "snr_db ="))
+        assert main(["bench", "--config", str(cfg)]) == 2
+        assert "snr_db" in capsys.readouterr().err
+
     def test_stdout_table(self, workspace, capsys):
         assert main(["bench", "--config", str(workspace["cfg"])]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

@@ -132,6 +132,43 @@ class TestValidation:
             ExperimentConfig(snr_db=[10.0, value])
         assert ExperimentConfig(snr_db=[10.0, float("inf")]).snr_db[1] == float("inf")
 
+    def test_empty_snr_db_rejected(self):
+        with pytest.raises(ConfigError, match="snr_db"):
+            ExperimentConfig(snr_db=[])
+        with pytest.raises(ConfigError, match="snr_db"):
+            parse_config("snr_db =")
+
+    def test_snr_db_must_fit_float32(self):
+        with pytest.raises(ConfigError, match="snr_db"):
+            ExperimentConfig(snr_db=[10.0, 1e39])
+        with pytest.raises(ConfigError, match="snr_db"):
+            ExperimentConfig(snr_db=[-1e39])
+        assert ExperimentConfig(snr_db=[3.4e38, -3.4e38]).snr_db == [3.4e38, -3.4e38]
+
+    # the .imds header holds the dimensions as u16, seed and counts as u64
+    @pytest.mark.parametrize("key", ["n_t", "n_u", "n_r", "t", "m"])
+    def test_dimension_past_u16_rejected(self, key):
+        big = {"n_t": dict(n_t=65536), "n_u": dict(n_u=65536),
+               "n_r": dict(n_r=65536), "t": dict(t=70000), "m": dict(m=4 ** 8)}[key]
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(**big)
+
+    def test_dimension_at_u16_accepted(self):
+        assert ExperimentConfig(t=65535, m=4 ** 7, n_r=65535).t == 65535
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70])
+    def test_seed_outside_u64_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            ExperimentConfig(seed=seed)
+
+    def test_seed_u64_ends_accepted(self):
+        assert ExperimentConfig(seed=0).seed == 0
+        assert ExperimentConfig(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
+    def test_frame_count_past_u64_rejected(self):
+        with pytest.raises(ConfigError, match="frames_test"):
+            ExperimentConfig(frames_test=2 ** 64)
+
     def test_threads_positive(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(threads=0)

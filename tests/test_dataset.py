@@ -337,6 +337,47 @@ class TestFileFormat:
         write_dataset(p2, cfg, 10.0, 150, 0, threads=4)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_failed_header_pack_leaves_no_file(self, tmp_path):
+        cfg = base_cfg()
+        cfg.seed = 2 ** 64  # past the u64 field, set after validation
+        with pytest.raises(struct.error):
+            write_dataset(tmp_path / "x.imds", cfg, 10.0, 3, 0)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        # the header goes out, then the disk fills up on the records
+        class FullDisk:
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def write(self, chunk):
+                if self.writes:
+                    raise OSError(28, "No space left on device")
+                self.writes += 1
+                return self.f.write(chunk)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        monkeypatch.setattr(dataset, "open", lambda *a: FullDisk(open(*a)), raising=False)
+        with pytest.raises(OSError, match="No space"):
+            write_dataset(tmp_path / "x.imds", base_cfg(), 10.0, 3, 0)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rename_leaves_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.imds"
+        path.write_bytes(b"old")
+        def fail(src, dst):
+            raise OSError("rename refused")
+        monkeypatch.setattr(dataset.os, "replace", fail)
+        with pytest.raises(OSError, match="rename"):
+            write_dataset(path, base_cfg(), 10.0, 3, 0)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == b"old"
+
     def test_truncated_header_rejected(self, tmp_path):
         path = tmp_path / "x.imds"
         path.write_bytes(b"IMDS\x01")

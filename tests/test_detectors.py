@@ -12,7 +12,7 @@ from immimo.dataset import generate_arrays, table_for
 from immimo.detectors import (
     classical_detect,
     ml_detect,
-    somp_detect,
+    somp_supports,
     tacs_from_probabilities,
     zf_estimate,
 )
@@ -77,6 +77,33 @@ def ml_detect_one(y, h, table, constellation):
             best_cost = cost
             best = (ti, grid[:, kmin])
     return best
+
+
+def somp_one(y, h, n_u):
+    """Reference per-frame SOMP (the single-frame loop somp_supports
+    replaced): sorted 1-based support of one frame."""
+    y = np.asarray(y, dtype=np.complex128)
+    h = np.asarray(h, dtype=np.complex128)
+    norms = np.linalg.norm(h, axis=0)
+    if np.any(norms == 0):
+        raise ValueError("channel matrix has a zero column")
+    chosen = []
+    r = y
+    for _ in range(n_u):
+        scores = np.sum(np.abs(h.conj().T @ r), axis=1) / norms
+        scores[chosen] = -np.inf
+        k = int(np.argmax(scores))  # ties: lowest index wins
+        chosen.append(k)
+        sub = h[:, chosen]
+        s = ls_solve(sub, y)
+        r = y - sub @ s
+    return tuple(sorted(a + 1 for a in chosen))
+
+
+def somp_one_cols(y, h, n_u):
+    """somp_one over every frame of a batch, as (B, n_u) 0-based columns."""
+    return np.array([somp_one(y[i], h[i], n_u) for i in range(len(y))],
+                    dtype=np.intp).reshape(len(y), n_u) - 1
 
 
 def legalize_support(support, table):
@@ -148,33 +175,83 @@ class TestSompDetect:
         table = build_tac_table(8, 2)
         const = QamConstellation(4)
         _, tac, _, h, y = random_batch(Rng(502), table, const, 8, 8, 30.0, 200)
-        hits = 0
-        for i in range(200):
-            got = somp_detect(y[i], h[i], table.n_u)
-            hits += got == table.tacs[tac[i]]
+        got = somp_supports(y, h, table.n_u)
+        hits = int((got == table.cols[tac]).all(axis=1).sum())
         assert hits >= 195
 
-    def test_returns_sorted_1based(self):
+    def test_returns_sorted_0based_columns(self):
         rng = Rng(503)
         h = complex_gaussian(rng, 4, 6, 1.0)
         y = complex_gaussian(rng, 4, 5, 1.0)
-        sup = somp_detect(y, h, 3)
-        assert len(sup) == 3
-        assert list(sup) == sorted(sup)
-        assert all(1 <= a <= 6 for a in sup)
+        sup = somp_supports(y[None], h[None], 3)
+        assert sup.shape == (1, 3)
+        assert list(sup[0]) == sorted(sup[0])
+        assert all(0 <= a <= 5 for a in sup[0])
 
     def test_single_column_exact(self):
         # one active antenna, orthogonal channel: correlation picks it out
         h = np.eye(4, dtype=np.complex128)
         y = np.zeros((4, 2), dtype=np.complex128)
         y[2] = [1.0, 1.0j]
-        assert somp_detect(y, h, 1) == (3,)
+        assert somp_supports(y[None], h[None], 1).tolist() == [[2]]
 
     def test_zero_column_rejected(self):
         h = np.ones((3, 3), dtype=np.complex128)
         h[:, 1] = 0
         with pytest.raises(ValueError):
-            somp_detect(np.ones((3, 2), dtype=np.complex128), h, 1)
+            somp_supports(np.ones((1, 3, 2), dtype=np.complex128), h[None], 1)
+        # one frame of a batch is enough
+        table = build_tac_table(4, 2)
+        const = QamConstellation(4)
+        *_, h, y = random_batch(Rng(508), table, const, 4, 4, 10.0, 6)
+        h[4, :, 2] = 0
+        somp_supports(np.delete(y, 4, 0), np.delete(h, 4, 0), 2)
+        with pytest.raises(ValueError, match="zero column"):
+            somp_supports(y, h, 2)
+
+    def test_rank_deficient_subset_in_one_frame_fails_the_batch(self):
+        # frame 2's channel has rank 1: the second greedy pick always
+        # spans the same direction as the first
+        table = build_tac_table(4, 2)
+        const = QamConstellation(4)
+        *_, h, y = random_batch(Rng(509), table, const, 4, 4, 10.0, 5)
+        h[2] = h[2, :, :1] * np.arange(1, 5)
+        somp_supports(np.delete(y, 2, 0), np.delete(h, 2, 0), 2)
+        with pytest.raises(SingularMatrixError):
+            somp_supports(y, h, 2)
+
+    def test_empty_batch(self):
+        y = np.zeros((0, 4, 8), dtype=np.complex128)
+        h = np.zeros((0, 4, 6), dtype=np.complex128)
+        assert somp_supports(y, h, 2).shape == (0, 2)
+
+    def test_batch_of_one_equals_per_frame(self):
+        table = build_tac_table(8, 3)
+        const = QamConstellation(4)
+        *_, h, y = random_batch(Rng(510), table, const, 4, 8, 5.0, 20)
+        for i in range(len(y)):
+            got = somp_supports(y[i:i + 1], h[i:i + 1], table.n_u)
+            assert np.array_equal(got, somp_one_cols(y[i:i + 1], h[i:i + 1], table.n_u))
+
+
+# The systems the batched search was checked on: 2000 frames each at 15 and
+# 5 dB, with per-frame CSI error on all but the first.
+SOMP_SYSTEMS = {
+    "4x1": dict(n_t=4, n_u=1, n_r=4, t=16, m=4),
+    "8x2-csi": dict(n_t=8, n_u=2, n_r=8, t=16, m=4, csi_error_var=0.01),
+    "8x2-16qam-rho": dict(n_t=8, n_u=2, n_r=8, t=16, m=16, rho=0.5, csi_error_var=0.01),
+    "8x3-csi": dict(n_t=8, n_u=3, n_r=8, t=16, m=4, csi_error_var=0.05),
+}
+
+
+class TestSompMatchesPerFrame:
+    @pytest.mark.parametrize("snr", [15.0, 5.0])
+    @pytest.mark.parametrize("name", sorted(SOMP_SYSTEMS))
+    def test_columns_equal(self, name, snr):
+        cfg = ExperimentConfig(**SOMP_SYSTEMS[name], seed=11)
+        data = generate_arrays(cfg, snr, 2000, 0)
+        y, h = data["y"], data["h_est"]
+        assert np.array_equal(somp_supports(y, h, cfg.n_u), somp_one_cols(y, h, cfg.n_u))
 
 
 class TestLegalizeSupport:
@@ -320,8 +397,10 @@ class TestBatchedMatchesPerFrame:
         y, h = data["y"], data["h_est"]
         tacs, s_hat = classical_detect(y, h, table, const, "somp")
         nonlegal = 0
+        supports = somp_supports(y, h, table.n_u)
         for i in range(len(y)):
-            support = somp_detect(y[i], h[i], table.n_u)
+            support = somp_one(y[i], h[i], table.n_u)
+            assert np.array_equal(supports[i] + 1, support)
             nonlegal += support not in table
             ti = legalize_support(support, table)
             assert tacs[i] == ti
