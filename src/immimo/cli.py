@@ -1,8 +1,9 @@
 """Command-line harness: gen-data, train, eval, bench, sweep-csi-error.
 
-Exit codes: 0 success, 2 usage/config error, 3 I/O error, 4 numerical
-failure. Detection and generation run in one thread; the `threads` config
-key is accepted and does nothing.
+Exit codes: 0 success, 2 usage/config error (including a config whose
+arrays do not fit in memory), 3 I/O error, 4 numerical failure. Detection
+and generation run in one thread; the `threads` config key is accepted and
+does nothing.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from immimo.dataset import (
     write_dataset,
 )
 from immimo.detectors import classical_detect
+from immimo.files import replace_file
 from immimo.linalg import DecompositionError, SingularMatrixError
 from immimo.modulation import QamConstellation
 from immimo.runner import (
@@ -134,8 +136,7 @@ def cmd_train(args) -> int:
         aapd.net.save(aapd_path)
         se.net.save(se_path)
         log_path = os.path.join(args.out, f"train_{args.variant}_snr{tag}.jsonl")
-        with open(log_path, "w", encoding="utf-8") as f:
-            f.writelines(lines)
+        replace_file(log_path, [line.encode("utf-8") for line in lines])
         converged = all(r.get("converged", True) for r in history if "converged" in r)
         status = "" if converged else " (warning: epoch cap before loss target)"
         print(f"trained {tag} dB -> {aapd_path}, {se_path} "
@@ -216,6 +217,9 @@ def cmd_bench(args) -> int:
                       dense_units=tuple(cfg.dense_units), seed=cfg.seed)
     se = build_se(cfg.n_u, cfg.t, variant=args.variant,
                   channels=tuple(cfg.se_channels), seed=cfg.seed)
+    # time the precision eval runs at: the tensors a checkpoint holds
+    aapd.net.quantize_state()
+    se.net.quantize_state()
     # each latency trial detects one frame as a batch of 1
     items = list(zip(frames["y"][:, None], frames["h_est"][:, None]))
     rows = [
@@ -343,6 +347,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 2
     except (SingularMatrixError, DecompositionError, FloatingPointError,
             np.linalg.LinAlgError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)

@@ -7,20 +7,28 @@ split and Wirtinger-gradient descent coincide; each layer implements its
 backward rule directly in this packed form. Real layers carry plain real
 gradients.
 
+Precision: a layer computes in the dtype of its own tensors. Conv, dense
+and both batch norms cast their input to it, so a net holding complex128
+and float64 tensors runs at 64-bit parts (how nets are built and trained)
+and one holding complex64 and float32 runs at 32-bit parts (how loaded and
+trained nets infer; see Model.quantize_state). The class-level `dtype`
+only sets the precision of the initial weight draw.
+
 One implementation per operation. A twin pair shares one class body and
-differs only in `kind` and a class-level `dtype` (complex128 or float64):
-conv and dense run the same matmuls in that dtype, conjugating in backward
-(a no-op for reals). Elementwise layers use the float64 view: a
-C-contiguous complex128 array viewed as float64 holds its real and
-imaginary parts interleaved, so running the real activation on that view
-and viewing the result back is the split activation of Trabelsi et al.
-(Deep Complex Networks, ICLR 2018). The real readout reads complex
-features through the same view, and so does Adam (optim.py): it updates
-every parameter in place through its float64 view, so a complex parameter
-is two real slots and one code path serves both dtypes. Code that does not
-fit the rule stays separate: ComplexBatchNorm whitens the (re, im) pair
-jointly, which is not two real batch norms; SplitReIm/MergeReIm order the
-parts by channel block, not interleaved.
+differs only in `kind` and a class-level `dtype` (complex or real): conv
+and dense run the same matmuls, conjugating in backward (a no-op for
+reals). Elementwise layers use the real view: a C-contiguous complex
+array viewed as its real dtype holds its real and imaginary parts
+interleaved, so running the real activation on that view and viewing the
+result back is the split activation of Trabelsi et al. (Deep Complex
+Networks, ICLR 2018). The view keeps the array's precision (complex128
+is viewed as float64, complex64 as float32). The real readout reads
+complex features through the same view, and so does Adam (optim.py): it
+updates every parameter in place through its float64 view, so a complex
+parameter is two real slots and one code path serves both dtypes. Code
+that does not fit the rule stays separate: ComplexBatchNorm whitens the
+(re, im) pair jointly, which is not two real batch norms; SplitReIm and
+MergeReIm order the parts by channel block, not interleaved.
 
 Forward caches live on the layer, so one layer instance serves one
 forward/backward pair at a time.
@@ -74,10 +82,30 @@ def _conj(a: np.ndarray) -> np.ndarray:
     return a.conj() if np.iscomplexobj(a) else a
 
 
-def _float64_view(a: np.ndarray, dtype: type) -> np.ndarray:
-    """`a` as C-contiguous `dtype`, viewed as float64: complex128 (..., F)
-    becomes (..., 2F) = [re0, im0, re1, im1, ...]."""
-    return np.ascontiguousarray(a, dtype=dtype).view(np.float64)
+# (complex?, 32-bit parts?) -> dtype
+_DTYPES = {(True, False): np.dtype(np.complex128), (True, True): np.dtype(np.complex64),
+           (False, False): np.dtype(np.float64), (False, True): np.dtype(np.float32)}
+
+
+def _at_precision_of(a: np.ndarray, dtype: type) -> np.dtype:
+    """`dtype`'s kind (complex or real) at `a`'s precision: 32-bit parts
+    when `a` holds complex64 or float32, else 64-bit parts."""
+    single = np.asarray(a).dtype in (np.complex64, np.float32)
+    return _DTYPES[np.issubdtype(dtype, np.complexfloating), single]
+
+
+def _real_view(a: np.ndarray, dtype: type) -> np.ndarray:
+    """`a` as C-contiguous `dtype` at `a`'s own precision, viewed as its
+    real parts: complex (..., F) becomes (..., 2F) = [re0, im0, re1, im1,
+    ...], complex128 as float64 and complex64 as float32."""
+    a = np.ascontiguousarray(a, dtype=_at_precision_of(a, dtype))
+    return a.view(a.real.dtype)
+
+
+def _from_real_view(v: np.ndarray, dtype: type) -> np.ndarray:
+    """Inverse of _real_view: the real parts `v` viewed as `dtype`'s kind
+    at `v`'s precision."""
+    return v.view(_at_precision_of(v, dtype))
 
 
 def _walk_items(layers, items: str, key) -> list:
@@ -149,9 +177,14 @@ class Layer:
     def tensor_items(self) -> list:
         return self.param_items() + self.buffer_items()
 
+    def set_tensor(self, name: str, a: np.ndarray) -> None:
+        """Replace the tensor that tensor_items() lists as `name` with `a`."""
+        setattr(self, name, a)
+
 
 class _ConvBase(Layer):
-    """2-D convolution, stride 1, as patch-matrix products in `dtype`.
+    """2-D convolution, stride 1, as patch-matrix products in the weight's
+    dtype.
 
     Forward is W (Cout, C*k*k) @ cols (B, C*k*k, P) over P = Ho*Wo output
     positions. Backward is two GEMMs: the weight gradient merges batch and
@@ -188,7 +221,7 @@ class _ConvBase(Layer):
                 "padding": self.padding}
 
     def forward(self, x, train=False):
-        x = np.asarray(x, dtype=self.dtype)
+        x = np.asarray(x, dtype=self.weight.dtype)
         b, c, h, w = x.shape
         if c != self.in_channels:
             raise ValueError(f"expected {self.in_channels} channels, got {c}")
@@ -236,7 +269,7 @@ class RealConv2d(_ConvBase):
 
 
 class _DenseBase(Layer):
-    """Fully-connected layer in `dtype`, y = x W^T + b."""
+    """Fully-connected layer in the weight's dtype, y = x W^T + b."""
 
     dtype: type
     param_names = ("weight", "bias")
@@ -257,7 +290,7 @@ class _DenseBase(Layer):
                 "out_features": self.out_features}
 
     def forward(self, x, train=False):
-        x = np.asarray(x, dtype=self.dtype)
+        x = np.asarray(x, dtype=self.weight.dtype)
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(f"expected (B, {self.in_features}), got {x.shape}")
         self._x = x
@@ -287,7 +320,7 @@ class RealDense(_DenseBase):
 class RealHeadDense(RealDense):
     """Real dense readout over interleaved (re, im) features.
 
-    Complex input (B, F) is read through its float64 view (B, 2F) =
+    Complex input (B, F) is read through its real view (B, 2F) =
     [r0, i0, r1, i1, ...]; real input goes to the matmul as it is.
     `in_features` is the real width either way.
     """
@@ -296,10 +329,10 @@ class RealHeadDense(RealDense):
 
     def forward(self, x, train=False):
         self._in_dtype = np.complex128 if np.iscomplexobj(x) else np.float64
-        return super().forward(_float64_view(x, self._in_dtype))
+        return super().forward(_real_view(x, self._in_dtype))
 
     def backward(self, grad):
-        return super().backward(grad).view(self._in_dtype)
+        return _from_real_view(super().backward(grad), self._in_dtype)
 
 
 class RealReLU(Layer):
@@ -307,12 +340,12 @@ class RealReLU(Layer):
     dtype = np.float64
 
     def forward(self, x, train=False):
-        v = _float64_view(x, self.dtype)
+        v = _real_view(x, self.dtype)
         self._m = v > 0
-        return (v * self._m).view(self.dtype)
+        return _from_real_view(v * self._m, self.dtype)
 
     def backward(self, grad):
-        return (_float64_view(grad, self.dtype) * self._m).view(self.dtype)
+        return _from_real_view(_real_view(grad, self.dtype) * self._m, self.dtype)
 
 
 class ComplexReLU(RealReLU):
@@ -327,12 +360,12 @@ class RealSigmoid(Layer):
     dtype = np.float64
 
     def forward(self, x, train=False):
-        self._s = _sigmoid(_float64_view(x, self.dtype))
-        return self._s.view(self.dtype)
+        self._s = _sigmoid(_real_view(x, self.dtype))
+        return _from_real_view(self._s, self.dtype)
 
     def backward(self, grad):
-        g = _float64_view(grad, self.dtype)
-        return (g * self._s * (1 - self._s)).view(self.dtype)
+        g = _real_view(grad, self.dtype)
+        return _from_real_view(g * self._s * (1 - self._s), self.dtype)
 
 
 class ComplexSigmoid(RealSigmoid):
@@ -458,7 +491,7 @@ class ComplexBatchNorm(Layer):
         return w11, w12, w22, s, t
 
     def forward(self, x, train=False):
-        x = np.asarray(x, dtype=np.complex128)
+        x = np.asarray(x, dtype=self.beta.dtype)
         if x.ndim not in (2, 4):
             raise ValueError("batchnorm expects (B, C, H, W) or (B, C)")
         ch = x.shape[1]
@@ -568,7 +601,7 @@ class RealBatchNorm(Layer):
                 "momentum": self.momentum}
 
     def forward(self, x, train=False):
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.gamma.dtype)
         if x.shape[1] != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {x.shape[1]}")
         axes = _moments_axes(x)
@@ -618,6 +651,10 @@ class Residual(Layer):
 
     def buffer_items(self):
         return _walk_items(self.layers, "buffer_items", "{}.{}".format)
+
+    def set_tensor(self, name, a):
+        i, _, rest = name.partition(".")
+        self.layers[int(i)].set_tensor(rest, a)
 
     def forward(self, x, train=False):
         out = x

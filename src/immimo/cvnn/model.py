@@ -5,8 +5,13 @@ header length, JSON header, then raw tensor blobs in manifest order. The
 header is an object with exactly the keys `layers` (layer specs), `tensors`
 (manifest: layer index, name, disk dtype and shape per tensor), `meta` and
 `adam`, which is always null (optimizer state is not stored). Real tensors
-are f32, complex tensors are c8 (interleaved re/im f32). In-memory compute
-stays f64/c16; loading upcasts, so save -> load -> save is byte identical.
+are f32, complex tensors are c8 (interleaved re/im f32).
+
+Nets are built and trained at f64/c16. A loaded net holds each tensor at
+its disk dtype (f32/c8), and so does a trained one (`quantize_state`, which
+training ends with), so both infer at that precision: a layer computes in
+the dtype of its own tensors (layers.py). Save -> load -> save is byte
+identical. Save writes beside the target and renames the file into place.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import struct
 import numpy as np
 
 from immimo.cvnn.layers import Layer, _walk_items, layer_from_spec
+from immimo.files import replace_file
 
 _MAGIC = b"CVNN"
 _VERSION = 1
@@ -24,6 +30,11 @@ _VERSION = 1
 
 def _disk_dtype(a: np.ndarray) -> np.dtype:
     return np.dtype("<c8" if np.iscomplexobj(a) else "<f4")
+
+
+def _at_disk_precision(a: np.ndarray) -> np.ndarray:
+    """A native-order copy of `a` at its disk dtype (complex64 or float32)."""
+    return a.astype(_disk_dtype(a).type)
 
 
 def _manifest_entry(key, a: np.ndarray) -> dict:
@@ -93,31 +104,34 @@ class Model:
         for ((_, _), dst), src in zip(items, arrays):
             dst[...] = src
 
+    def set_tensors(self, items) -> None:
+        """Replace tensors by their tensor_items() key (layer index, name)."""
+        for (i, name), a in items:
+            self.layers[i].set_tensor(name, a)
+
     def quantize_state(self) -> None:
-        """Pass every tensor through its on-disk f32 precision in place."""
-        for (_, _), a in self.tensor_items():
-            a[...] = a.astype(_disk_dtype(a)).astype(a.dtype)
+        """Replace every tensor with its disk-dtype copy (complex64 or
+        float32): the net then is the one a reader of its checkpoint loads,
+        and it infers at that precision."""
+        self.set_tensors([(k, _at_disk_precision(a)) for k, a in self.tensor_items()])
 
     # -- checkpoint io --
 
     def save(self, path) -> None:
+        """Write the checkpoint beside `path`, then rename it into place."""
         tensors = self.tensor_items()
         header = {"layers": self.specs(),
                   "tensors": [_manifest_entry(k, a) for k, a in tensors],
                   "meta": self.meta, "adam": None}
         hj = json.dumps(header, sort_keys=True).encode()
-        with open(path, "wb") as f:
-            f.write(_MAGIC)
-            f.write(struct.pack("<H", _VERSION))
-            f.write(struct.pack("<I", len(hj)))
-            f.write(hj)
-            for _, a in tensors:
-                f.write(a.astype(_disk_dtype(a)).tobytes())
+        replace_file(path, [_MAGIC, struct.pack("<HI", _VERSION, len(hj)), hj,
+                            *(a.astype(_disk_dtype(a)).tobytes() for _, a in tensors)])
 
     @classmethod
     def load(cls, path):
-        """Read a checkpoint; ValueError on any malformed or truncated part
-        and on a NaN or infinite tensor (training never saves one)."""
+        """Read a checkpoint; its tensors keep their disk dtype (c8/f4).
+        ValueError on any malformed or truncated part and on a NaN or
+        infinite tensor (training never saves one)."""
         with open(path, "rb") as f:
             magic = f.read(4)
             if magic != _MAGIC:
@@ -133,20 +147,23 @@ class Model:
             items = model.tensor_items()
             if len(items) != len(header["tensors"]):
                 raise ValueError("checkpoint tensor manifest mismatch")
-            for (key, dst), entry in zip(items, header["tensors"]):
+            loaded = []
+            for (key, built), entry in zip(items, header["tensors"]):
                 # as JSON text, so that e.g. false does not pass for 0
                 if json.dumps(entry, sort_keys=True) != json.dumps(
-                        _manifest_entry(key, dst), sort_keys=True):
+                        _manifest_entry(key, built), sort_keys=True):
                     raise ValueError(f"checkpoint manifest entry {entry!r} does not "
                                      f"match layer {key[0]} tensor {key[1]}")
-                disk = _disk_dtype(dst)
-                dst[...] = np.frombuffer(_read(f, disk.itemsize * dst.size),
-                                         disk).reshape(dst.shape)
-                if not np.isfinite(dst).all():
+                disk = _disk_dtype(built)
+                a = _at_disk_precision(np.frombuffer(
+                    _read(f, disk.itemsize * built.size), disk).reshape(built.shape))
+                if not np.isfinite(a).all():
                     raise ValueError(f"checkpoint layer {key[0]} tensor {key[1]} "
                                      "is not finite")
+                loaded.append((key, a))
             if f.read(1):
                 raise ValueError("checkpoint has trailing bytes")
+        model.set_tensors(loaded)
         return model
 
 

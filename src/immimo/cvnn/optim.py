@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from immimo.cvnn.layers import _float64_view
+from immimo.cvnn.layers import _real_view
 from immimo.cvnn.model import Model
 
 
@@ -24,6 +24,11 @@ class Adam:
     imaginary slot's in v.imag. The update is elementwise, so walking a
     tensor block by block through two preallocated scratch buffers gives
     the same bits as one pass over the whole tensor.
+
+    Parameters must be float64 or complex128, the precision nets train at;
+    a loaded or trained net holds float32/complex64 tensors for inference
+    and step() refuses it with ValueError, since its float64 view would pair
+    two f32 values into one slot.
     """
 
     def __init__(self, model: Model, lr: float = 1e-3, beta1: float = 0.9,
@@ -41,6 +46,12 @@ class Adam:
     def step(self) -> None:
         """Apply one update from the gradients currently held by the layers."""
         params = self.model.param_items()
+        low = [f"layer {i} {n} ({p.dtype})" for (i, n), p in params
+               if p.dtype not in (np.float64, np.complex128)]
+        if low:
+            raise ValueError("Adam updates float64/complex128 parameters only, not "
+                             + ", ".join(low) + "; a loaded or trained net holds "
+                             "its inference precision")
         grads = self.model.grad_items()
         if len(grads) != len(params):
             raise RuntimeError("missing gradients; run backward first")
@@ -52,7 +63,7 @@ class Adam:
             if not p.flags.c_contiguous:
                 raise ValueError(f"parameter {key} is not C-contiguous")
             flat = [a.view(np.float64).reshape(-1) for a in (p, slot["m"], slot["v"])]
-            flat.append(_float64_view(g, p.dtype).reshape(-1))
+            flat.append(_real_view(g, p.dtype).reshape(-1))
             for lo in range(0, flat[0].size, _BLOCK):
                 self._update(*(a[lo:lo + _BLOCK] for a in flat), c1, c2)
 

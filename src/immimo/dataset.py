@@ -31,13 +31,13 @@ pattern of the TAC its bits select, which needs the config's codebook.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from immimo.config import ExperimentConfig
+from immimo.files import replace_file
 from immimo.linalg import Rng, derive_stream, stream_bits, stream_complex_gaussian
 from immimo.modulation import QamConstellation
 from immimo.phy import (
@@ -181,23 +181,8 @@ def write_dataset(path, cfg: ExperimentConfig, snr_db: float, count: int,
         for name, a in arrays.items():
             records[name] = np.packbits(a, axis=1) if name == "bits" else a
     _check_finite(records, path)
-    _replace_file(path, head, records.tobytes())
+    replace_file(path, (head, records.tobytes()))
     return header
-
-
-def _replace_file(path, *chunks: bytes) -> None:
-    """Write `chunks` to a new file beside `path`, then rename it to `path`;
-    on any failure the partial file is removed."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    f = open(tmp, "wb")
-    try:
-        with f:
-            for chunk in chunks:
-                f.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def _check_finite(records: np.ndarray, path) -> None:

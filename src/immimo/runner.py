@@ -13,6 +13,7 @@ import numpy as np
 from immimo.config import ConfigError, ExperimentConfig
 from immimo.cvnn import Model
 from immimo.detectors import classical_detect
+from immimo.files import replace_file
 from immimo.modulation import QamConstellation
 from immimo.phy import TacTable, ber, demap_frame
 from immimo.twostage import AapdModel, SeModel, detect_frames
@@ -121,17 +122,16 @@ def rows_to_csv(rows: list[dict], columns: list[str]) -> str:
 
 def write_results(out_path, rows: list[dict], columns: list[str],
                   extra: dict | None = None) -> None:
-    """CSV at out_path plus a JSON mirror alongside (.json)."""
+    """CSV at out_path plus a JSON mirror alongside (.json), each written
+    beside its target and renamed into place."""
     out_path = str(out_path)
-    with open(out_path, "w", encoding="utf-8") as f:
-        f.write(rows_to_csv(rows, columns))
+    replace_file(out_path, [rows_to_csv(rows, columns).encode("utf-8")])
     mirror = {"columns": columns, "rows": rows}
     if extra:
         mirror.update(extra)
     json_path = out_path[:-4] + ".json" if out_path.endswith(".csv") else out_path + ".json"
-    with open(json_path, "w", encoding="utf-8") as f:
-        json.dump(mirror, f, indent=1, sort_keys=True)
-        f.write("\n")
+    replace_file(json_path, [(json.dumps(mirror, indent=1, sort_keys=True) + "\n")
+                             .encode("utf-8")])
 
 
 def somp_flops(n_t: int, n_r: int, n_u: int, t: int) -> int:

@@ -197,10 +197,12 @@ def _fit(net: Model, stage: str, train: tuple, val: tuple, loss, loss_backward,
          cfg: TrainConfig, stream: int, done, extra) -> list[dict]:
     """Adam mini-batch loop shared by both stages.
 
-    `train`/`val` are (net input, target) pairs. Runs until done(val loss)
-    or the epoch cap and leaves `net` holding the best-validation parameters
-    after f32 quantization, so in-memory inference matches a saved
-    checkpoint exactly. Returns one record per epoch (plus `extra` of the
+    `train`/`val` are (net input, target) pairs. Training and its
+    validation passes run at the net's float64/complex128 precision. Runs
+    until done(val loss) or the epoch cap and leaves `net` holding the
+    best-validation parameters at checkpoint precision (float32/complex64,
+    Model.quantize_state), so the trained net infers at that precision and
+    is exactly the net a reader of its checkpoint loads. Returns one record per epoch (plus `extra` of the
     validation output) and a closing "done" record. The first non-finite
     training or validation loss raises FloatingPointError, so poisoned
     weights are never kept.
@@ -232,7 +234,7 @@ def _fit(net: Model, stage: str, train: tuple, val: tuple, loss, loss_backward,
             break
     if best[1] is not None:
         net.load_state_arrays(best[1])
-    # land exactly on the values a checkpoint reader will see
+    # become exactly the net a checkpoint reader loads
     net.quantize_state()
     history.append({"stage": stage, "event": "done", "best_epoch": best[2],
                     "best_val_loss": best[0], "converged": bool(done(best[0]))})

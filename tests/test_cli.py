@@ -11,9 +11,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from immimo import cli
 from immimo.cli import main
 from immimo.config import ExperimentConfig
+from immimo.cvnn import count_flops, count_params
 from immimo.dataset import read_dataset, read_header
+from immimo.twostage import build_aapd, build_se
 
 SMALL_CFG = """
 n_t = 4
@@ -552,6 +555,36 @@ class TestBench:
             return int(row.split(",")[2])
 
         assert 2 * params("complex") == params("real")
+
+    def test_nn_latency_runs_at_checkpoint_precision(self, workspace, monkeypatch, capsys):
+        # the tensors of the timed nets are those eval loads; the params and
+        # FLOPs columns still count the seed-built nets of SMALL_CFG
+        seen = set()
+        real_detect = cli.detect_frames
+
+        def detect(y, h, aapd, se, *rest):
+            seen.update(a.dtype.name for net in (aapd.net, se.net)
+                        for _, a in net.tensor_items())
+            return real_detect(y, h, aapd, se, *rest)
+
+        monkeypatch.setattr(cli, "detect_frames", detect)
+        assert main(["bench", "--config", str(workspace["cfg"])]) == 0
+        assert seen == {"complex64", "float32"}
+        row = [l.split(",") for l in capsys.readouterr().out.splitlines()
+               if l.startswith("immimo-bench-1,nn-complex,")][0]
+        aapd = build_aapd(2, 4, 4, conv_channels=(2, 2), dense_units=(4, 4), seed=3)
+        se = build_se(1, 4, channels=(2, 2), seed=3)
+        assert int(row[2]) == count_params(aapd.net) + count_params(se.net)
+        assert int(row[3]) == (count_flops(aapd.net, (1, 2, 4))
+                               + count_flops(se.net, (1, 1, 4)))
+
+    def test_out_of_memory_exits_2(self, tmp_path, capsys):
+        # ML's hypothesis grid is 8 PiB here: numpy refuses it at once
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("n_t = 4\nn_u = 4\nn_r = 4\nt = 16\nm = 4096\nsnr_db = 12\n")
+        assert main(["bench", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "error: out of memory: " in err and "Traceback" not in err
 
     def test_ml_flops_grow_with_search_space(self, workspace, tmp_path, capsys):
         def ml_flops_of(text):

@@ -202,6 +202,84 @@ class TestCheckpoint:
             model.load_state_arrays(model.state_arrays()[:-1])
 
 
+class TestCheckpointPrecision:
+    """Loaded and trained nets hold their tensors at the disk dtype."""
+
+    @staticmethod
+    def trained_pair(variant, tmp_path):
+        # batch-norm running stats moved off init, so buffers count too
+        aapd = build_aapd(2, 4, 4, variant, conv_channels=(2, 3), dense_units=(5, 4),
+                          seed=3)
+        se = build_se(2, 4, variant, channels=(2, 2), seed=3)
+        x = (np.arange(2 * 1 * 2 * 4).reshape(2, 1, 2, 4) * (0.2 + 0.1j))
+        aapd.net.forward(x, train=True)
+        for i, net in enumerate((aapd.net, se.net)):
+            net.save(tmp_path / f"{i}.cvnn")
+        return [(net, Model.load(tmp_path / f"{i}.cvnn"))
+                for i, net in enumerate((aapd.net, se.net))]
+
+    @pytest.mark.parametrize("variant", ["complex", "real"])
+    def test_load_and_quantize_give_the_same_tensors(self, variant, tmp_path):
+        for net, loaded in self.trained_pair(variant, tmp_path):
+            net.quantize_state()
+            items, want = loaded.tensor_items(), net.tensor_items()
+            assert [k for k, _ in items] == [k for k, _ in want]
+            for (key, a), (_, b) in zip(items, want):
+                assert a.dtype == b.dtype, key
+                assert a.dtype in (np.complex64, np.float32), key
+                assert a.tobytes() == b.tobytes(), key
+                assert a.flags.writeable and a.flags.c_contiguous, key
+
+    def test_quantize_keeps_the_checkpoint_bytes(self, tmp_path):
+        net = small_model()
+        train_steps(net, 3)
+        net.save(tmp_path / "a.cvnn")
+        net.quantize_state()
+        net.save(tmp_path / "b.cvnn")
+        assert (tmp_path / "a.cvnn").read_bytes() == (tmp_path / "b.cvnn").read_bytes()
+
+    def test_residual_tensor_reaches_its_sublayer(self):
+        se = build_se(1, 4, channels=(2, 2), seed=1)
+        w = np.ones((2, 1, 3, 3), dtype=np.complex64)
+        se.net.set_tensors([((0, "0.weight"), w)])
+        assert se.net.layers[0].layers[0].weight is w
+
+    @pytest.mark.parametrize("variant", ["complex", "real"])
+    def test_every_layer_of_a_loaded_aapd_stays_at_32_bits(self, variant, tmp_path):
+        # no layer upcasts a 32-bit stream (the input is complex64 here, so
+        # that the real variant's SplitReIm yields float32 too)
+        (_, loaded), _ = self.trained_pair(variant, tmp_path)
+        x = np.ones((3, 1, 2, 4), dtype=np.complex64)
+        for layer in loaded.layers:
+            x = layer.forward(x)
+            assert x.dtype in (np.complex64, np.float32), layer.kind
+
+    def test_loaded_net_infers_in_float32(self, tmp_path):
+        net = small_model()
+        net.save(tmp_path / "m.cvnn")
+        out = Model.load(tmp_path / "m.cvnn").forward(np.ones((2, 6), dtype=complex))
+        assert out.dtype == np.float32
+
+    def test_adam_step_over_loaded_net_raises(self, tmp_path):
+        net = small_model()
+        net.save(tmp_path / "m.cvnn")
+        loaded = Model.load(tmp_path / "m.cvnn")
+        x = np.ones((4, 6), dtype=complex)
+        loaded.backward(bce_backward(loaded.forward(x, train=True), np.ones((4, 3))))
+        before = [a.copy() for _, a in loaded.param_items()]
+        with pytest.raises(ValueError, match=r"layer 0 weight \(complex64\)"):
+            Adam(loaded).step()
+        for prev, (_, now) in zip(before, loaded.param_items()):
+            assert np.array_equal(prev, now)
+
+    def test_adam_step_after_quantize_raises(self):
+        net = small_model()
+        opt = train_steps(net, 1)
+        net.quantize_state()
+        with pytest.raises(ValueError, match="float64/complex128"):
+            opt.step()
+
+
 def two_branch_adam_step(opt, params, grads, slots):
     """One Adam step in the form before the in-place rewrite, on `params`
     and `slots` (copies), with `opt`'s hyperparameters and step count: a

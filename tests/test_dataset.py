@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from immimo import dataset, linalg
+from immimo import dataset, files, linalg
 from immimo.config import ExperimentConfig
 from immimo.dataset import (
     DatasetHeader,
@@ -362,7 +362,7 @@ class TestFileFormat:
             def __exit__(self, *exc):
                 self.f.close()
 
-        monkeypatch.setattr(dataset, "open", lambda *a: FullDisk(open(*a)), raising=False)
+        monkeypatch.setattr(files, "open", lambda *a: FullDisk(open(*a)), raising=False)
         with pytest.raises(OSError, match="No space"):
             write_dataset(tmp_path / "x.imds", base_cfg(), 10.0, 3, 0)
         assert list(tmp_path.iterdir()) == []
@@ -372,7 +372,7 @@ class TestFileFormat:
         path.write_bytes(b"old")
         def fail(src, dst):
             raise OSError("rename refused")
-        monkeypatch.setattr(dataset.os, "replace", fail)
+        monkeypatch.setattr(files.os, "replace", fail)
         with pytest.raises(OSError, match="rename"):
             write_dataset(path, base_cfg(), 10.0, 3, 0)
         assert list(tmp_path.iterdir()) == [path]

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from immimo import detectors, twostage
 from immimo.config import ExperimentConfig
+from immimo.cvnn import Model
 from immimo.dataset import generate_arrays, table_for
 from immimo.linalg import ls_solve
 from immimo.modulation import QamConstellation
@@ -338,3 +341,66 @@ class TestInference:
             want = zf_one(self.data["y"][i], self.data["h_est"][i],
                           self.table.tacs[tacs[i]])
             assert np.array_equal(z[i], want)
+
+
+# the benchmark systems, 15 dB: (n_t, n_u, n_r, t, m) and CSI error variance
+PRECISION_SYSTEMS = {
+    "4x1-static": (dict(n_t=4, n_u=1, n_r=4, t=16, m=4), 0.0),
+    "8x2-csi": (dict(n_t=8, n_u=2, n_r=8, t=16, m=4), 0.01),
+}
+
+
+def upcast(net):
+    """`net` with every tensor upcast to float64/complex128: the precision
+    a loaded checkpoint used to infer at."""
+    net.set_tensors([(k, a.astype(np.complex128 if np.iscomplexobj(a) else np.float64))
+                     for k, a in net.tensor_items()])
+    return net
+
+
+@pytest.fixture(scope="module", params=sorted(PRECISION_SYSTEMS))
+def precision_case(request, tmp_path_factory):
+    """Seed-built nets at default widths after a checkpoint round trip, at
+    checkpoint precision and as a float64 twin, plus 512 frames."""
+    system, csi = PRECISION_SYSTEMS[request.param]
+    cfg = ExperimentConfig(**system, csi_error_var=csi, seed=1)
+    root = tmp_path_factory.mktemp(request.param)
+    built = (build_aapd(cfg.n_r, cfg.t, cfg.n_t, seed=1), build_se(cfg.n_u, cfg.t, seed=1))
+    for i, model in enumerate(built):
+        model.net.save(root / f"{i}.cvnn")
+    loaded = [replace(m, net=Model.load(root / f"{i}.cvnn")) for i, m in enumerate(built)]
+    twin = [replace(m, net=upcast(Model.load(root / f"{i}.cvnn")))
+            for i, m in enumerate(built)]
+    return {"table": table_for(cfg), "const": QamConstellation(cfg.m),
+            "data": generate_arrays(cfg, 15.0, 512, 0), "loaded": loaded, "twin": twin}
+
+
+class TestCheckpointPrecision:
+    """Detection at checkpoint precision (complex64/float32) decides as the
+    float64 path did."""
+
+    def test_decisions_equal_the_float64_path(self, precision_case):
+        c = precision_case
+        y, h = c["data"]["y"], c["data"]["h_est"]
+        got = detect_frames(y, h, *c["loaded"], c["table"], c["const"])
+        want = detect_frames(y, h, *c["twin"], c["table"], c["const"])
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[0], want[0])
+        p = c["loaded"][0].probabilities(y)
+        q = c["twin"][0].probabilities(y)
+        assert q.dtype == np.float64
+        assert np.max(np.abs(p - q)) <= 1e-5
+
+    def test_probabilities_are_float32(self, precision_case):
+        c = precision_case
+        assert c["loaded"][0].probabilities(c["data"]["y"][:3]).dtype == np.float32
+
+    def test_batch_of_one_equals_batched(self, precision_case):
+        c = precision_case
+        y, h = c["data"]["y"], c["data"]["h_est"]
+        bits, tacs = detect_frames(y, h, *c["loaded"], c["table"], c["const"])
+        for i in range(len(y)):
+            one = detect_frames(y[i:i + 1], h[i:i + 1], *c["loaded"], c["table"],
+                                c["const"])
+            assert int(one[1][0]) == int(tacs[i]), i
+            assert np.array_equal(one[0][0], bits[i]), i
