@@ -27,8 +27,10 @@ complex features through the same view, and so does Adam (optim.py): it
 updates every parameter in place through its float64 view, so a complex
 parameter is two real slots and one code path serves both dtypes. Code
 that does not fit the rule stays separate: ComplexBatchNorm whitens the
-(re, im) pair jointly, which is not two real batch norms; SplitReIm and
-MergeReIm order the parts by channel block, not interleaved.
+(re, im) pair jointly, which is not two real batch norms, and computes it
+as one widely-linear map per channel, y = a*z + b*conj(z) + c, with a, b
+and c from the batch statistics (train) or the running ones (infer);
+SplitReIm and MergeReIm order the parts by channel block, not interleaved.
 
 Forward caches live on the layer, so one layer instance serves one
 forward/backward pair at a time.
@@ -180,6 +182,11 @@ class Layer:
     def set_tensor(self, name: str, a: np.ndarray) -> None:
         """Replace the tensor that tensor_items() lists as `name` with `a`."""
         setattr(self, name, a)
+
+    def tensor_fault(self, name: str, a: np.ndarray) -> str | None:
+        """Why `a` cannot stand as the tensor `name` (as in set_tensor),
+        or None: any tensor must be finite."""
+        return None if np.isfinite(a).all() else "is not finite"
 
 
 class _ConvBase(Layer):
@@ -439,14 +446,43 @@ def _expand(per_channel: np.ndarray, ndim: int) -> np.ndarray:
     return per_channel[None, :, None, None] if ndim == 4 else per_channel[None, :]
 
 
-class ComplexBatchNorm(Layer):
-    """Per-channel whitening of the (re, im) pair, then learnable 2x2 gamma
-    and complex beta.
+def _widely_linear(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) with a*z + b*conj(z) equal to the real 2x2 maps m (C, 2, 2)
+    applied to the (re, im) pair of z (Picinbono & Chevalier, IEEE TSP
+    1995): any real-linear map of a complex value has this form."""
+    a = 0.5 * ((m[:, 0, 0] + m[:, 1, 1]) + 1j * (m[:, 1, 0] - m[:, 0, 1]))
+    b = 0.5 * ((m[:, 0, 0] - m[:, 1, 1]) + 1j * (m[:, 1, 0] + m[:, 0, 1]))
+    return a, b
 
-    Train mode uses batch statistics and updates running stats with
-    momentum; infer mode uses the running stats. The inverse square root of
-    the 2x2 covariance (+ eps on the diagonal) is closed-form via its trace
-    and determinant.
+
+def _apply_widely_linear(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a*z + b*conj(z) per channel, in z's dtype; a and b are (C,)."""
+    dt = z.dtype
+    y = z * _expand(a.astype(dt), z.ndim)
+    t = z.conj()
+    t *= _expand(b.astype(dt), z.ndim)
+    y += t
+    return y
+
+
+def _sym2(v11: np.ndarray, v12: np.ndarray, v22: np.ndarray) -> np.ndarray:
+    # per-channel symmetric 2x2 matrices (C, 2, 2)
+    return np.stack([np.stack([v11, v12], -1), np.stack([v12, v22], -1)], -2)
+
+
+class ComplexBatchNorm(Layer):
+    """Complex batch norm of Trabelsi et al.: per channel, gamma (a real
+    2x2 matrix) times the whitened (re, im) pair V^(-1/2) (z - mean), plus
+    complex beta.
+
+    That is one real-linear map per channel, so it is computed as the
+    widely-linear y = a*z + b*conj(z) + c: A = gamma V^(-1/2) gives a and b
+    (`_widely_linear`) and c = beta - (a*mean + b*conj(mean)), applied in
+    the layer's dtype. Train mode takes mean and V from the batch, updates
+    the running stats with momentum and caches the centred input u and
+    V^(-1/2) for backward; infer mode takes the running stats. The inverse
+    square root of the 2x2 covariance (+ eps on the diagonal) is
+    closed-form via its trace and determinant.
     """
 
     kind = "complex_batchnorm"
@@ -472,6 +508,16 @@ class ComplexBatchNorm(Layer):
     def spec(self):
         return {"kind": self.kind, "channels": self.channels, "eps": self.eps,
                 "momentum": self.momentum}
+
+    def tensor_fault(self, name, a):
+        fault = super().tensor_fault(name, a)
+        if fault is None and name == "running_v":
+            # the covariance forward whitens with, at forward's float64
+            v11, v12, v22 = np.asarray(a, dtype=np.float64).T
+            v11, v22 = v11 + self.eps, v22 + self.eps
+            if not ((v11 > 0) & (v22 > 0) & (v11 * v22 - v12 * v12 > 0)).all():
+                return f"plus eps={self.eps} on the diagonal is not positive definite"
+        return fault
 
     @staticmethod
     def _whiten_coeffs(v11, v12, v22):
@@ -511,49 +557,43 @@ class ComplexBatchNorm(Layer):
             batch_v = np.stack([v11, v12, v22], axis=1)
             self.running_v = self.momentum * self.running_v + (1 - self.momentum) * batch_v
         else:
-            mean = self.running_mean
-            u = x - _expand(mean, x.ndim)
+            mean, u, n = self.running_mean, None, 0
             v11, v12, v22 = self.running_v.T
-            n = 0
-        w11, w12, w22, s, t = self._whiten_coeffs(v11 + self.eps, v12, v22 + self.eps)
-        W11 = _expand(w11, x.ndim)
-        W12 = _expand(w12, x.ndim)
-        W22 = _expand(w22, x.ndim)
-        xt_r = W11 * u.real + W12 * u.imag
-        xt_i = W12 * u.real + W22 * u.imag
-        g = self.gamma
-        y_r = _expand(g[:, 0, 0], x.ndim) * xt_r + _expand(g[:, 0, 1], x.ndim) * xt_i
-        y_i = _expand(g[:, 1, 0], x.ndim) * xt_r + _expand(g[:, 1, 1], x.ndim) * xt_i
-        beta = _expand(self.beta, x.ndim)
-        self._cache = (u, xt_r, xt_i, (w11, w12, w22, s, t),
-                       (v11 + self.eps, v12, v22 + self.eps), axes, n, train)
-        return (y_r + beta.real) + 1j * (y_i + beta.imag)
+        # per-channel coefficients at float64, whatever the layer's dtype
+        v11, v12, v22 = (np.asarray(v, dtype=np.float64) for v in (v11, v12, v22))
+        veps = (v11 + self.eps, v12, v22 + self.eps)
+        w11, w12, w22, s, t = self._whiten_coeffs(*veps)
+        w = _sym2(w11, w12, w22)
+        a, b = _widely_linear(np.asarray(self.gamma, dtype=np.float64) @ w)
+        mean = np.asarray(mean, dtype=np.complex128)
+        c = self.beta.astype(np.complex128) - (a * mean + b * mean.conj())
+        # backward rebuilds u = x - mean in infer mode
+        self._cache = (u if train else (x, mean), w, s, t, veps, axes, n, train)
+        y = _apply_widely_linear(x, a, b)
+        y += _expand(c.astype(x.dtype), x.ndim)
+        return y
 
     def backward(self, grad):
-        u, xt_r, xt_i, (w11, w12, w22, s, t), (v11, v12, v22), axes, n, train = self._cache
-        gr, gi = grad.real, grad.imag
+        src, w, s, t, (v11, v12, v22), axes, n, train = self._cache
         nd = grad.ndim
-        # gamma / beta grads
-        dgamma = np.zeros_like(self.gamma)
-        dgamma[:, 0, 0] = (gr * xt_r).sum(axis=axes)
-        dgamma[:, 0, 1] = (gr * xt_i).sum(axis=axes)
-        dgamma[:, 1, 0] = (gi * xt_r).sum(axis=axes)
-        dgamma[:, 1, 1] = (gi * xt_i).sum(axis=axes)
-        dbeta = gr.sum(axis=axes) + 1j * gi.sum(axis=axes)
-        self.grads = {"gamma": dgamma, "beta": dbeta}
-        # through the affine: grad wrt whitened pair
-        g = self.gamma
-        gt_r = _expand(g[:, 0, 0], nd) * gr + _expand(g[:, 1, 0], nd) * gi
-        gt_i = _expand(g[:, 0, 1], nd) * gr + _expand(g[:, 1, 1], nd) * gi
+        u = src if train else src[0] - _expand(src[1], nd)
+        gr, gi, ur, ui = grad.real, grad.imag, u.real, u.imag
+        # sums[c] = [[<gr, ur>, <gr, ui>], [<gi, ur>, <gi, ui>]] over the moment axes
+        sums = np.stack([np.stack([(gr * ur).sum(axis=axes), (gr * ui).sum(axis=axes)], -1),
+                         np.stack([(gi * ur).sum(axis=axes), (gi * ui).sum(axis=axes)], -1)],
+                        -2)
+        # y = gamma xt + beta with the whitened pair xt = W u
+        dbeta = grad.sum(axis=axes)
+        self.grads = {"gamma": sums @ w, "beta": dbeta}
+        # at fixed W the input grad is (gamma W)^T applied to the output grad
+        ag, bg = _widely_linear(np.swapaxes(self.gamma @ w, -1, -2))
+        dx = _apply_widely_linear(grad, ag, bg)
         if not train:
-            W11, W12, W22 = (_expand(a, nd) for a in (w11, w12, w22))
-            dx_r = W11 * gt_r + W12 * gt_i
-            dx_i = W12 * gt_r + W22 * gt_i
-            return dx_r + 1j * dx_i
-        # train mode: W depends on batch covariance, mean subtraction on batch mean
-        lw11 = (gt_r * u.real).sum(axis=axes)
-        lw12 = (gt_r * u.imag + gt_i * u.real).sum(axis=axes)
-        lw22 = (gt_i * u.imag).sum(axis=axes)
+            return dx
+        # train mode: W depends on batch covariance, mean subtraction on batch mean.
+        # lw = grad wrt (w11, w12, w22) = the entries of gamma^T sums
+        gs = np.swapaxes(self.gamma, -1, -2) @ sums
+        lw11, lw12, lw22 = gs[:, 0, 0], gs[:, 0, 1] + gs[:, 1, 0], gs[:, 1, 1]
         # partials of (w11, w12, w22) wrt (v11, v12, v22); eps-loaded V
         ds = np.stack([v22 / (2 * s), -v12 / s, v11 / (2 * s)], axis=0)   # d s / d v*
         dtau = np.array([1.0, 0.0, 1.0])[:, None]
@@ -566,15 +606,14 @@ class ComplexBatchNorm(Layer):
         dw11 = (dnum11 * denom - (v22 + s) * dden) / denom ** 2
         dw22 = (dnum22 * denom - (v11 + s) * dden) / denom ** 2
         dw12 = (dnum12 * denom + v12 * dden) / denom ** 2
-        lv = lw11 * dw11 + lw12 * dw12 + lw22 * dw22                      # (3, C)
-        lv11, lv12, lv22 = lv
-        W11, W12, W22 = (_expand(a, nd) for a in (w11, w12, w22))
-        Lv11, Lv12, Lv22 = (_expand(a, nd) for a in (lv11, lv12, lv22))
-        du_r = W11 * gt_r + W12 * gt_i + (2 * Lv11 * u.real + Lv12 * u.imag) / n
-        du_i = W12 * gt_r + W22 * gt_i + (Lv12 * u.real + 2 * Lv22 * u.imag) / n
-        dx_r = du_r - du_r.mean(axis=axes, keepdims=True)
-        dx_i = du_i - du_i.mean(axis=axes, keepdims=True)
-        return dx_r + 1j * dx_i
+        lv11, lv12, lv22 = lw11 * dw11 + lw12 * dw12 + lw22 * dw22        # (3, C)
+        # through the batch covariance: the symmetric map [[2 lv11, lv12],
+        # [lv12, 2 lv22]] / n of u; through the batch mean: minus the mean
+        # over the moment axes, where mean(u) = 0 leaves -(gamma W)^T mean(grad)
+        dx += _apply_widely_linear(u, *_widely_linear(_sym2(2 * lv11, lv12, 2 * lv22) / n))
+        gbar = dbeta / n
+        dx -= _expand((ag * gbar + bg * gbar.conj()).astype(dx.dtype), nd)
+        return dx
 
 
 class RealBatchNorm(Layer):
@@ -599,6 +638,12 @@ class RealBatchNorm(Layer):
     def spec(self):
         return {"kind": self.kind, "channels": self.channels, "eps": self.eps,
                 "momentum": self.momentum}
+
+    def tensor_fault(self, name, a):
+        fault = super().tensor_fault(name, a)
+        if fault is None and name == "running_var" and not (a + self.eps > 0).all():
+            return f"plus eps={self.eps} is not positive"
+        return fault
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=self.gamma.dtype)
@@ -655,6 +700,10 @@ class Residual(Layer):
     def set_tensor(self, name, a):
         i, _, rest = name.partition(".")
         self.layers[int(i)].set_tensor(rest, a)
+
+    def tensor_fault(self, name, a):
+        i, _, rest = name.partition(".")
+        return self.layers[int(i)].tensor_fault(rest, a)
 
     def forward(self, x, train=False):
         out = x

@@ -130,8 +130,10 @@ class Model:
     @classmethod
     def load(cls, path):
         """Read a checkpoint; its tensors keep their disk dtype (c8/f4).
-        ValueError on any malformed or truncated part and on a NaN or
-        infinite tensor (training never saves one)."""
+        ValueError on any malformed or truncated part, on a NaN or
+        infinite tensor (training never saves one) and on a batch-norm
+        running variance or covariance that eps does not make positive
+        (definite)."""
         with open(path, "rb") as f:
             magic = f.read(4)
             if magic != _MAGIC:
@@ -157,9 +159,9 @@ class Model:
                 disk = _disk_dtype(built)
                 a = _at_disk_precision(np.frombuffer(
                     _read(f, disk.itemsize * built.size), disk).reshape(built.shape))
-                if not np.isfinite(a).all():
-                    raise ValueError(f"checkpoint layer {key[0]} tensor {key[1]} "
-                                     "is not finite")
+                fault = model.layers[key[0]].tensor_fault(key[1], a)
+                if fault:
+                    raise ValueError(f"checkpoint layer {key[0]} tensor {key[1]} {fault}")
                 loaded.append((key, a))
             if f.read(1):
                 raise ValueError("checkpoint has trailing bytes")

@@ -202,10 +202,10 @@ def _fit(net: Model, stage: str, train: tuple, val: tuple, loss, loss_backward,
     until done(val loss) or the epoch cap and leaves `net` holding the
     best-validation parameters at checkpoint precision (float32/complex64,
     Model.quantize_state), so the trained net infers at that precision and
-    is exactly the net a reader of its checkpoint loads. Returns one record per epoch (plus `extra` of the
-    validation output) and a closing "done" record. The first non-finite
-    training or validation loss raises FloatingPointError, so poisoned
-    weights are never kept.
+    is exactly the net a reader of its checkpoint loads. Returns one record
+    per epoch (plus `extra` of the validation output) and a closing "done"
+    record. The first non-finite training or validation loss raises
+    FloatingPointError, so poisoned weights are never kept.
     """
     (x_tr, t_tr), (x_va, t_va) = train, val
     opt = Adam(net, lr=cfg.lr)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from immimo import cli
 from immimo.cli import main
 from immimo.config import ExperimentConfig
-from immimo.cvnn import count_flops, count_params
+from immimo.cvnn import Model, count_flops, count_params
 from immimo.dataset import read_dataset, read_header
 from immimo.twostage import build_aapd, build_se
 
@@ -416,6 +416,23 @@ class TestCheckpointInput:
         path.write_bytes(bytes(raw))
         assert self._eval(workspace, ckpt, tmp_path) == 2
         assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", [(-1.0, 0.0, -1.0), (1.0, 3.0, 1.0)],
+                             ids=["negative-variances", "negative-determinant"])
+    def test_non_positive_definite_running_v_exits_2(self, workspace, tmp_path,
+                                                     capsys, row):
+        # finite, so only the covariance check stops it; layer 1 is the
+        # first complex batch norm
+        ckpt = self._ckpt_copy(workspace, tmp_path)
+        path = ckpt / "aapd_complex_snr12.cvnn"
+        model = Model.load(path)
+        v = dict(model.tensor_items())[(1, "running_v")].copy()
+        v[0] = row
+        model.set_tensors([((1, "running_v"), v)])
+        model.save(path)
+        assert self._eval(workspace, ckpt, tmp_path) == 2
+        assert "layer 1 tensor running_v plus eps" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x.*"))
 
     def test_config_mismatch_exits_2(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "wide.cfg"

@@ -309,7 +309,92 @@ class TestRealHead:
             head.forward(np_rng.normal(size=(1, 4)) * (1 + 0j))  # 4 complex = 8 real
 
 
+def whiten_then_gamma_batchnorm(bn, x, grad, train):
+    """ComplexBatchNorm in its form before the widely-linear map: whiten
+    the centred (re, im) pair with V^(-1/2), apply the 2x2 gamma, add beta;
+    backward through the whitened pair. Leaves `bn` as it is and returns
+    (y, input grad, gamma grad, beta grad, running_mean, running_v)."""
+    axes = (0, 2, 3) if x.ndim == 4 else (0,)
+
+    def ex(a):
+        return a[None, :, None, None] if x.ndim == 4 else a[None, :]
+
+    running_mean, running_v = bn.running_mean, bn.running_v
+    n = int(np.prod([x.shape[a] for a in axes]))
+    if train:
+        mean = x.mean(axis=axes)
+        u = x - ex(mean)
+        v11 = (u.real ** 2).mean(axis=axes)
+        v12 = (u.real * u.imag).mean(axis=axes)
+        v22 = (u.imag ** 2).mean(axis=axes)
+        m = bn.momentum
+        running_mean = m * running_mean + (1 - m) * mean
+        running_v = m * running_v + (1 - m) * np.stack([v11, v12, v22], axis=1)
+    else:
+        u = x - ex(running_mean)
+        v11, v12, v22 = running_v.T
+    v11, v22 = v11 + bn.eps, v22 + bn.eps
+    w11, w12, w22, s, t = bn._whiten_coeffs(v11, v12, v22)
+    W11, W12, W22 = ex(w11), ex(w12), ex(w22)
+    xt_r = W11 * u.real + W12 * u.imag
+    xt_i = W12 * u.real + W22 * u.imag
+    g = bn.gamma
+    y = ((ex(g[:, 0, 0]) * xt_r + ex(g[:, 0, 1]) * xt_i + ex(bn.beta.real))
+         + 1j * (ex(g[:, 1, 0]) * xt_r + ex(g[:, 1, 1]) * xt_i + ex(bn.beta.imag)))
+    gr, gi = grad.real, grad.imag
+    dgamma = np.zeros_like(g)
+    dgamma[:, 0, 0] = (gr * xt_r).sum(axis=axes)
+    dgamma[:, 0, 1] = (gr * xt_i).sum(axis=axes)
+    dgamma[:, 1, 0] = (gi * xt_r).sum(axis=axes)
+    dgamma[:, 1, 1] = (gi * xt_i).sum(axis=axes)
+    dbeta = gr.sum(axis=axes) + 1j * gi.sum(axis=axes)
+    gt_r = ex(g[:, 0, 0]) * gr + ex(g[:, 1, 0]) * gi
+    gt_i = ex(g[:, 0, 1]) * gr + ex(g[:, 1, 1]) * gi
+    du_r = W11 * gt_r + W12 * gt_i
+    du_i = W12 * gt_r + W22 * gt_i
+    if train:
+        lw11 = (gt_r * u.real).sum(axis=axes)
+        lw12 = (gt_r * u.imag + gt_i * u.real).sum(axis=axes)
+        lw22 = (gt_i * u.imag).sum(axis=axes)
+        zero, one = np.zeros_like(s), np.ones_like(s)
+        ds = np.stack([v22 / (2 * s), -v12 / s, v11 / (2 * s)])
+        dt = (np.array([1.0, 0.0, 1.0])[:, None] + 2 * ds) / (2 * t)
+        dden, den = t * ds + s * dt, s * t
+        dw11 = ((np.stack([zero, zero, one]) + ds) * den - (v22 + s) * dden) / den ** 2
+        dw22 = ((np.stack([one, zero, zero]) + ds) * den - (v11 + s) * dden) / den ** 2
+        dw12 = (-np.stack([zero, one, zero]) * den + v12 * dden) / den ** 2
+        lv11, lv12, lv22 = (ex(a) for a in lw11 * dw11 + lw12 * dw12 + lw22 * dw22)
+        du_r = du_r + (2 * lv11 * u.real + lv12 * u.imag) / n
+        du_i = du_i + (lv12 * u.real + 2 * lv22 * u.imag) / n
+        du_r = du_r - du_r.mean(axis=axes, keepdims=True)
+        du_i = du_i - du_i.mean(axis=axes, keepdims=True)
+    return y, du_r + 1j * du_i, dgamma, dbeta, running_mean, running_v
+
+
 class TestComplexBatchNorm:
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "infer"])
+    @pytest.mark.parametrize("shape", [(9, 3), (6, 3, 4, 5)], ids=["dense", "conv"])
+    def test_matches_whiten_then_gamma_reference(self, np_rng, shape, train):
+        bn = ComplexBatchNorm(3)
+        bn.gamma = np_rng.normal(size=(3, 2, 2))
+        bn.beta = crandn(np_rng, 3)
+        bn.running_mean = crandn(np_rng, 3)
+        root = np_rng.normal(size=(3, 2, 2))
+        v = root @ root.transpose(0, 2, 1) + 0.1 * np.eye(2)   # positive definite
+        bn.running_v = np.stack([v[:, 0, 0], v[:, 0, 1], v[:, 1, 1]], axis=1)
+        x = crandn(np_rng, *shape) * 2.0 + (1.0 - 0.5j)
+        grad = crandn(np_rng, *shape)
+        y_ref, dx_ref, dgamma_ref, dbeta_ref, mean_ref, v_ref = \
+            whiten_then_gamma_batchnorm(bn, x, grad, train)
+        y = bn.forward(x, train=train)
+        dx = bn.backward(grad)
+        for got, want in ((y, y_ref), (dx, dx_ref), (bn.grads["gamma"], dgamma_ref),
+                          (bn.grads["beta"], dbeta_ref)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert rel_err(got, want) <= 1e-12
+        assert np.array_equal(bn.running_mean, mean_ref)
+        assert np.array_equal(bn.running_v, v_ref)
+
     def test_diagonal_hand_example(self):
         # batch {1, -1, 2j, -2j}: mean 0, Vrr=0.5, Vii=2, Vri=0.
         # Whitening is then diag(1/sqrt(0.5), 1/sqrt(2)); with gamma at its

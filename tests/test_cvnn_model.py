@@ -22,7 +22,13 @@ from immimo.cvnn import (
     mse,
     mse_backward,
 )
-from immimo.cvnn.layers import ComplexConv2d, RealConv2d
+from immimo.cvnn.layers import (
+    ComplexBatchNorm,
+    ComplexConv2d,
+    RealBatchNorm,
+    RealConv2d,
+    Residual,
+)
 from immimo.cvnn.optim import _BLOCK
 from immimo.linalg import Rng
 from immimo.twostage import build_aapd, build_se
@@ -195,6 +201,45 @@ class TestCheckpoint:
         aapd.net.save(path)
         after = Model.load(path).forward(x)
         assert np.array_equal(before, after)
+
+    @staticmethod
+    def _norm_net():
+        # both batch norms, one of them inside a residual branch
+        return Model([ComplexBatchNorm(2), RealBatchNorm(2),
+                      Residual([ComplexBatchNorm(2)])])
+
+    @pytest.mark.parametrize("layer, name, value", [
+        (0, "running_v", (-1.0, 0.0, -1.0)),
+        (0, "running_v", (1.0, 0.0, -1.0)),
+        (0, "running_v", (-1.0, 0.0, 1.0)),
+        (0, "running_v", (1.0, 2.0, 1.0)),
+        (2, "0.running_v", (1.0, -1.5, 1.0)),
+        (1, "running_var", -1.0),
+        (1, "running_var", -2e-5),
+    ], ids=["v11-v22-negative", "v22-negative", "v11-negative", "det-negative",
+            "residual-det-negative", "var-negative", "var-below-minus-eps"])
+    def test_non_positive_definite_running_stats_rejected(self, tmp_path, layer,
+                                                          name, value):
+        model = self._norm_net()
+        bad = dict(model.tensor_items())[(layer, name)].copy()
+        bad[1] = value
+        model.set_tensors([((layer, name), bad)])
+        path = tmp_path / "m.cvnn"
+        model.save(path)
+        with pytest.raises(ValueError, match=f"layer {layer} tensor {name} plus eps"):
+            Model.load(path)
+
+    def test_degenerate_but_eps_loaded_running_stats_load(self, tmp_path):
+        # zero variances and a singular covariance are what a constant or
+        # rank-1 batch leaves; eps makes them positive (definite)
+        model = self._norm_net()
+        model.set_tensors([((0, "running_v"), np.zeros((2, 3))),
+                           ((1, "running_var"), np.zeros(2)),
+                           ((2, "0.running_v"), np.tile([1.0, 1.0, 1.0], (2, 1)))])
+        path = tmp_path / "m.cvnn"
+        model.save(path)
+        x = np.ones((3, 2), dtype=np.complex64)
+        assert np.isfinite(Model.load(path).layers[0].forward(x)).all()
 
     def test_state_arrays_length_mismatch(self):
         model = small_model()

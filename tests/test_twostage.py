@@ -358,14 +358,20 @@ def upcast(net):
     return net
 
 
-@pytest.fixture(scope="module", params=sorted(PRECISION_SYSTEMS))
-def precision_case(request, tmp_path_factory):
+def precision_nets(name, tmp_path_factory, settle):
     """Seed-built nets at default widths after a checkpoint round trip, at
-    checkpoint precision and as a float64 twin, plus 512 frames."""
-    system, csi = PRECISION_SYSTEMS[request.param]
+    checkpoint precision and as a float64 twin, plus 512 frames. With
+    `settle`, train-mode AAPD forwards over other frames of the system move
+    its batch-norm running statistics off their start (zero mean, identity
+    covariance) before the save."""
+    system, csi = PRECISION_SYSTEMS[name]
     cfg = ExperimentConfig(**system, csi_error_var=csi, seed=1)
-    root = tmp_path_factory.mktemp(request.param)
+    root = tmp_path_factory.mktemp(name)
     built = (build_aapd(cfg.n_r, cfg.t, cfg.n_t, seed=1), build_se(cfg.n_u, cfg.t, seed=1))
+    if settle:
+        y = generate_arrays(cfg, 15.0, 1024, 512)["y"]
+        for i in range(0, len(y), 64):
+            built[0].net.forward(y[i:i + 64, None], train=True)
     for i, model in enumerate(built):
         model.net.save(root / f"{i}.cvnn")
     loaded = [replace(m, net=Model.load(root / f"{i}.cvnn")) for i, m in enumerate(built)]
@@ -373,6 +379,12 @@ def precision_case(request, tmp_path_factory):
             for i, m in enumerate(built)]
     return {"table": table_for(cfg), "const": QamConstellation(cfg.m),
             "data": generate_arrays(cfg, 15.0, 512, 0), "loaded": loaded, "twin": twin}
+
+
+@pytest.fixture(scope="module", params=sorted(PRECISION_SYSTEMS))
+def precision_case(request, tmp_path_factory):
+    """Seed-built nets at checkpoint precision and their float64 twin."""
+    return precision_nets(request.param, tmp_path_factory, settle=False)
 
 
 class TestCheckpointPrecision:
@@ -404,3 +416,21 @@ class TestCheckpointPrecision:
                                 c["const"])
             assert int(one[1][0]) == int(tacs[i]), i
             assert np.array_equal(one[0][0], bits[i]), i
+
+
+class TestCheckpointPrecisionSettledNorms(TestCheckpointPrecision):
+    """The same checks with batch-norm running statistics taken from frames:
+    a non-zero mean and a covariance that is not a multiple of the identity
+    exercise every term of the complex batch norm's widely-linear map."""
+
+    @pytest.fixture(scope="class", params=sorted(PRECISION_SYSTEMS))
+    def precision_case(self, request, tmp_path_factory):
+        case = precision_nets(request.param, tmp_path_factory, settle=True)
+        first, second = (case["loaded"][0].net.layers[i] for i in (1, 4))
+        # the first norm sees circular input: mean near 0, V near s^2 I, s^2 < 1
+        assert np.abs(first.running_v[:, [0, 2]] - 1).min() > 0.5
+        # after a conv and a ReLU, the second has every term
+        v11, v12, v22 = second.running_v.T
+        assert np.abs(second.running_mean).max() > 0.1
+        assert np.abs(v12).max() > 1e-3 and np.abs(v11 - v22).max() > 1e-3
+        return case
