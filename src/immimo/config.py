@@ -96,6 +96,11 @@ class ExperimentConfig:
             raise ConfigError(f"csi_error_var must be finite and >= 0, got {self.csi_error_var}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        for name in ("conv_channels", "dense_units", "se_channels"):
+            widths = getattr(self, name)
+            if len(widths) != 2 or not all(
+                    isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in widths):
+                raise ConfigError(f"{name} must be two ints >= 1, got {widths}")
         check_detectors(self.detectors)
 
 

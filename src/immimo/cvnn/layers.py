@@ -33,7 +33,10 @@ and c from the batch statistics (train) or the running ones (infer);
 SplitReIm and MergeReIm order the parts by channel block, not interleaved.
 
 Forward caches live on the layer, so one layer instance serves one
-forward/backward pair at a time.
+forward/backward pair at a time. A cache holds what backward cannot get
+back cheaply and nothing larger than the layer's input: a conv layer
+keeps its input and rebuilds its patch matrix (k*k times the input) in
+backward.
 """
 
 from __future__ import annotations
@@ -125,27 +128,64 @@ def _out_hw(h: int, w: int, k: int, padding: str) -> tuple[int, int, int]:
     return h - k + 1, w - k + 1, 0
 
 
+def _pad(x: np.ndarray, pad: int) -> np.ndarray:
+    """(B, C, H, W) -> (B, C, H+2p, W+2p), x written into a zeroed buffer."""
+    if not pad:
+        return x
+    b, c, h, w = x.shape
+    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    return xp
+
+
+def _windows(x: np.ndarray, k: int, pad: int) -> np.ndarray:
+    """(B, C, Ho, Wo, k, k) view of every k x k window of padded x."""
+    return np.lib.stride_tricks.sliding_window_view(_pad(x, pad), (k, k), axis=(2, 3))
+
+
 def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
-    """(B, C, H, W) -> (B, C*k*k, P) patch matrix, stride 1."""
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+    """(B, C, H, W) -> batch-major (B, C*k*k, P) patch matrix, stride 1."""
+    win = _windows(x, k, pad)
     b, c, ho, wo = win.shape[:4]
-    # (B, C, Ho, Wo, k, k) -> (B, C, k, k, Ho*Wo)
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * k * k, ho * wo)
-    return np.ascontiguousarray(cols)
+    # (B, C, Ho, Wo, k, k) -> (B, C, k, k, Ho*Wo), one strided copy
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * k * k, ho * wo)
 
 
-def _col2im(cols: np.ndarray, shape, k: int, pad: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add patches back onto (B, C, H, W)."""
+def _im2col_cm(x: np.ndarray, k: int, pad: int) -> np.ndarray:
+    """(B, C, H, W) -> channel-major (C*k*k, B*P) patch matrix, stride 1."""
+    win = _windows(x, k, pad)
+    b, c, ho, wo = win.shape[:4]
+    # (B, C, Ho, Wo, k, k) -> (C, k, k, B, Ho, Wo), one strided copy
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, b * ho * wo)
+
+
+def _tap_spans(h: int, w: int, k: int, pad: int) -> tuple[slice, slice]:
+    """Rows and columns of a k x k kernel whose taps land on the (h, w)
+    input from some output position; the other taps only read padding."""
+    def span(n):
+        no = n + 2 * pad - k + 1
+        taps = [d for d in range(k) if max(pad - d, 0) < min(n + pad - d, no)]
+        return slice(taps[0], taps[-1] + 1)
+    return span(h), span(w)
+
+
+def _col2im_cm(cols: np.ndarray, shape, k: int, pad: int) -> np.ndarray:
+    """Adjoint of _im2col_cm, over the taps of _tap_spans: scatter-add the
+    (C*kh*kw, B*P) patches of those kh x kw taps back onto a C-contiguous
+    (B, C, H, W), the taps summed in (di, dj) order. A tap adds only the
+    outputs that land inside the input, so nothing is summed into padding."""
     b, c, h, w = shape
     ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
-    six = cols.reshape(b, c, k, k, ho, wo)
-    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    for di in range(k):
-        for dj in range(k):
-            xp[:, :, di:di + ho, dj:dj + wo] += six[:, :, di, dj]
-    return xp[:, :, pad:pad + h, pad:pad + w] if pad else xp
+    ti, tj = _tap_spans(h, w, k, pad)
+    six = cols.reshape(c, ti.stop - ti.start, tj.stop - tj.start, b, ho, wo)
+    xt = np.zeros((c, b, h, w), dtype=cols.dtype)
+    for di in range(ti.start, ti.stop):
+        i0, i1 = max(pad - di, 0), min(h + pad - di, ho)
+        for dj in range(tj.start, tj.stop):
+            j0, j1 = max(pad - dj, 0), min(w + pad - dj, wo)
+            xt[:, :, i0 + di - pad:i1 + di - pad, j0 + dj - pad:j1 + dj - pad] += \
+                six[:, di - ti.start, dj - tj.start, :, i0:i1, j0:j1]
+    return np.ascontiguousarray(xt.transpose(1, 0, 2, 3))
 
 
 class Layer:
@@ -194,10 +234,18 @@ class _ConvBase(Layer):
     dtype.
 
     Forward is W (Cout, C*k*k) @ cols (B, C*k*k, P) over P = Ho*Wo output
-    positions. Backward is two GEMMs: the weight gradient merges batch and
-    position into one axis, (Cout, B*P) @ (B*P, C*k*k) with conjugated
-    patches, and the patch gradient is conj(W).T @ g, which _col2im folds
-    back onto the input.
+    positions, on batch-major patches that are freed after the product;
+    the layer keeps only its input. Backward rebuilds the patches from that
+    input channel-major, cols (C*k*k, B*P), so batch and position share one
+    GEMM axis, and runs two GEMMs on the output gradient G (Cout, B*P): the
+    weight gradient conj(conj(G) @ cols.T), which conjugates G and the
+    (Cout, C*k*k) result instead of the patches, and the patch gradient
+    conj(W.T @ conj(G)) = conj(W).T @ G. _col2im_cm folds that onto the
+    input before it is conjugated (negating a sum is exact), so only the
+    (B, C, H, W) result is conjugated. Taps that only read padding (a
+    kernel taller or wider than the input allows, as on a one-row map) are
+    left out of the patch gradient; the others add only the outputs that
+    land inside the input.
     """
 
     dtype: type
@@ -233,28 +281,31 @@ class _ConvBase(Layer):
         if c != self.in_channels:
             raise ValueError(f"expected {self.in_channels} channels, got {c}")
         ho, wo, pad = _out_hw(h, w, self.kernel, self.padding)
-        cols = _im2col(x, self.kernel, pad)                       # (B, CKK, P)
         wmat = self.weight.reshape(self.out_channels, -1)
-        out = wmat @ cols + self.bias[None, :, None]
-        self._cache = (cols, x.shape, pad)
+        out = wmat @ _im2col(x, self.kernel, pad)                  # (B, Cout, P)
+        out += self.bias[None, :, None]
+        self._cache = (x, pad)
         return out.reshape(b, self.out_channels, ho, wo)
 
     def backward(self, grad):
-        cols, xshape, pad = self._cache
-        b = grad.shape[0]
-        g = grad.reshape(b, self.out_channels, -1)                # (B, Cout, P)
-        # conj(cols) with the batch and position axes merged: (B*P, CKK)
-        rows = np.empty((b, cols.shape[2], cols.shape[1]), dtype=cols.dtype)
-        np.conjugate(cols.transpose(0, 2, 1), out=rows)
-        dw = (g.transpose(1, 0, 2).reshape(self.out_channels, -1)
-              @ rows.reshape(-1, cols.shape[1]))
+        x, pad = self._cache
+        b, cout = grad.shape[0], self.out_channels
+        g = grad.reshape(b, cout, -1)                               # (B, Cout, P)
+        # conj(G) with the batch and position axes merged: (Cout, B*P)
+        gc = np.empty((cout, b, g.shape[2]), dtype=g.dtype)
+        np.conjugate(g.transpose(1, 0, 2), out=gc)
+        gc = gc.reshape(cout, -1)
+        dw = gc @ _im2col_cm(x, self.kernel, pad).T
         self.grads = {
-            "weight": dw.reshape(self.weight.shape),
+            "weight": np.conjugate(dw, out=dw).reshape(self.weight.shape),
             "bias": g.sum(axis=(0, 2)),
         }
-        wmat = self.weight.reshape(self.out_channels, -1)
-        dcols = _conj(wmat).T @ g                                  # (B, CKK, P)
-        return _col2im(dcols, xshape, self.kernel, pad)
+        # conj(W).T @ G as conj(W.T @ conj(G)), conjugated once folded, over
+        # the taps that reach the input
+        ti, tj = _tap_spans(*x.shape[2:], self.kernel, pad)
+        wmat = self.weight[:, :, ti, tj].reshape(cout, -1)
+        dx = _col2im_cm(wmat.T @ gc, x.shape, self.kernel, pad)
+        return np.conjugate(dx, out=dx)
 
 
 class ComplexConv2d(_ConvBase):
@@ -304,9 +355,12 @@ class _DenseBase(Layer):
         return x @ self.weight.T + self.bias
 
     def backward(self, grad):
-        self.grads = {"weight": grad.T @ _conj(self._x), "bias": grad.sum(axis=0)}
+        # grad.T @ conj(x) as conj(conj(grad).T @ x): no conjugated copy of x
+        gc = _conj(grad)
+        dw = gc.T @ self._x
+        self.grads = {"weight": np.conjugate(dw, out=dw), "bias": grad.sum(axis=0)}
         # grad @ conj(W) as conj(conj(grad) @ W): no conjugated copy of W
-        dx = _conj(grad) @ self.weight
+        dx = gc @ self.weight
         return np.conjugate(dx, out=dx)
 
 

@@ -205,6 +205,24 @@ class TestTrain:
                      "--data", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "c")]) == 2
 
+    @pytest.mark.parametrize("line", ["conv_channels = 4", "se_channels = 0, 4",
+                                      "dense_units = 4, 4, 4"])
+    @pytest.mark.parametrize("cmd", ["gen-data", "train"])
+    def test_malformed_net_widths_exit_2_before_any_directory(self, workspace, tmp_path,
+                                                              capsys, cmd, line):
+        key = line.split()[0]
+        body = "\n".join(l for l in SMALL_CFG.splitlines() if l.split(" = ")[0] != key)
+        cfg = tmp_path / "widths.cfg"
+        cfg.write_text(body + "\n" + line + "\n")
+        out = tmp_path / "out"
+        args = [cmd, "--config", str(cfg), "--out", str(out)]
+        if cmd == "train":
+            args += ["--data", str(workspace["data"])]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestEval:
     def test_csv_golden_header_and_sorted_rows(self, workspace):

@@ -173,6 +173,22 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(threads=0)
 
+    @pytest.mark.parametrize("key", ["conv_channels", "dense_units", "se_channels"])
+    @pytest.mark.parametrize("raw", ["4", "4, 4, 4", "0, 4", "4, -1", ""])
+    def test_net_widths_must_be_two_positive_ints(self, key, raw):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"{key} = {raw}\n")
+
+    @pytest.mark.parametrize("key", ["conv_channels", "dense_units", "se_channels"])
+    def test_net_width_types_checked(self, key):
+        for widths in ([4.0, 4], [True, 4]):
+            with pytest.raises(ConfigError, match=key):
+                ExperimentConfig(**{key: widths})
+
+    def test_net_widths_accepted(self):
+        cfg = parse_config("conv_channels = 1, 1\nse_channels = 3, 5\n")
+        assert (cfg.conv_channels, cfg.se_channels) == ([1, 1], [3, 5])
+
     def test_unknown_detector_rejected(self):
         with pytest.raises(ConfigError, match="unknown detector"):
             ExperimentConfig(detectors=["ml", "sphere"])

@@ -20,8 +20,10 @@ from immimo.cvnn.layers import (
     Residual,
     SplitReIm,
     _LAYER_CLASSES,
-    _col2im,
+    _col2im_cm,
     _im2col,
+    _im2col_cm,
+    _tap_spans,
     _sigmoid,
     layer_from_spec,
 )
@@ -154,16 +156,66 @@ class TestComplexConv:
         assert np.abs(layer.forward(x) - ref.real).max() < 1e-12
 
 
+def col2im(cols, shape, k, pad):
+    """Adjoint of _im2col: scatter-add batch-major (B, C*k*k, P) patches
+    back onto (B, C, H, W), the taps summed in (di, dj) order."""
+    b, c, h, w = shape
+    ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    six = cols.reshape(b, c, k, k, ho, wo)
+    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    for di in range(k):
+        for dj in range(k):
+            xp[:, :, di:di + ho, dj:dj + wo] += six[:, :, di, dj]
+    return xp[:, :, pad:pad + h, pad:pad + w] if pad else xp
+
+
+def forward_cache(layer):
+    """(input, batch-major patches, pad) of `layer`'s last forward."""
+    x, pad = layer._cache
+    return x, _im2col(x, layer.kernel, pad), pad
+
+
+def rows_conv_backward(layer, grad):
+    """The conv backward before the patches were rebuilt channel-major:
+    batch-major patches, a conjugated (B*P, C*k*k) copy of them for the
+    weight gradient, and B batched GEMMs folded by col2im for the input
+    gradient. Returns (weight grad, bias grad, input grad)."""
+    x, cols, pad = forward_cache(layer)
+    b = grad.shape[0]
+    g = grad.reshape(b, layer.out_channels, -1)                 # (B, Cout, P)
+    rows = np.empty((b, cols.shape[2], cols.shape[1]), dtype=cols.dtype)
+    np.conjugate(cols.transpose(0, 2, 1), out=rows)
+    dw = (g.transpose(1, 0, 2).reshape(layer.out_channels, -1)
+          @ rows.reshape(-1, cols.shape[1]))
+    wmat = layer.weight.reshape(layer.out_channels, -1)
+    dcols = wmat.conj().T @ g                                   # (B, CKK, P)
+    return (dw.reshape(layer.weight.shape), g.sum(axis=(0, 2)),
+            col2im(dcols, x.shape, layer.kernel, pad))
+
+
 def einsum_conv_backward(layer, grad):
     """The conv backward as two einsums, the form before the GEMMs:
     (weight grad, bias grad, input grad) from `layer`'s forward cache."""
-    cols, xshape, pad = layer._cache
+    x, cols, pad = forward_cache(layer)
     g = grad.reshape(grad.shape[0], layer.out_channels, -1)
     dw = np.einsum("bop,bip->oi", g, cols.conj())
     wmat = layer.weight.reshape(layer.out_channels, -1)
     dcols = np.einsum("oi,bop->bip", wmat.conj(), g)
     return (dw.reshape(layer.weight.shape), g.sum(axis=(0, 2)),
-            _col2im(dcols, xshape, layer.kernel, pad))
+            col2im(dcols, x.shape, layer.kernel, pad))
+
+
+def conv_backward_pair(np_rng, cls, cin, cout, h, w, batch, kernel=3, padding="same",
+                       reference=None):
+    """(layer's backward, reference backward) on one random input and grad;
+    the reference defaults to rows_conv_backward."""
+    layer = cls(cin, cout, kernel=kernel, padding=padding, rng=Rng(8))
+    draw = crandn if cls is ComplexConv2d else (lambda r, *s: r.normal(size=s))
+    x = draw(np_rng, batch, cin, h, w)
+    grad = draw(np_rng, *layer.forward(x, train=True).shape)
+    want = (reference or rows_conv_backward)(layer, grad)
+    dx = layer.backward(grad)
+    return (layer.grads["weight"], layer.grads["bias"], dx), want
 
 
 class TestConvBackward:
@@ -172,28 +224,82 @@ class TestConvBackward:
     @pytest.mark.parametrize("padding", ["same", "valid"])
     @pytest.mark.parametrize("cls", [ComplexConv2d, RealConv2d])
     def test_matches_einsum_reference(self, np_rng, cls, padding, kernel, batch):
-        layer = cls(3, 5, kernel=kernel, padding=padding, rng=Rng(8))
-        draw = crandn if cls is ComplexConv2d else (lambda r, *s: r.normal(size=s))
-        x = draw(np_rng, batch, 3, 4, 6)
-        grad = draw(np_rng, *layer.forward(x, train=True).shape)
-        want = einsum_conv_backward(layer, grad)
-        dx = layer.backward(grad)
-        got = (layer.grads["weight"], layer.grads["bias"], dx)
+        got, want = conv_backward_pair(np_rng, cls, 3, 5, 4, 6, batch, kernel, padding,
+                                       reference=einsum_conv_backward)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape
             assert rel_err(g, w) <= 1e-12
 
+    # the train shapes of the benchmark nets at batch 100: AAPD convs on
+    # n_r x t = 8 x 16 and 4 x 16, SE convs on n_u x t = 2 x 16 and 1 x 16
+    @pytest.mark.parametrize("cin, cout, h", [
+        (1, 32, 8), (32, 64, 8), (1, 32, 4), (32, 64, 4), (16, 16, 2), (16, 16, 1)])
+    def test_equals_rows_reference_bit_for_bit(self, np_rng, cin, cout, h):
+        got, want = conv_backward_pair(np_rng, ComplexConv2d, cin, cout, h, 16, 100)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(g, w)
+
+    # one output channel (a gemv in BLAS) and float64 may sum in another
+    # order; kernels larger than the input leave taps that only read padding
+    @pytest.mark.parametrize("cls, cin, cout, h, w, kernel", [
+        (ComplexConv2d, 16, 1, 2, 16, 3), (ComplexConv2d, 2, 1, 1, 16, 3),
+        (RealConv2d, 16, 16, 2, 16, 3), (RealConv2d, 4, 1, 8, 16, 3),
+        (RealConv2d, 3, 5, 4, 16, 3), (ComplexConv2d, 3, 4, 1, 2, 5),
+        (ComplexConv2d, 3, 4, 2, 1, 5), (RealConv2d, 2, 3, 1, 1, 3)])
+    def test_matches_rows_reference(self, np_rng, cls, cin, cout, h, w, kernel):
+        got, want = conv_backward_pair(np_rng, cls, cin, cout, h, w, 20, kernel)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert rel_err(g, w) <= 1e-12
+
+    @pytest.mark.parametrize("cls", [ComplexConv2d, RealConv2d])
+    @pytest.mark.parametrize("train", [True, False])
+    def test_forward_keeps_nothing_larger_than_its_input(self, np_rng, cls, train):
+        # the patch matrix is k*k times the input; it must not outlive forward
+        layer = cls(4, 8, kernel=3, padding="same", rng=Rng(8))
+        x = crandn(np_rng, 5, 4, 3, 6)
+        if cls is RealConv2d:
+            x = x.real.copy()
+        layer.forward(x, train=train)
+        held = [a for v in vars(layer).values() for a in (v if isinstance(v, tuple) else (v,))
+                if isinstance(a, np.ndarray)]
+        assert max(a.size for a in held) <= x.size
+
 
 class TestIm2Col:
-    def test_adjoint_identity(self, np_rng):
-        # <im2col(x), c> == <x, col2im(c)> pins col2im as the exact adjoint
-        x = crandn(np_rng, 2, 3, 5, 6)
-        k, pad = 3, 1
-        cols = _im2col(x, k, pad)
-        c = crandn(np_rng, *cols.shape)
-        lhs = np.sum(cols * c.conj()).real
-        rhs = np.sum(x * _col2im(c, x.shape, k, pad).conj()).real
+    @staticmethod
+    def check_adjoint(np_rng, h, w, k, pad):
+        # <im2col_cm(x), c> == <x, col2im_cm(c)> pins col2im_cm as the exact
+        # adjoint over the taps of _tap_spans; the other taps read only zeros
+        x = crandn(np_rng, 2, 3, h, w)
+        cols = _im2col_cm(x, k, pad).reshape(3, k, k, -1)
+        ti, tj = _tap_spans(h, w, k, pad)
+        inside = cols[:, ti, tj]
+        assert np.count_nonzero(cols) == np.count_nonzero(inside)
+        c = crandn(np_rng, *inside.shape)
+        lhs = np.sum(inside * c.conj()).real
+        rhs = np.sum(x * _col2im_cm(c.reshape(-1, c.shape[-1]), x.shape, k, pad).conj()).real
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_adjoint_identity(self, np_rng):
+        self.check_adjoint(np_rng, 5, 6, 3, 1)
+
+    @pytest.mark.parametrize("h, w, k, pad", [
+        (5, 6, 3, 0), (5, 6, 1, 0), (1, 6, 3, 1), (2, 1, 5, 2), (1, 1, 3, 1)])
+    def test_adjoint_identity_other_shapes(self, np_rng, h, w, k, pad):
+        self.check_adjoint(np_rng, h, w, k, pad)
+
+    def test_tap_spans(self):
+        assert _tap_spans(5, 6, 3, 1) == (slice(0, 3), slice(0, 3))
+        assert _tap_spans(1, 16, 3, 1) == (slice(1, 2), slice(0, 3))
+        assert _tap_spans(2, 1, 5, 2) == (slice(1, 4), slice(2, 3))
+
+    def test_channel_major_is_batch_major_transposed(self, np_rng):
+        x = crandn(np_rng, 2, 3, 5, 6)
+        bm = _im2col(x, 3, 1)                                   # (B, CKK, P)
+        cm = _im2col_cm(x, 3, 1)                                # (CKK, B*P)
+        assert np.array_equal(cm, bm.transpose(1, 0, 2).reshape(bm.shape[1], -1))
 
 
 class TestDense:
