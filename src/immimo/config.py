@@ -96,6 +96,17 @@ class ExperimentConfig:
             raise ConfigError(f"csi_error_var must be finite and >= 0, got {self.csi_error_var}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        # training keys, checked here so that no command starts on them
+        if not self.lr > 0:
+            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if self.batch < 2:
+            raise ConfigError(f"batch must be >= 2, got {self.batch}")
+        if self.max_epochs < 1:
+            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        for name in ("gamma1", "gamma2"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ConfigError(f"{name} must be > 0, got {value}")
         for name in ("conv_channels", "dense_units", "se_channels"):
             widths = getattr(self, name)
             if len(widths) != 2 or not all(

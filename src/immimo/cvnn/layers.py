@@ -36,7 +36,12 @@ Forward caches live on the layer, so one layer instance serves one
 forward/backward pair at a time. A cache holds what backward cannot get
 back cheaply and nothing larger than the layer's input: a conv layer
 keeps its input and rebuilds its patch matrix (k*k times the input) in
-backward.
+backward. One thing outlives a call: ComplexBatchNorm memoizes its
+infer-mode map, per-channel arrays only, under the dtype, shape and exact
+bytes of the tensors it is computed from (and eps). A call whose tensors
+differ in any byte recomputes, so in-place writes (Adam, load_state_arrays)
+and replaced tensors (set_tensor, quantize_state, a train-mode forward)
+need no invalidation step.
 """
 
 from __future__ import annotations
@@ -87,16 +92,18 @@ def _conj(a: np.ndarray) -> np.ndarray:
     return a.conj() if np.iscomplexobj(a) else a
 
 
-# (complex?, 32-bit parts?) -> dtype
-_DTYPES = {(True, False): np.dtype(np.complex128), (True, True): np.dtype(np.complex64),
-           (False, False): np.dtype(np.float64), (False, True): np.dtype(np.float32)}
+# kind (complex128 or float64, as a scalar type or a dtype) -> the kind at
+# (64-bit parts, 32-bit parts)
+_PRECISIONS = {k: (np.dtype(wide), np.dtype(narrow))
+               for wide, narrow in ((np.complex128, np.complex64), (np.float64, np.float32))
+               for k in (wide, np.dtype(wide))}
+_NARROW = frozenset((np.dtype(np.complex64), np.dtype(np.float32)))
 
 
 def _at_precision_of(a: np.ndarray, dtype: type) -> np.dtype:
     """`dtype`'s kind (complex or real) at `a`'s precision: 32-bit parts
     when `a` holds complex64 or float32, else 64-bit parts."""
-    single = np.asarray(a).dtype in (np.complex64, np.float32)
-    return _DTYPES[np.issubdtype(dtype, np.complexfloating), single]
+    return _PRECISIONS[dtype][np.asarray(a).dtype in _NARROW]
 
 
 def _real_view(a: np.ndarray, dtype: type) -> np.ndarray:
@@ -139,8 +146,13 @@ def _pad(x: np.ndarray, pad: int) -> np.ndarray:
 
 
 def _windows(x: np.ndarray, k: int, pad: int) -> np.ndarray:
-    """(B, C, Ho, Wo, k, k) view of every k x k window of padded x."""
-    return np.lib.stride_tricks.sliding_window_view(_pad(x, pad), (k, k), axis=(2, 3))
+    """Read-only (B, C, Ho, Wo, k, k) view of every k x k window of padded
+    x: the view sliding_window_view gives, without its per-call checks."""
+    xp = _pad(x, pad)
+    b, c, h, w = xp.shape
+    sb, sc, sh, sw = xp.strides
+    return np.lib.stride_tricks.as_strided(xp, (b, c, h - k + 1, w - k + 1, k, k),
+                                           (sb, sc, sh, sw, sh, sw), writeable=False)
 
 
 def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
@@ -512,9 +524,9 @@ def _widely_linear(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _apply_widely_linear(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a*z + b*conj(z) per channel, in z's dtype; a and b are (C,)."""
     dt = z.dtype
-    y = z * _expand(a.astype(dt), z.ndim)
+    y = z * _expand(a.astype(dt, copy=False), z.ndim)
     t = z.conj()
-    t *= _expand(b.astype(dt), z.ndim)
+    t *= _expand(b.astype(dt, copy=False), z.ndim)
     y += t
     return y
 
@@ -537,6 +549,13 @@ class ComplexBatchNorm(Layer):
     V^(-1/2) for backward; infer mode takes the running stats. The inverse
     square root of the 2x2 covariance (+ eps on the diagonal) is
     closed-form via its trace and determinant.
+
+    Infer mode memoizes the map: a, b and c cast to the layer's dtype, plus
+    what its backward reads (W, s, t, the eps-loaded V, the mean), all per
+    channel. The memo key is eps and the dtype, shape and bytes of gamma,
+    beta, running_mean and running_v; a call whose key differs recomputes,
+    with the same arithmetic as before, so the output is the same bit for
+    bit whether the memo hits or not. Train mode never reads the memo.
     """
 
     kind = "complex_batchnorm"
@@ -558,6 +577,7 @@ class ComplexBatchNorm(Layer):
         self.running_v = np.tile(np.array([1.0, 0.0, 1.0]), (channels, 1))
         self.grads: dict[str, np.ndarray] = {}
         self._cache = None
+        self._memo = None
 
     def spec(self):
         return {"kind": self.kind, "channels": self.channels, "eps": self.eps,
@@ -590,6 +610,37 @@ class ComplexBatchNorm(Layer):
         w12 = -v12 / denom
         return w11, w12, w22, s, t
 
+    def _infer_key(self) -> tuple:
+        # dtype, shape and exact bytes of every tensor the infer map reads
+        return (self.eps, *((a.dtype, a.shape, a.tobytes()) for a in (
+            self.gamma, self.beta, self.running_mean, self.running_v)))
+
+    def _coeffs(self, mean, v11, v12, v22) -> tuple:
+        """(w, s, t, eps-loaded V, mean, a, b, c) of the map from mean and
+        V, per channel at float64 (complex128), whatever the layer's dtype."""
+        v11, v12, v22 = (np.asarray(v, dtype=np.float64) for v in (v11, v12, v22))
+        veps = (v11 + self.eps, v12, v22 + self.eps)
+        w11, w12, w22, s, t = self._whiten_coeffs(*veps)
+        w = _sym2(w11, w12, w22)
+        a, b = _widely_linear(np.asarray(self.gamma, dtype=np.float64) @ w)
+        mean = np.asarray(mean, dtype=np.complex128)
+        c = self.beta.astype(np.complex128) - (a * mean + b * mean.conj())
+        return w, s, t, veps, mean, a, b, c
+
+    def _infer_map(self) -> tuple:
+        """_coeffs of the running statistics, with a, b and c cast to the
+        layer's dtype; memoized while _infer_key holds."""
+        key = self._infer_key()
+        if self._memo is None or self._memo[0] != key:
+            # copies, so that the memo shares no memory with the tensors
+            v = np.array(self.running_v, dtype=np.float64)
+            w, s, t, veps, mean, a, b, c = self._coeffs(
+                np.array(self.running_mean, dtype=np.complex128), *v.T)
+            dt = self.beta.dtype
+            self._memo = (key, (w, s, t, veps, mean, a.astype(dt), b.astype(dt),
+                                c.astype(dt)))
+        return self._memo[1]
+
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=self.beta.dtype)
         if x.ndim not in (2, 4):
@@ -610,21 +661,14 @@ class ComplexBatchNorm(Layer):
             self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
             batch_v = np.stack([v11, v12, v22], axis=1)
             self.running_v = self.momentum * self.running_v + (1 - self.momentum) * batch_v
+            w, s, t, veps, mean, a, b, c = self._coeffs(mean, v11, v12, v22)
+            self._cache = (u, w, s, t, veps, axes, n, train)
         else:
-            mean, u, n = self.running_mean, None, 0
-            v11, v12, v22 = self.running_v.T
-        # per-channel coefficients at float64, whatever the layer's dtype
-        v11, v12, v22 = (np.asarray(v, dtype=np.float64) for v in (v11, v12, v22))
-        veps = (v11 + self.eps, v12, v22 + self.eps)
-        w11, w12, w22, s, t = self._whiten_coeffs(*veps)
-        w = _sym2(w11, w12, w22)
-        a, b = _widely_linear(np.asarray(self.gamma, dtype=np.float64) @ w)
-        mean = np.asarray(mean, dtype=np.complex128)
-        c = self.beta.astype(np.complex128) - (a * mean + b * mean.conj())
-        # backward rebuilds u = x - mean in infer mode
-        self._cache = (u if train else (x, mean), w, s, t, veps, axes, n, train)
+            w, s, t, veps, mean, a, b, c = self._infer_map()
+            # backward rebuilds u = x - mean in infer mode
+            self._cache = ((x, mean), w, s, t, veps, axes, 0, train)
         y = _apply_widely_linear(x, a, b)
-        y += _expand(c.astype(x.dtype), x.ndim)
+        y += _expand(c.astype(x.dtype, copy=False), x.ndim)
         return y
 
     def backward(self, grad):

@@ -55,6 +55,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.lr > 0:
+            raise ValueError("lr must be > 0")
         if self.batch < 2:
             raise ValueError("batch must be >= 2")
         if self.max_epochs < 1:
@@ -73,9 +75,14 @@ def _as_input(batch: np.ndarray) -> np.ndarray:
     return batch[:, None, :, :].astype(np.complex128)
 
 
+def _joined(parts: list) -> np.ndarray:
+    """The parts concatenated along axis 0; a lone part as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _forward_in_chunks(net: Model, x: np.ndarray, chunk: int = 256) -> np.ndarray:
-    outs = [net.forward(x[i:i + chunk], train=False) for i in range(0, len(x), chunk)]
-    return np.concatenate(outs, axis=0)
+    return _joined([net.forward(x[i:i + chunk], train=False)
+                    for i in range(0, len(x), chunk)])
 
 
 @dataclass
@@ -339,4 +346,4 @@ def detect_frames(y: np.ndarray, h_est: np.ndarray, aapd: AapdModel, se: SeModel
         s_zf, part = build_zf_dataset(aapd, y[lo:lo + chunk], h_est[lo:lo + chunk], table)
         bits.append(demap_frame(part, se.enhance(s_zf), table, constellation))
         tacs.append(part)
-    return np.concatenate(bits), np.concatenate(tacs)
+    return _joined(bits), _joined(tacs)

@@ -205,14 +205,13 @@ class TestTrain:
                      "--data", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "c")]) == 2
 
-    @pytest.mark.parametrize("line", ["conv_channels = 4", "se_channels = 0, 4",
-                                      "dense_units = 4, 4, 4"])
-    @pytest.mark.parametrize("cmd", ["gen-data", "train"])
-    def test_malformed_net_widths_exit_2_before_any_directory(self, workspace, tmp_path,
-                                                              capsys, cmd, line):
+    @staticmethod
+    def check_exits_2_before_any_directory(workspace, tmp_path, capsys, cmd, line):
+        """`cmd` on SMALL_CFG with `line` in place of its key exits 2, names
+        the key, and makes no --out directory."""
         key = line.split()[0]
         body = "\n".join(l for l in SMALL_CFG.splitlines() if l.split(" = ")[0] != key)
-        cfg = tmp_path / "widths.cfg"
+        cfg = tmp_path / "edited.cfg"
         cfg.write_text(body + "\n" + line + "\n")
         out = tmp_path / "out"
         args = [cmd, "--config", str(cfg), "--out", str(out)]
@@ -222,6 +221,20 @@ class TestTrain:
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["conv_channels = 4", "se_channels = 0, 4",
+                                      "dense_units = 4, 4, 4"])
+    @pytest.mark.parametrize("cmd", ["gen-data", "train"])
+    def test_malformed_net_widths_exit_2_before_any_directory(self, workspace, tmp_path,
+                                                              capsys, cmd, line):
+        self.check_exits_2_before_any_directory(workspace, tmp_path, capsys, cmd, line)
+
+    @pytest.mark.parametrize("line", ["lr = 0", "lr = -1", "batch = 1", "max_epochs = 0",
+                                      "gamma1 = 0", "gamma2 = -1"])
+    @pytest.mark.parametrize("cmd", ["gen-data", "train"])
+    def test_bad_training_key_exits_2_before_any_directory(self, workspace, tmp_path,
+                                                           capsys, cmd, line):
+        self.check_exits_2_before_any_directory(workspace, tmp_path, capsys, cmd, line)
 
 
 class TestEval:

@@ -173,6 +173,19 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(threads=0)
 
+    @pytest.mark.parametrize("key, value", [
+        ("lr", 0.0), ("lr", -1.0), ("batch", 1), ("batch", 0), ("max_epochs", 0),
+        ("gamma1", 0.0), ("gamma1", -0.5), ("gamma2", 0.0), ("gamma2", -1.0)])
+    def test_training_key_out_of_range_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(**{key: value})
+
+    def test_training_keys_at_their_limits_accepted(self):
+        cfg = ExperimentConfig(lr=1e-300, batch=2, max_epochs=1, gamma1=1e-300,
+                               gamma2=1e-300)
+        assert (cfg.batch, cfg.max_epochs) == (2, 1)
+        assert ExperimentConfig(gamma2=None).gamma2 is None
+
     @pytest.mark.parametrize("key", ["conv_channels", "dense_units", "se_channels"])
     @pytest.mark.parametrize("raw", ["4", "4, 4, 4", "0, 4", "4, -1", ""])
     def test_net_widths_must_be_two_positive_ints(self, key, raw):

@@ -23,10 +23,13 @@ from immimo.cvnn.layers import (
     _col2im_cm,
     _im2col,
     _im2col_cm,
+    _pad,
     _tap_spans,
     _sigmoid,
+    _windows,
     layer_from_spec,
 )
+from immimo.cvnn import Adam, Model
 from immimo.linalg import Rng
 
 from conftest import rel_err
@@ -295,6 +298,24 @@ class TestIm2Col:
         assert _tap_spans(1, 16, 3, 1) == (slice(1, 2), slice(0, 3))
         assert _tap_spans(2, 1, 5, 2) == (slice(1, 4), slice(2, 3))
 
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128, np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 7])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_windows_equal_sliding_window_view(self, np_rng, k, padding, batch, dtype):
+        pad = k // 2 if padding == "same" else 0
+        x = crandn(np_rng, batch, 3, 6, 7)
+        x = (x if np.dtype(dtype).kind == "c" else x.real).astype(dtype)
+        # unpadded valid windows view the input itself, whatever its strides
+        for view in (x, x[:, ::-1, :, ::-1], x.transpose(0, 1, 3, 2)):
+            got = _windows(view, k, pad)
+            want = np.lib.stride_tricks.sliding_window_view(_pad(view, pad), (k, k),
+                                                            axis=(2, 3))
+            assert got.dtype == want.dtype
+            assert got.shape == want.shape and got.strides == want.strides
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+
     def test_channel_major_is_batch_major_transposed(self, np_rng):
         x = crandn(np_rng, 2, 3, 5, 6)
         bm = _im2col(x, 3, 1)                                   # (B, CKK, P)
@@ -560,6 +581,100 @@ class TestComplexBatchNorm:
         bn = ComplexBatchNorm(3)
         with pytest.raises(ValueError):
             bn.forward(crandn(np_rng, 4, 2), train=True)
+
+
+class TestComplexBatchNormMemo:
+    """Infer mode memoizes its map on the exact bytes of its tensors, so
+    every way a tensor changes reaches the next inference call."""
+
+    shape = (3, 4, 2, 5)
+
+    @staticmethod
+    def random_tensors(bn, np_rng):
+        c = bn.channels
+        root = np_rng.normal(size=(c, 2, 2))
+        v = root @ root.transpose(0, 2, 1) + 0.1 * np.eye(2)    # positive definite
+        return [("gamma", np_rng.normal(size=(c, 2, 2))), ("beta", crandn(np_rng, c)),
+                ("running_mean", crandn(np_rng, c)),
+                ("running_v", np.stack([v[:, 0, 0], v[:, 0, 1], v[:, 1, 1]], axis=1))]
+
+    @staticmethod
+    def counted_whitening(monkeypatch):
+        calls = []
+        whiten = ComplexBatchNorm._whiten_coeffs
+
+        def counting(*v):
+            calls.append(1)
+            return whiten(*v)
+        monkeypatch.setattr(ComplexBatchNorm, "_whiten_coeffs", staticmethod(counting))
+        return calls
+
+    def check_against_fresh(self, bn, np_rng, calls):
+        """Infer output and infer-mode backward equal a new layer's that
+        holds copies of bn's tensors; a repeat call does not recompute."""
+        x = (crandn(np_rng, *self.shape) * 2.0 + (1.0 - 0.5j)).astype(bn.beta.dtype)
+        grad = crandn(np_rng, *self.shape).astype(bn.beta.dtype)
+        fresh = ComplexBatchNorm(bn.channels, eps=bn.eps, momentum=bn.momentum)
+        for name, a in bn.tensor_items():
+            fresh.set_tensor(name, a.copy())
+        got = [bn.forward(x), bn.backward(grad), bn.grads["gamma"], bn.grads["beta"]]
+        want = [fresh.forward(x), fresh.backward(grad), fresh.grads["gamma"],
+                fresh.grads["beta"]]
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        before = len(calls)
+        assert np.array_equal(bn.forward(x), got[0])
+        assert len(calls) == before
+
+    @pytest.mark.parametrize("quantized", [False, True], ids=["c16", "c8"])
+    def test_memo_follows_its_tensors(self, np_rng, monkeypatch, quantized):
+        calls = self.counted_whitening(monkeypatch)
+        bn = ComplexBatchNorm(4)
+        net = Model([bn])
+        net.set_tensors([((0, n), a) for n, a in self.random_tensors(bn, np_rng)])
+        if quantized:
+            net.quantize_state()
+        opt = Adam(net, lr=0.1)
+        dt = bn.beta.dtype
+
+        def train_forward():
+            net.forward((crandn(np_rng, *self.shape) + (2.0 - 1.0j)).astype(dt), train=True)
+
+        def adam_step():
+            # an infer-mode backward sets the grads, so only gamma and beta move
+            net.forward(crandn(np_rng, *self.shape))
+            net.backward(crandn(np_rng, *self.shape))
+            held = [bn.gamma, bn.beta]
+            opt.step()
+            assert bn.gamma is held[0] and bn.beta is held[1]
+
+        def set_tensor():
+            bn.set_tensor("running_mean", (crandn(np_rng, 4) * 0.5).astype(dt))
+
+        def load_in_place():
+            held = [a for _, a in net.tensor_items()]
+            new = [a for _, a in self.random_tensors(bn, np_rng)]
+            net.load_state_arrays(new)
+            assert all(a is b for a, (_, b) in zip(held, net.tensor_items()))
+
+        events = [train_forward, set_tensor, load_in_place, net.quantize_state]
+        if not quantized:
+            # Adam refuses a quantized net
+            events.insert(1, adam_step)
+        for event in events:
+            self.check_against_fresh(bn, np_rng, calls)
+            event()
+            self.check_against_fresh(bn, np_rng, calls)
+        assert bn.beta.dtype == np.complex64
+
+    def test_memo_holds_per_channel_arrays_only(self, np_rng):
+        bn = ComplexBatchNorm(4)
+        bn.forward(crandn(np_rng, 64, 4, 8, 8))
+
+        def arrays(v):
+            return [v] if isinstance(v, np.ndarray) else [a for e in v for a in arrays(e)]
+        held = arrays(bn._memo[1])
+        assert held and all(a.shape[0] == 4 and a.size <= 4 * 4 for a in held)
 
 
 @pytest.mark.parametrize("cls", [ComplexBatchNorm, RealBatchNorm])

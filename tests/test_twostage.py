@@ -7,7 +7,7 @@ from dataclasses import replace
 
 from immimo import detectors, twostage
 from immimo.config import ExperimentConfig
-from immimo.cvnn import Model
+from immimo.cvnn import Model, layers
 from immimo.dataset import generate_arrays, table_for
 from immimo.linalg import ls_solve
 from immimo.modulation import QamConstellation
@@ -65,6 +65,11 @@ class TestTrainConfig:
     def test_defaults_valid(self):
         cfg = TrainConfig()
         assert cfg.lr == 1e-3 and cfg.batch == 100
+
+    @pytest.mark.parametrize("lr", [0.0, -1.0])
+    def test_lr_positive(self, lr):
+        with pytest.raises(ValueError, match="lr"):
+            TrainConfig(lr=lr)
 
     def test_batch_too_small(self):
         with pytest.raises(ValueError):
@@ -358,6 +363,28 @@ def upcast(net):
     return net
 
 
+def per_call_infer_map(bn):
+    """ComplexBatchNorm's infer-mode map as its forward computed it on
+    every call before the memo: w, s, t, V + eps, mean and the complex128
+    a, b, c, which the forward casts to its dtype."""
+    v11, v12, v22 = (np.asarray(v, dtype=np.float64) for v in bn.running_v.T)
+    veps = (v11 + bn.eps, v12, v22 + bn.eps)
+    w11, w12, w22, s, t = bn._whiten_coeffs(*veps)
+    w = np.stack([np.stack([w11, w12], -1), np.stack([w12, w22], -1)], -2)
+    a, b = layers._widely_linear(np.asarray(bn.gamma, dtype=np.float64) @ w)
+    mean = np.asarray(bn.running_mean, dtype=np.complex128)
+    c = bn.beta.astype(np.complex128) - (a * mean + b * mean.conj())
+    return w, s, t, veps, mean, a, b, c
+
+
+def issubdtype_precision(a, dtype):
+    """layers._at_precision_of through np.issubdtype."""
+    single = np.asarray(a).dtype in (np.complex64, np.float32)
+    return np.dtype({(True, False): np.complex128, (True, True): np.complex64,
+                     (False, False): np.float64, (False, True): np.float32}[
+        np.issubdtype(dtype, np.complexfloating), single])
+
+
 def precision_nets(name, tmp_path_factory, settle):
     """Seed-built nets at default widths after a checkpoint round trip, at
     checkpoint precision and as a float64 twin, plus 512 frames. With
@@ -416,6 +443,33 @@ class TestCheckpointPrecision:
                                 c["const"])
             assert int(one[1][0]) == int(tacs[i]), i
             assert np.array_equal(one[0][0], bits[i]), i
+
+    def test_memoized_path_equals_the_cache_free_one(self, precision_case, monkeypatch):
+        """Probabilities, TACs and bits at batch 1 and 256 equal those of
+        the per-call forms: batch-norm coefficients recomputed on every
+        call, windows from sliding_window_view, the precision from
+        np.issubdtype and every chunk concatenated."""
+        c = precision_case
+        y, h = c["data"]["y"], c["data"]["h_est"]
+        args = (*c["loaded"], c["table"], c["const"])
+
+        def outputs():
+            one = [(c["loaded"][0].probabilities(y[i:i + 1]),
+                    *detect_frames(y[i:i + 1], h[i:i + 1], *args)) for i in range(16)]
+            return one + [(c["loaded"][0].probabilities(y[:256]),
+                           *detect_frames(y[:256], h[:256], *args))]
+
+        got = outputs()
+        monkeypatch.setattr(layers.ComplexBatchNorm, "_infer_map", per_call_infer_map)
+        monkeypatch.setattr(layers, "_windows", lambda x, k, pad: (
+            np.lib.stride_tricks.sliding_window_view(layers._pad(x, pad), (k, k),
+                                                     axis=(2, 3))))
+        monkeypatch.setattr(layers, "_at_precision_of", issubdtype_precision)
+        monkeypatch.setattr(twostage, "_joined", np.concatenate)
+        want = outputs()
+        for g, w in zip(got, want):
+            for a, b in zip(g, w):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestCheckpointPrecisionSettledNorms(TestCheckpointPrecision):
