@@ -8,11 +8,17 @@ backward rule directly in this packed form. Real layers carry plain real
 gradients.
 
 Precision: a layer computes in the dtype of its own tensors. Conv, dense
-and both batch norms cast their input to it, so a net holding complex128
-and float64 tensors runs at 64-bit parts (how nets are built and trained)
-and one holding complex64 and float32 runs at 32-bit parts (how loaded and
-trained nets infer; see Model.quantize_state). The class-level `dtype`
-only sets the precision of the initial weight draw.
+and both batch norms cast their input in forward, and their output
+gradient in backward, to it (the sigmoid's backward keeps its forward's
+precision), so a net holding complex128 and float64 tensors runs at 64-bit
+parts (how nets are built) and one holding complex64 and float32 runs at
+32-bit parts, the checkpoint precision at which nets train (Adam keeps
+their float64 masters, optim.py) and loaded and trained nets infer (see
+Model.quantize_state). A c16 loss gradient therefore does not pull the
+backward up to 64-bit parts. In infer mode the batch norms read their
+running statistics at the layer's precision too: training accumulates
+them at float64, and a checkpoint holds them rounded. The class-level
+`dtype` only sets the precision of the initial weight draw.
 
 One implementation per operation. A twin pair shares one class body and
 differs only in `kind` and a class-level `dtype` (complex or real): conv
@@ -24,8 +30,8 @@ result back is the split activation of Trabelsi et al. (Deep Complex
 Networks, ICLR 2018). The view keeps the array's precision (complex128
 is viewed as float64, complex64 as float32). The real readout reads
 complex features through the same view, and so does Adam (optim.py): it
-updates every parameter in place through its float64 view, so a complex
-parameter is two real slots and one code path serves both dtypes. Code
+updates every parameter through its real view, so a complex parameter is
+two real slots and one code path serves both dtypes. Code
 that does not fit the rule stays separate: ComplexBatchNorm whitens the
 (re, im) pair jointly, which is not two real batch norms, and computes it
 as one widely-linear map per channel, y = a*z + b*conj(z) + c, with a, b
@@ -55,13 +61,11 @@ from immimo.linalg import Rng
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # piecewise form avoids overflow in exp for large |x|
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1/(1+e) for x >= 0 and e/(1+e) below, e = exp(-|x|): exp never
+    # overflows, and each side rounds as the piecewise form does
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def _glorot_limit(fan_in: int, fan_out: int) -> float:
@@ -301,6 +305,7 @@ class _ConvBase(Layer):
 
     def backward(self, grad):
         x, pad = self._cache
+        grad = np.asarray(grad, dtype=self.weight.dtype)
         b, cout = grad.shape[0], self.out_channels
         g = grad.reshape(b, cout, -1)                               # (B, Cout, P)
         # conj(G) with the batch and position axes merged: (Cout, B*P)
@@ -367,6 +372,7 @@ class _DenseBase(Layer):
         return x @ self.weight.T + self.bias
 
     def backward(self, grad):
+        grad = np.asarray(grad, dtype=self.weight.dtype)
         # grad.T @ conj(x) as conj(conj(grad).T @ x): no conjugated copy of x
         gc = _conj(grad)
         dw = gc.T @ self._x
@@ -437,7 +443,7 @@ class RealSigmoid(Layer):
         return _from_real_view(self._s, self.dtype)
 
     def backward(self, grad):
-        g = _real_view(grad, self.dtype)
+        g = _real_view(grad, self.dtype).astype(self._s.dtype, copy=False)
         return _from_real_view(g * self._s * (1 - self._s), self.dtype)
 
 
@@ -632,11 +638,12 @@ class ComplexBatchNorm(Layer):
         layer's dtype; memoized while _infer_key holds."""
         key = self._infer_key()
         if self._memo is None or self._memo[0] != key:
-            # copies, so that the memo shares no memory with the tensors
-            v = np.array(self.running_v, dtype=np.float64)
-            w, s, t, veps, mean, a, b, c = self._coeffs(
-                np.array(self.running_mean, dtype=np.complex128), *v.T)
+            # copies of the running statistics rounded to the layer's
+            # precision, as its checkpoint holds them: the memo shares no
+            # memory with the tensors
             dt = self.beta.dtype
+            v = self.running_v.astype(self.gamma.dtype)
+            w, s, t, veps, mean, a, b, c = self._coeffs(self.running_mean.astype(dt), *v.T)
             self._memo = (key, (w, s, t, veps, mean, a.astype(dt), b.astype(dt),
                                 c.astype(dt)))
         return self._memo[1]
@@ -673,6 +680,7 @@ class ComplexBatchNorm(Layer):
 
     def backward(self, grad):
         src, w, s, t, (v11, v12, v22), axes, n, train = self._cache
+        grad = np.asarray(grad, dtype=self.beta.dtype)
         nd = grad.ndim
         u = src if train else src[0] - _expand(src[1], nd)
         gr, gi, ur, ui = grad.real, grad.imag, u.real, u.imag
@@ -682,7 +690,8 @@ class ComplexBatchNorm(Layer):
                         -2)
         # y = gamma xt + beta with the whitened pair xt = W u
         dbeta = grad.sum(axis=axes)
-        self.grads = {"gamma": sums @ w, "beta": dbeta}
+        self.grads = {"gamma": (sums @ w).astype(self.gamma.dtype, copy=False),
+                      "beta": dbeta}
         # at fixed W the input grad is (gamma W)^T applied to the output grad
         ag, bg = _widely_linear(np.swapaxes(self.gamma @ w, -1, -2))
         dx = _apply_widely_linear(grad, ag, bg)
@@ -756,7 +765,10 @@ class RealBatchNorm(Layer):
             self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
             self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
         else:
-            mean, var = self.running_mean, self.running_var
+            # the running statistics at the layer's precision, as its
+            # checkpoint holds them
+            mean, var = (a.astype(x.dtype, copy=False)
+                         for a in (self.running_mean, self.running_var))
         inv = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - _expand(mean, x.ndim)) * _expand(inv, x.ndim)
         n = int(np.prod([x.shape[a] for a in axes]))
@@ -765,6 +777,7 @@ class RealBatchNorm(Layer):
 
     def backward(self, grad):
         xhat, inv, axes, n, train = self._cache
+        grad = np.asarray(grad, dtype=self.gamma.dtype)
         nd = grad.ndim
         self.grads = {"gamma": (grad * xhat).sum(axis=axes), "beta": grad.sum(axis=axes)}
         gsc = grad * _expand(self.gamma * inv, nd)

@@ -7,11 +7,14 @@ header is an object with exactly the keys `layers` (layer specs), `tensors`
 `adam`, which is always null (optimizer state is not stored). Real tensors
 are f32, complex tensors are c8 (interleaved re/im f32).
 
-Nets are built and trained at f64/c16. A loaded net holds each tensor at
-its disk dtype (f32/c8), and so does a trained one (`quantize_state`, which
-training ends with), so both infer at that precision: a layer computes in
-the dtype of its own tensors (layers.py). Save -> load -> save is byte
-identical. Save writes beside the target and renames the file into place.
+Nets are built at f64/c16 and train at their disk dtype (f32/c8): Adam
+(optim.py) keeps f64/c16 master weights and hands the net their roundings,
+and a layer computes in the dtype of its own tensors (layers.py). A loaded
+net holds each tensor at its disk dtype, and so does a trained one
+(`quantize_state`, which training ends with, also rounds the batch-norm
+running statistics), so both infer at that precision. Save -> load -> save
+is byte identical. Save writes beside the target and renames the file into
+place.
 """
 
 from __future__ import annotations

@@ -205,14 +205,19 @@ def _fit(net: Model, stage: str, train: tuple, val: tuple, loss, loss_backward,
     """Adam mini-batch loop shared by both stages.
 
     `train`/`val` are (net input, target) pairs. Training and its
-    validation passes run at the net's float64/complex128 precision. Runs
-    until done(val loss) or the epoch cap and leaves `net` holding the
-    best-validation parameters at checkpoint precision (float32/complex64,
-    Model.quantize_state), so the trained net infers at that precision and
-    is exactly the net a reader of its checkpoint loads. Returns one record
-    per epoch (plus `extra` of the validation output) and a closing "done"
-    record. The first non-finite training or validation loss raises
-    FloatingPointError, so poisoned weights are never kept.
+    validation passes run at checkpoint precision (float32/complex64):
+    Adam keeps the float64 master weights and hands `net` their roundings,
+    and validation reads the batch-norm running statistics (accumulated at
+    float64) rounded as a checkpoint holds them, so each validation loss,
+    and so the best-epoch pick, judges exactly the net a checkpoint of that
+    epoch holds. Runs until done(val loss) or the epoch cap and leaves
+    `net` holding the best-validation tensors at checkpoint precision
+    (Model.quantize_state), the net a reader of its checkpoint loads.
+    Returns one record per epoch (plus `extra` of the validation output)
+    and a closing "done" record whose `stop_reason` is "target" when the
+    best validation loss met done() and "epoch_cap" otherwise. The first
+    non-finite training or validation loss raises FloatingPointError, so
+    poisoned weights are never kept.
     """
     (x_tr, t_tr), (x_va, t_va) = train, val
     opt = Adam(net, lr=cfg.lr)
@@ -243,8 +248,10 @@ def _fit(net: Model, stage: str, train: tuple, val: tuple, loss, loss_backward,
         net.load_state_arrays(best[1])
     # become exactly the net a checkpoint reader loads
     net.quantize_state()
+    converged = bool(done(best[0]))
     history.append({"stage": stage, "event": "done", "best_epoch": best[2],
-                    "best_val_loss": best[0], "converged": bool(done(best[0]))})
+                    "best_val_loss": best[0], "converged": converged,
+                    "stop_reason": "target" if converged else "epoch_cap"})
     return history
 
 

@@ -200,6 +200,19 @@ class TestTrain:
         assert "snr12_train.imds: field y holds non-finite values" in capsys.readouterr().err
         assert not list(out.glob("*.cvnn")) and not list(out.glob("*.jsonl"))
 
+    def test_non_finite_loss_exits_4_and_writes_nothing(self, workspace, tmp_path, capsys):
+        # a huge step overflows the c8 forward at once; the loss is NaN, and
+        # neither a checkpoint nor a log may be left behind
+        cfg = tmp_path / "huge_lr.cfg"
+        cfg.write_text(SMALL_CFG + "lr = 1e30\n")
+        out = tmp_path / "ckpt"
+        with np.errstate(all="ignore"):
+            assert main(["train", "--config", str(cfg), "--data", str(workspace["data"]),
+                         "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "numerical failure: aapd training loss" in err and "Traceback" not in err
+        assert not list(out.iterdir())
+
     def test_missing_dataset_exits_2(self, workspace, tmp_path):
         assert main(["train", "--config", str(workspace["cfg"]),
                      "--data", str(tmp_path / "nowhere"),

@@ -378,6 +378,34 @@ class TestActivations:
                 assert np.array_equal(y, want_y)
                 assert np.array_equal(gx, want_gx)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_equals_the_piecewise_mask_form(self, np_rng, dtype):
+        # bit for bit against the boolean-mask form it replaced, on random
+        # lengths and scales with zeros of both signs, infinities and NaN
+        def masked(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 88.7, -88.7, 800.0,
+                            -800.0, np.finfo(dtype).max, -np.finfo(dtype).max,
+                            np.finfo(dtype).tiny, -np.finfo(dtype).tiny], dtype=dtype)
+        for n in (1, 7, 256 * 8, 100003):
+            for scale in (0.1, 3.0, 40.0, 800.0):
+                x = (np_rng.normal(size=n) * scale).astype(dtype)
+                x[np_rng.integers(0, n, size=max(n // 10, 1))] = 0.0
+                x = np.concatenate([special, x])
+                got, want = _sigmoid(x), masked(x)
+                assert got.dtype == want.dtype == dtype
+                nan = np.isnan(want)
+                assert np.array_equal(nan, np.isnan(got))
+                assert got[~nan].tobytes() == want[~nan].tobytes()
+        with np.errstate(over="raise"):
+            _sigmoid(special[np.isfinite(special)])
+
     def test_sigmoid_extreme_inputs_finite(self):
         y = RealSigmoid().forward(np.array([[-1000.0, 1000.0]]))
         assert np.all(np.isfinite(y))
@@ -634,14 +662,16 @@ class TestComplexBatchNormMemo:
         net.set_tensors([((0, n), a) for n, a in self.random_tensors(bn, np_rng)])
         if quantized:
             net.quantize_state()
-        opt = Adam(net, lr=0.1)
         dt = bn.beta.dtype
 
         def train_forward():
             net.forward((crandn(np_rng, *self.shape) + (2.0 - 1.0j)).astype(dt), train=True)
 
         def adam_step():
-            # an infer-mode backward sets the grads, so only gamma and beta move
+            # Adam rounds gamma and beta to c8/f4 (replaced tensors), then
+            # writes its step into them; an infer-mode backward sets the
+            # grads, so only gamma and beta move
+            opt = Adam(net, lr=0.1)
             net.forward(crandn(np_rng, *self.shape))
             net.backward(crandn(np_rng, *self.shape))
             held = [bn.gamma, bn.beta]
@@ -657,11 +687,8 @@ class TestComplexBatchNormMemo:
             net.load_state_arrays(new)
             assert all(a is b for a, (_, b) in zip(held, net.tensor_items()))
 
-        events = [train_forward, set_tensor, load_in_place, net.quantize_state]
-        if not quantized:
-            # Adam refuses a quantized net
-            events.insert(1, adam_step)
-        for event in events:
+        for event in (train_forward, adam_step, set_tensor, load_in_place,
+                      net.quantize_state):
             self.check_against_fresh(bn, np_rng, calls)
             event()
             self.check_against_fresh(bn, np_rng, calls)
@@ -675,6 +702,34 @@ class TestComplexBatchNormMemo:
             return [v] if isinstance(v, np.ndarray) else [a for e in v for a in arrays(e)]
         held = arrays(bn._memo[1])
         assert held and all(a.shape[0] == 4 and a.size <= 4 * 4 for a in held)
+
+
+@pytest.mark.parametrize("make, shape", [
+    (lambda: ComplexConv2d(2, 3, rng=Rng(1)), (4, 2, 3, 5)),
+    (lambda: RealConv2d(2, 3, rng=Rng(1)), (4, 2, 3, 5)),
+    (lambda: ComplexDense(4, 5, rng=Rng(1)), (4, 4)),
+    (lambda: RealDense(4, 5, rng=Rng(1)), (4, 4)),
+    (lambda: RealHeadDense(8, 3, rng=Rng(1)), (4, 4)),
+    (lambda: ComplexBatchNorm(3), (4, 3, 2, 2)),
+    (lambda: RealBatchNorm(3), (4, 3, 2, 2)),
+    (lambda: RealSigmoid(), (4, 3)),
+], ids=["complex_conv2d", "real_conv2d", "complex_dense", "real_dense",
+        "real_head_dense", "complex_batchnorm", "real_batchnorm", "real_sigmoid"])
+@pytest.mark.parametrize("train", [True, False], ids=["train", "infer"])
+def test_backward_computes_at_the_layers_precision(make, shape, train, np_rng):
+    # a layer at c8/f4 handed a 64-bit output gradient returns its input
+    # gradient and its parameter gradients at 32 bits
+    layer = make()
+    Model([layer]).quantize_state()
+    real = type(layer) in (RealConv2d, RealDense, RealBatchNorm, RealSigmoid)
+    x = np_rng.normal(size=shape) if real else crandn(np_rng, *shape)
+    y = layer.forward(x.astype(np.float32 if real else np.complex64), train=train)
+    grad = np_rng.normal(size=y.shape) if np.isrealobj(y) else crandn(np_rng, *y.shape)
+    assert grad.dtype in (np.float64, np.complex128)
+    gx = layer.backward(grad)
+    assert gx.dtype == (np.float32 if real else np.complex64)
+    for (name, p), (_, g) in zip(layer.param_items(), layer.grad_items()):
+        assert g.dtype == p.dtype and p.dtype in (np.float32, np.complex64), name
 
 
 @pytest.mark.parametrize("cls", [ComplexBatchNorm, RealBatchNorm])

@@ -1,6 +1,7 @@
 """Model container, checkpoint format, Adam, losses, complexity accounting."""
 
 import json
+import pickle
 import struct
 
 import numpy as np
@@ -44,6 +45,10 @@ def small_model(seed=5):
         RealHeadDense(8, 3, rng=rng.derive(1)),
         RealSigmoid(),
     ], meta={"role": "test"})
+
+
+def crandn(np_rng, *shape):
+    return np_rng.normal(size=shape) + 1j * np_rng.normal(size=shape)
 
 
 def train_steps(model, steps, seed=7, lr=1e-3):
@@ -305,30 +310,118 @@ class TestCheckpointPrecision:
         out = Model.load(tmp_path / "m.cvnn").forward(np.ones((2, 6), dtype=complex))
         assert out.dtype == np.float32
 
-    def test_adam_step_over_loaded_net_raises(self, tmp_path):
+    @pytest.mark.parametrize("source", ["loaded", "quantized"])
+    def test_adam_over_a_c8_net_takes_exact_masters_and_moves_it(self, source,
+                                                                 tmp_path):
         net = small_model()
-        net.save(tmp_path / "m.cvnn")
-        loaded = Model.load(tmp_path / "m.cvnn")
-        x = np.ones((4, 6), dtype=complex)
-        loaded.backward(bce_backward(loaded.forward(x, train=True), np.ones((4, 3))))
-        before = [a.copy() for _, a in loaded.param_items()]
-        with pytest.raises(ValueError, match=r"layer 0 weight \(complex64\)"):
-            Adam(loaded).step()
-        for prev, (_, now) in zip(before, loaded.param_items()):
-            assert np.array_equal(prev, now)
+        if source == "loaded":
+            net.save(tmp_path / "m.cvnn")
+            net = Model.load(tmp_path / "m.cvnn")
+        else:
+            net.quantize_state()
+        before = [a.copy() for _, a in net.param_items()]
+        opt = Adam(net, lr=1e-3)
+        for b, m, (key, p) in zip(before, opt.masters, net.param_items()):
+            assert b.dtype in (np.complex64, np.float32), key
+            assert m.dtype == (np.complex128 if b.dtype == np.complex64 else np.float64)
+            assert np.array_equal(m, b) and p.dtype == b.dtype and np.array_equal(p, b)
+        x = np.full((4, 6), 0.5 - 0.25j)
+        net.backward(bce_backward(net.forward(x, train=True), np.ones((4, 3))))
+        opt.step()
+        for b, m, (key, p) in zip(before, opt.masters, net.param_items()):
+            assert not np.array_equal(m, b), key
+            assert p.dtype == b.dtype and np.array_equal(p, m.astype(b.dtype)), key
 
-    def test_adam_step_after_quantize_raises(self):
+    def test_non_contiguous_parameter_rejected(self):
         net = small_model()
         opt = train_steps(net, 1)
-        net.quantize_state()
-        with pytest.raises(ValueError, match="float64/complex128"):
+        w = net.layers[0].weight
+        net.layers[0].set_tensor("weight", np.asfortranarray(w))
+        with pytest.raises(ValueError, match=r"\(0, .weight.\) is not C-contiguous"):
             opt.step()
+
+
+def _layers(layers):
+    """Every layer, a residual's branch layers before the residual itself."""
+    for layer in layers:
+        if isinstance(layer, Residual):
+            yield from _layers(layer.layers)
+        yield layer
+
+
+class TestTrainingPrecision:
+    """A net under Adam trains at c8/f4, whatever the loss gradient's dtype."""
+
+    @staticmethod
+    def net_and_batch(role, variant, np_rng):
+        if role == "aapd":
+            net = build_aapd(2, 4, 3, variant, conv_channels=(2, 3), dense_units=(5, 4),
+                             seed=3).net
+            shape, target = (6, 1, 2, 4), (np_rng.random((6, 3)) < 0.5) * 1.0
+            return net, shape, target, bce_backward
+        net = build_se(2, 4, variant, channels=(2, 3), seed=3).net
+        shape = (6, 1, 2, 4)
+        return net, shape, crandn(np_rng, *shape), mse_backward
+
+    @pytest.mark.parametrize("role, variant", [("aapd", "complex"), ("aapd", "real"),
+                                               ("se", "complex"), ("se", "real")])
+    def test_backward_stays_at_checkpoint_precision(self, role, variant, np_rng):
+        # the loss gradient arrives at float64 (bce) or complex128 (the SE's
+        # residual output, hence mse): no layer computes above its own
+        # precision, every layer with tensors returns its 32-bit gradient, and
+        # every gradient is at its parameter's dtype
+        net, shape, target, loss_backward = self.net_and_batch(role, variant, np_rng)
+        Adam(net)
+        seen = []
+        for layer in _layers(net.layers):
+            def forward(x, train=False, layer=layer, f=layer.forward):
+                seen.append([layer, np.asarray(x).dtype])
+                return f(x, train=train)
+
+            def backward(g, layer=layer, b=layer.backward):
+                out = b(g)
+                next(r for r in seen if r[0] is layer).append(out.dtype)
+                return out
+            layer.forward, layer.backward = forward, backward
+        out = net.forward(crandn(np_rng, *shape), train=True)
+        assert out.dtype == (np.float32 if role == "aapd" else np.complex128)
+        net.backward(loss_backward(out, target))
+        for layer, x_dtype, g_dtype in seen:
+            # a gradient is never wider than the activation it belongs to
+            assert np.finfo(g_dtype).bits <= np.finfo(x_dtype).bits, layer.kind
+            if layer.tensor_items() and not isinstance(layer, Residual):
+                assert g_dtype in (np.complex64, np.float32), layer.kind
+        if role == "aapd":
+            # every gradient a layer hands on is 32-bit
+            assert all(g in (np.complex64, np.float32) for _, _, g in seen)
+        for (key, p), (gkey, g) in zip(net.param_items(), net.grad_items()):
+            assert key == gkey and p.dtype == g.dtype, key
+            assert p.dtype in (np.complex64, np.float32), key
+
+    @pytest.mark.parametrize("variant", ["complex", "real"])
+    def test_validation_infers_the_checkpoint_net(self, variant, np_rng, tmp_path):
+        # mid-training, running statistics at float64, infer mode gives
+        # the outputs of the net a checkpoint of that moment holds
+        net, shape, target, loss_backward = self.net_and_batch("aapd", variant, np_rng)
+        opt = Adam(net, lr=1e-2)
+        for _ in range(4):
+            net.backward(loss_backward(net.forward(crandn(np_rng, *shape), train=True),
+                                       target))
+            opt.step()
+        assert {a.dtype for _, a in net.tensor_items()} >= {np.dtype(np.float64)}
+        x = crandn(np_rng, 9, *shape[1:])
+        net.save(tmp_path / "n.cvnn")
+        got = net.forward(x)
+        want = Model.load(tmp_path / "n.cvnn").forward(x)
+        assert got.dtype == want.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
 
 
 def two_branch_adam_step(opt, params, grads, slots):
     """One Adam step in the form before the in-place rewrite, on `params`
     and `slots` (copies), with `opt`'s hyperparameters and step count: a
-    complex parameter takes the complex branch."""
+    complex parameter takes the complex branch. `grads` are taken as they
+    come, so pass them at the parameters' dtype."""
     b1, b2 = opt.beta1, opt.beta2
     c1 = 1.0 - b1 ** opt.step_count
     c2 = 1.0 - b2 ** opt.step_count
@@ -355,10 +448,12 @@ class TestAdam:
         # same gradients into both forms each step: real parameters move
         # bit-equally, complex ones within rounding of the complex division;
         # the first dense weight spans more than one of Adam's blocks
+        # the masters and the c8/f4 gradients upcast (exactly) to them; the
+        # net holds the rounded masters after each step
         net = build_aapd(2, 4, 3, variant, conv_channels=(2, 3),
                          dense_units=(700, 3), seed=2).net
-        assert max(a.view(np.float64).size for _, a in net.param_items()) > _BLOCK
         opt = Adam(net, lr=1e-2)
+        assert max(a.view(np.float64).size for a in opt.masters) > _BLOCK
         ref_slots = [{k: a.copy() for k, a in s.items()} for s in opt.slots]
         rng = np.random.default_rng(11)
         kinds = set()
@@ -366,12 +461,14 @@ class TestAdam:
             x = rng.normal(size=(7, 1, 2, 4)) + 1j * rng.normal(size=(7, 1, 2, 4))
             out = net.forward(x, train=True)
             net.backward(bce_backward(out, (rng.random(out.shape) < 0.5) * 1.0))
-            before = [p.copy() for _, p in net.param_items()]
-            ref = [p.copy() for p in before]
+            before = [m.copy() for m in opt.masters]
+            ref = [m.copy() for m in before]
             opt.step()
-            two_branch_adam_step(opt, ref, [g for _, g in net.grad_items()], ref_slots)
-            for p0, want, (_, got) in zip(before, ref, net.param_items()):
+            two_branch_adam_step(opt, ref, [g.astype(m.dtype) for m, (_, g) in
+                                            zip(ref, net.grad_items())], ref_slots)
+            for p0, want, got, (_, p) in zip(before, ref, opt.masters, net.param_items()):
                 kinds.add(got.dtype.kind)
+                assert np.array_equal(p, got.astype(p.dtype))
                 if got.dtype.kind == "f":
                     assert np.array_equal(got, want)
                 else:
@@ -387,9 +484,11 @@ class TestAdam:
         p = model.forward(x, train=True)
         model.backward(np.zeros_like(p))
         before = [a.copy() for _, a in model.param_items()]
-        Adam(model, lr=0.1).step()
-        for prev, (_, now) in zip(before, model.param_items()):
-            assert np.array_equal(prev, now)
+        opt = Adam(model, lr=0.1)
+        opt.step()
+        for prev, master, (_, now) in zip(before, opt.masters, model.param_items()):
+            assert np.array_equal(prev, master)
+            assert np.array_equal(now, master.astype(now.dtype))
 
     def test_constant_gradient_step_size_approaches_lr(self):
         # Adam asymptote: |update| -> lr for a constant gradient
@@ -417,8 +516,10 @@ class TestAdam:
         model.backward(np.full((2, 1), 1 - 1j))
         w0 = model.layers[0].weight.copy()
         g = model.layers[0].grads["weight"].copy()
-        Adam(model, lr=1e-3).step()
-        dw = model.layers[0].weight - w0
+        opt = Adam(model, lr=1e-3)
+        opt.step()
+        dw = opt.masters[0] - w0
+        assert np.array_equal(model.layers[0].weight, opt.masters[0].astype(np.complex64))
         eps = 1e-8
         want_re = -1e-3 * g.real / (np.abs(g.real) + eps)
         want_im = -1e-3 * g.imag / (np.abs(g.imag) + eps)
@@ -448,6 +549,53 @@ class TestAdam:
             o.step()
         for (_, a), (_, b) in zip(model.tensor_items(), twin.tensor_items()):
             assert np.array_equal(a, b)
+
+    def test_resume_the_harness_way_is_bit_identical(self):
+        # a run handed over between processes: the net's tensors go through
+        # load_state_arrays into a fresh build, then a fresh Adam (which
+        # rounds the fresh net) takes the pickled state with its masters
+        def aapd():
+            return build_aapd(2, 4, 3, "complex", conv_channels=(2, 3),
+                              dense_units=(6, 4), seed=2).net
+
+        rng = np.random.default_rng(5)
+        batches = [(rng.normal(size=(6, 1, 2, 4)) + 1j * rng.normal(size=(6, 1, 2, 4)),
+                    (rng.random((6, 3)) < 0.5) * 1.0) for _ in range(8)]
+
+        def steps(net, opt, part):
+            for x, g in part:
+                net.backward(bce_backward(net.forward(x, train=True), g))
+                opt.step()
+
+        whole = aapd()
+        opt = Adam(whole, lr=1e-2)
+        steps(whole, opt, batches)
+        first = aapd()
+        opt1 = Adam(first, lr=1e-2)
+        steps(first, opt1, batches[:3])
+        state = pickle.loads(pickle.dumps({"net": first.state_arrays(),
+                                           "adam": opt1.state()}))
+        second = aapd()
+        opt2 = Adam(second, lr=1e-2)
+        second.load_state_arrays(state["net"])
+        opt2.load_state(state["adam"])
+        steps(second, opt2, batches[3:])
+        for (key, a), (_, b) in zip(whole.tensor_items(), second.tensor_items()):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), key
+        for a, b in zip(opt.masters, opt2.masters):
+            assert a.tobytes() == b.tobytes()
+        # load_state alone puts the rounded masters into the net
+        third = aapd()
+        Adam(third).load_state(state["adam"])
+        for (key, a), (_, b) in zip(first.param_items(), third.param_items()):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), key
+
+    def test_load_state_without_masters_rejected(self):
+        model = small_model()
+        state = dict(train_steps(model, 1).state())
+        del state["masters"]
+        with pytest.raises(KeyError):
+            Adam(small_model()).load_state(state)
 
     def test_missing_gradients_rejected(self):
         model = small_model()

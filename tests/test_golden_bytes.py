@@ -9,7 +9,7 @@ an output format must update the digests in the same change and say why.
 The trained digests depend on floating-point summation order and were taken
 with BLAS pinned to one thread (see conftest.py).
 
-`TRAINED` was re-pinned three times. First, when training got cheaper: the
+`TRAINED` was re-pinned four times. First, when training got cheaper: the
 conv backward became two GEMMs instead of two einsums (other summation
 order), the
 dense backward stopped copying conj(W), and Adam became one in-place real
@@ -48,17 +48,35 @@ digests, the real SE digest, `DATASETS`, `SEED_BUILT` and `EVAL_METRICS`
 were not edited. `rows_conv_backward` in test_cvnn_layers.py keeps the old
 backward as a reference: bit for bit on complex128 with more than one
 output channel, within 1e-12 relative elsewhere.
+
+Fourth, when training moved to checkpoint precision: Adam keeps float64
+master weights and hands the net their float32/complex64 roundings, so
+forward and backward run at c8/f4, and every digest moved:
+  complex AAPD e2d64496... -> 5be447fd...,  complex SE 162e0a08... -> d6c04957...
+  real AAPD    ba74f19c... -> aef55706...,  real SE    83de4174... -> 30f752bc...
+Re-runs are byte-identical. `C16Adam` below is the previous optimizer,
+updating a c16/f64 net in place; with it in `train_full`'s place the
+previous digests (`C16_TRAINED`) come back byte for byte, since every
+other change is the identity on a c16 net. Over the golden configuration's
+8 steps the c8 trajectory stays within the tolerance that
+`test_c8_training_tracks_the_c16_reference` states. `DATASETS`,
+`SEED_BUILT` and `EVAL_METRICS` were not edited.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from immimo import twostage
 from immimo.cli import main
 from immimo.config import ExperimentConfig
+from immimo.cvnn import Adam, bce, bce_backward, mse, mse_backward
+from immimo.cvnn.layers import _real_view
 from immimo.dataset import generate_arrays, table_for, write_dataset
-from immimo.twostage import TrainConfig, build_aapd, build_se, train_full
+from immimo.detectors import tacs_from_probabilities, zf_estimate
+from immimo.twostage import TrainConfig, _as_input, build_aapd, build_se, train_full
 
 
 def _sha256(path) -> str:
@@ -91,6 +109,18 @@ SEED_BUILT = {
 
 TRAINED = {
     "complex": (
+        "5be447fd05f24a7a702c896d75693dcaaea38c918160ac648997c1645bfb1ede",
+        "d6c04957790d3f45cd6b54be5d83da0c94370204acf53ec08bf65d412504cce0",
+    ),
+    "real": (
+        "aef557060bdec200b9203f8b2388103a092f03b6b741eabdc9384d3cbd6874c3",
+        "30f752bc11b3945feb8f83cfa4507d4d9ea65346f6de3d1470bb03eeec2e1b6a",
+    ),
+}
+
+# TRAINED before training moved to checkpoint precision; C16Adam gives it
+C16_TRAINED = {
+    "complex": (
         "e2d6449655519332730b31d531a4cc4945e5e48db9099871224a14c568668ea2",
         "162e0a08d432cf35762a1e86af59f1c5eac0621f9e6e12a3950cfd35cea630db",
     ),
@@ -99,6 +129,54 @@ TRAINED = {
         "83de4174c2e6f3b40e7b7f9d394a8fe9e5126044e9a48bc7cc23cbf2e22f2699",
     ),
 }
+
+TRAINED_CFG = ExperimentConfig(n_t=4, n_u=2, n_r=4, t=8, m=4,
+                               tac_preset="preset-4x2", seed=3)
+
+
+class C16Adam:
+    """The optimizer before master weights: Adam run in place on the net's
+    own float64/complex128 tensors, through their float64 views, so the
+    net trains at c16/f64."""
+
+    def __init__(self, model, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.model, self.lr, self.beta1, self.beta2, self.eps = model, lr, beta1, beta2, eps
+        self.step_count = 0
+        self.slots = [{"m": np.zeros_like(a), "v": np.zeros_like(a)}
+                      for _, a in model.param_items()]
+
+    def step(self):
+        b1, b2 = self.beta1, self.beta2
+        self.step_count += 1
+        c1 = 1.0 - b1 ** self.step_count
+        c2 = 1.0 - b2 ** self.step_count
+        for slot, (_, p), (_, g) in zip(self.slots, self.model.param_items(),
+                                        self.model.grad_items()):
+            assert p.dtype in (np.float64, np.complex128)
+            g = _real_view(g, p.dtype).reshape(-1)
+            p, m, v = (a.view(np.float64).reshape(-1) for a in (p, slot["m"], slot["v"]))
+            m *= b1
+            m += g * (1 - b1)
+            v *= b2
+            v += g * g * (1 - b2)
+            s = np.sqrt(v / c2)
+            s += self.eps
+            u = m / c1
+            u /= s
+            u *= self.lr
+            p -= u
+
+
+def _train_trained_cfg(variant, tmp_path):
+    train = generate_arrays(TRAINED_CFG, 15.0, 200, 0)
+    val = generate_arrays(TRAINED_CFG, 15.0, 100, 200)
+    aapd, se, _ = train_full(train, val, TrainConfig(batch=50, max_epochs=2, seed=3),
+                             table_for(TRAINED_CFG), variant=variant,
+                             conv_channels=(4, 4), dense_units=(8, 8),
+                             se_channels=(2, 2))
+    aapd.net.save(tmp_path / "a.cvnn")
+    se.net.save(tmp_path / "s.cvnn")
+    return _sha256(tmp_path / "a.cvnn"), _sha256(tmp_path / "s.cvnn")
 
 
 @pytest.mark.parametrize("name", sorted(DATASETS))
@@ -121,18 +199,70 @@ def test_seed_built_checkpoint_bytes(variant, tmp_path):
 
 @pytest.mark.parametrize("variant", ["complex", "real"])
 def test_trained_checkpoint_bytes(variant, tmp_path):
-    cfg = ExperimentConfig(n_t=4, n_u=2, n_r=4, t=8, m=4,
-                           tac_preset="preset-4x2", seed=3)
-    train = generate_arrays(cfg, 15.0, 200, 0)
-    val = generate_arrays(cfg, 15.0, 100, 200)
-    aapd, se, _ = train_full(train, val, TrainConfig(batch=50, max_epochs=2, seed=3),
-                             table_for(cfg), variant=variant,
-                             conv_channels=(4, 4), dense_units=(8, 8),
-                             se_channels=(2, 2))
-    aapd.net.save(tmp_path / "a.cvnn")
-    se.net.save(tmp_path / "s.cvnn")
-    got = (_sha256(tmp_path / "a.cvnn"), _sha256(tmp_path / "s.cvnn"))
-    assert got == TRAINED[variant]
+    assert _train_trained_cfg(variant, tmp_path) == TRAINED[variant]
+
+
+@pytest.mark.parametrize("variant", ["complex", "real"])
+def test_c16_reference_gives_the_previous_digests(variant, tmp_path, monkeypatch):
+    monkeypatch.setattr(twostage, "Adam", C16Adam)
+    assert _train_trained_cfg(variant, tmp_path) == C16_TRAINED[variant]
+
+
+@pytest.mark.parametrize("variant", ["complex", "real"])
+def test_c8_training_tracks_the_c16_reference(variant):
+    """The golden configuration's 8 steps (2 epochs of 4 batches of 50),
+    from the same seed-built weights on the same batches, under Adam (c8
+    net, float64 masters) and C16Adam (c16 net), for the AAPD and the SE
+    (fed ZF on the true TACs).
+
+    Tolerance: each c8/f4 operation rounds to 2^-24 (6e-8) relative, so
+    the gradients differ by about 1e-7 relative and Adam's normalized
+    steps by about as much. Measured over these 8 steps: losses within
+    5e-8 relative, every master within 6e-7 of its tensor's largest
+    entry. Required: 1e-6 and 1e-5, about 20x margin. The exception is a
+    conv bias that feeds a batch norm: the norm subtracts it again, so its
+    true gradient is zero and it moves on rounding noise alone. At c16
+    that noise (about 1e-17) is far below Adam's eps (1e-8) and the bias
+    stays near its initial zero; at c8 it is not, and the bias takes steps
+    of up to about lr. So it is held to Adam's step bound: at most 2 lr
+    per step apart (measured 2.6e-3 after 8 steps against 1.6e-2).
+    """
+    table = table_for(TRAINED_CFG)
+    data = generate_arrays(TRAINED_CFG, 15.0, 200, 0)
+    tacs = tacs_from_probabilities(data["g"].astype(np.float64), table)
+    zf = zf_estimate(data["y"], data["h_est"], table.cols[tacs])
+    lr, steps = 1e-3, 8
+    for role in ("aapd", "se"):
+        if role == "aapd":
+            def build():
+                return build_aapd(4, 8, 4, variant, conv_channels=(4, 4),
+                                  dense_units=(8, 8), seed=3).net
+            x, target = _as_input(data["y"]), data["g"].astype(np.float64)
+            loss, loss_backward = bce, bce_backward
+        else:
+            def build():
+                return build_se(2, 8, variant, channels=(2, 2), seed=3).net
+            x, target = _as_input(zf), _as_input(data["s"])
+            loss, loss_backward = mse, mse_backward
+        ref, net = build(), build()
+        ref_opt, opt = C16Adam(ref, lr=lr), Adam(net, lr=lr)
+        for k in range(steps):
+            sel = slice(50 * (k % 4), 50 * (k % 4 + 1))
+            losses = []
+            for n, o in ((ref, ref_opt), (net, opt)):
+                out = n.forward(x[sel], train=True)
+                losses.append(loss(out, target[sel]))
+                n.backward(loss_backward(out, target[sel]))
+                o.step()
+            assert abs(losses[1] - losses[0]) <= 1e-6 * abs(losses[0]), (role, k)
+        norm_fed = {(i, "bias") for i, layer in enumerate(ref.layers[:-1])
+                    if "conv2d" in layer.kind and "batchnorm" in ref.layers[i + 1].kind}
+        for ((key, want), got) in zip(ref.param_items(), opt.masters):
+            diff = np.abs(got - want).max()
+            if key in norm_fed:
+                assert diff <= 2 * lr * steps, (role, key)
+            else:
+                assert diff <= 1e-5 * np.abs(want).max(), (role, key)
 
 
 EVAL_CFG = """

@@ -213,6 +213,19 @@ class TestTraining:
         assert done["best_val_loss"] == min(h["val_loss"] for h in epochs)
         assert not done["converged"]  # unreachable target hits the epoch cap
 
+    @pytest.mark.parametrize("gamma1, reason", [(10.0, "target"), (1e-9, "epoch_cap")])
+    def test_done_record_says_why_training_stopped(self, gamma1, reason, np_rng):
+        y = np_rng.normal(size=(8, 2, 4)) + 1j * np_rng.normal(size=(8, 2, 4))
+        g = (np_rng.random((8, 4)) < 0.25).astype(float)
+        aapd = build_aapd(2, 4, 4, conv_channels=(2, 2), dense_units=(4, 4), seed=4)
+        cfg = TrainConfig(batch=4, max_epochs=3, gamma1=gamma1, seed=4)
+        hist = train_aapd(aapd, (y, g), (y, g), cfg)
+        done = hist[-1]
+        epochs = [h for h in hist if "epoch" in h]
+        assert done["stop_reason"] == reason
+        assert done["converged"] == (reason == "target")
+        assert len(epochs) == (1 if reason == "target" else cfg.max_epochs)
+
     def test_se_overfits_single_sample(self, np_rng):
         s = np_rng.normal(size=(1, 1, 4)) + 1j * np_rng.normal(size=(1, 1, 4))
         z = s + 0.7 * (np_rng.normal(size=s.shape) + 1j * np_rng.normal(size=s.shape))
