@@ -311,8 +311,7 @@ class TestCheckpointPrecision:
         assert out.dtype == np.float32
 
     @pytest.mark.parametrize("source", ["loaded", "quantized"])
-    def test_adam_over_a_c8_net_takes_exact_masters_and_moves_it(self, source,
-                                                                 tmp_path):
+    def test_adam_takes_exact_masters_of_a_c8_net(self, source, tmp_path):
         net = small_model()
         if source == "loaded":
             net.save(tmp_path / "m.cvnn")
