@@ -16,11 +16,9 @@ from immimo.phy import (
     demap_frame,
     draw_channel,
     make_correlated,
-    corrupt_csi,
     apply_channel,
     noise_variance,
     ber,
-    aap_accuracy,
 )
 from immimo.detectors import (
     ml_detect,

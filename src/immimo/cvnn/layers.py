@@ -38,16 +38,21 @@ as one widely-linear map per channel, y = a*z + b*conj(z) + c, with a, b
 and c from the batch statistics (train) or the running ones (infer);
 SplitReIm and MergeReIm order the parts by channel block, not interleaved.
 
-Forward caches live on the layer, so one layer instance serves one
-forward/backward pair at a time. A cache holds what backward cannot get
-back cheaply and nothing larger than the layer's input: a conv layer
-keeps its input and rebuilds its patch matrix (k*k times the input) in
-backward. One thing outlives a call: ComplexBatchNorm memoizes its
-infer-mode map, per-channel arrays only, under the dtype, shape and exact
-bytes of the tensors it is computed from (and eps). A call whose tensors
-differ in any byte recomputes, so in-place writes (Adam, load_state_arrays)
-and replaced tensors (set_tensor, quantize_state, a train-mode forward)
-need no invalidation step.
+Forward state lives from a train-mode forward to the backward that reads
+it: `forward(x, train=True)` stores a cache on the layer, an infer-mode
+forward stores none and drops any left over, and `backward` takes the
+cache and drops it (Layer._take_cache). So one layer instance serves one
+forward/backward pair at a time, a backward is defined only right after
+a train-mode forward, and an inference pass leaves no activation behind.
+A cache holds what backward cannot get back cheaply and nothing larger
+than the layer's input: a conv layer keeps its input and rebuilds its
+patch matrix (k*k times the input) in backward. One thing outlives a
+call: ComplexBatchNorm memoizes its infer-mode map, three per-channel
+arrays, under the dtype, shape and exact bytes of the tensors it is
+computed from (and eps). A call whose tensors differ in any byte
+recomputes, so in-place writes (Adam, load_state_arrays) and replaced
+tensors (set_tensor, quantize_state, a train-mode forward) need no
+invalidation step.
 """
 
 from __future__ import annotations
@@ -212,12 +217,22 @@ class Layer:
     # in checkpoint order
     param_names: tuple = ()
     buffer_names: tuple = ()
+    # what a train-mode forward keeps for the backward that follows it
+    _cache = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _take_cache(self):
+        """The cache of the train-mode forward that this backward follows,
+        dropped from the layer; RuntimeError when there is none."""
+        cache, self._cache = self._cache, None
+        if cache is None:
+            raise RuntimeError(f"{self.kind} backward needs a train-mode forward first")
+        return cache
 
     def spec(self) -> dict:
         return {"kind": self.kind}
@@ -284,7 +299,6 @@ class _ConvBase(Layer):
                                    out_channels * kernel * kernel, self.dtype)
         self.bias = np.zeros(out_channels, dtype=self.dtype)
         self.grads: dict[str, np.ndarray] = {}
-        self._cache = None
 
     def spec(self) -> dict:
         return {"kind": self.kind, "in_channels": self.in_channels,
@@ -300,11 +314,11 @@ class _ConvBase(Layer):
         wmat = self.weight.reshape(self.out_channels, -1)
         out = wmat @ _im2col(x, self.kernel, pad)                  # (B, Cout, P)
         out += self.bias[None, :, None]
-        self._cache = (x, pad)
+        self._cache = (x, pad) if train else None
         return out.reshape(b, self.out_channels, ho, wo)
 
     def backward(self, grad):
-        x, pad = self._cache
+        x, pad = self._take_cache()
         grad = np.asarray(grad, dtype=self.weight.dtype)
         b, cout = grad.shape[0], self.out_channels
         g = grad.reshape(b, cout, -1)                               # (B, Cout, P)
@@ -358,7 +372,6 @@ class _DenseBase(Layer):
                                    out_features, self.dtype)
         self.bias = np.zeros(out_features, dtype=self.dtype)
         self.grads: dict[str, np.ndarray] = {}
-        self._x = None
 
     def spec(self) -> dict:
         return {"kind": self.kind, "in_features": self.in_features,
@@ -368,14 +381,15 @@ class _DenseBase(Layer):
         x = np.asarray(x, dtype=self.weight.dtype)
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(f"expected (B, {self.in_features}), got {x.shape}")
-        self._x = x
+        self._cache = x if train else None
         return x @ self.weight.T + self.bias
 
     def backward(self, grad):
+        x = self._take_cache()
         grad = np.asarray(grad, dtype=self.weight.dtype)
         # grad.T @ conj(x) as conj(conj(grad).T @ x): no conjugated copy of x
         gc = _conj(grad)
-        dw = gc.T @ self._x
+        dw = gc.T @ x
         self.grads = {"weight": np.conjugate(dw, out=dw), "bias": grad.sum(axis=0)}
         # grad @ conj(W) as conj(conj(grad) @ W): no conjugated copy of W
         dx = gc @ self.weight
@@ -408,7 +422,7 @@ class RealHeadDense(RealDense):
 
     def forward(self, x, train=False):
         self._in_dtype = np.complex128 if np.iscomplexobj(x) else np.float64
-        return super().forward(_real_view(x, self._in_dtype))
+        return super().forward(_real_view(x, self._in_dtype), train)
 
     def backward(self, grad):
         return _from_real_view(super().backward(grad), self._in_dtype)
@@ -420,11 +434,12 @@ class RealReLU(Layer):
 
     def forward(self, x, train=False):
         v = _real_view(x, self.dtype)
-        self._m = v > 0
-        return _from_real_view(v * self._m, self.dtype)
+        m = v > 0
+        self._cache = m if train else None
+        return _from_real_view(v * m, self.dtype)
 
     def backward(self, grad):
-        return _from_real_view(_real_view(grad, self.dtype) * self._m, self.dtype)
+        return _from_real_view(_real_view(grad, self.dtype) * self._take_cache(), self.dtype)
 
 
 class ComplexReLU(RealReLU):
@@ -439,12 +454,14 @@ class RealSigmoid(Layer):
     dtype = np.float64
 
     def forward(self, x, train=False):
-        self._s = _sigmoid(_real_view(x, self.dtype))
-        return _from_real_view(self._s, self.dtype)
+        s = _sigmoid(_real_view(x, self.dtype))
+        self._cache = s if train else None
+        return _from_real_view(s, self.dtype)
 
     def backward(self, grad):
-        g = _real_view(grad, self.dtype).astype(self._s.dtype, copy=False)
-        return _from_real_view(g * self._s * (1 - self._s), self.dtype)
+        s = self._take_cache()
+        g = _real_view(grad, self.dtype).astype(s.dtype, copy=False)
+        return _from_real_view(g * s * (1 - s), self.dtype)
 
 
 class ComplexSigmoid(RealSigmoid):
@@ -460,11 +477,11 @@ class Flatten(Layer):
     kind = "flatten"
 
     def forward(self, x, train=False):
-        self._shape = x.shape
+        self._cache = x.shape if train else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad):
-        return grad.reshape(self._shape)
+        return grad.reshape(self._take_cache())
 
 
 class SplitReIm(Layer):
@@ -552,16 +569,16 @@ class ComplexBatchNorm(Layer):
     (`_widely_linear`) and c = beta - (a*mean + b*conj(mean)), applied in
     the layer's dtype. Train mode takes mean and V from the batch, updates
     the running stats with momentum and caches the centred input u and
-    V^(-1/2) for backward; infer mode takes the running stats. The inverse
-    square root of the 2x2 covariance (+ eps on the diagonal) is
-    closed-form via its trace and determinant.
+    V^(-1/2) for backward; infer mode takes the running stats and caches
+    nothing. The inverse square root of the 2x2 covariance (+ eps on the
+    diagonal) is closed-form via its trace and determinant.
 
-    Infer mode memoizes the map: a, b and c cast to the layer's dtype, plus
-    what its backward reads (W, s, t, the eps-loaded V, the mean), all per
-    channel. The memo key is eps and the dtype, shape and bytes of gamma,
-    beta, running_mean and running_v; a call whose key differs recomputes,
-    with the same arithmetic as before, so the output is the same bit for
-    bit whether the memo hits or not. Train mode never reads the memo.
+    Infer mode memoizes the map: a, b and c per channel, cast to the
+    layer's dtype. The memo key is eps and the dtype, shape and bytes of
+    gamma, beta, running_mean and running_v; a call whose key differs
+    recomputes, with the same arithmetic as before, so the output is the
+    same bit for bit whether the memo hits or not. Train mode never reads
+    the memo.
     """
 
     kind = "complex_batchnorm"
@@ -582,7 +599,6 @@ class ComplexBatchNorm(Layer):
         # identity covariance start, stored as symmetric (v_rr, v_ri, v_ii)
         self.running_v = np.tile(np.array([1.0, 0.0, 1.0]), (channels, 1))
         self.grads: dict[str, np.ndarray] = {}
-        self._cache = None
         self._memo = None
 
     def spec(self):
@@ -622,8 +638,8 @@ class ComplexBatchNorm(Layer):
             self.gamma, self.beta, self.running_mean, self.running_v)))
 
     def _coeffs(self, mean, v11, v12, v22) -> tuple:
-        """(w, s, t, eps-loaded V, mean, a, b, c) of the map from mean and
-        V, per channel at float64 (complex128), whatever the layer's dtype."""
+        """(w, s, t, eps-loaded V, a, b, c) of the map from mean and V, per
+        channel at float64 (complex128), whatever the layer's dtype."""
         v11, v12, v22 = (np.asarray(v, dtype=np.float64) for v in (v11, v12, v22))
         veps = (v11 + self.eps, v12, v22 + self.eps)
         w11, w12, w22, s, t = self._whiten_coeffs(*veps)
@@ -631,11 +647,11 @@ class ComplexBatchNorm(Layer):
         a, b = _widely_linear(np.asarray(self.gamma, dtype=np.float64) @ w)
         mean = np.asarray(mean, dtype=np.complex128)
         c = self.beta.astype(np.complex128) - (a * mean + b * mean.conj())
-        return w, s, t, veps, mean, a, b, c
+        return w, s, t, veps, a, b, c
 
     def _infer_map(self) -> tuple:
-        """_coeffs of the running statistics, with a, b and c cast to the
-        layer's dtype; memoized while _infer_key holds."""
+        """(a, b, c) of the running statistics' _coeffs, cast to the layer's
+        dtype; memoized while _infer_key holds."""
         key = self._infer_key()
         if self._memo is None or self._memo[0] != key:
             # copies of the running statistics rounded to the layer's
@@ -643,9 +659,8 @@ class ComplexBatchNorm(Layer):
             # memory with the tensors
             dt = self.beta.dtype
             v = self.running_v.astype(self.gamma.dtype)
-            w, s, t, veps, mean, a, b, c = self._coeffs(self.running_mean.astype(dt), *v.T)
-            self._memo = (key, (w, s, t, veps, mean, a.astype(dt), b.astype(dt),
-                                c.astype(dt)))
+            *_, a, b, c = self._coeffs(self.running_mean.astype(dt), *v.T)
+            self._memo = (key, (a.astype(dt), b.astype(dt), c.astype(dt)))
         return self._memo[1]
 
     def forward(self, x, train=False):
@@ -668,21 +683,19 @@ class ComplexBatchNorm(Layer):
             self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
             batch_v = np.stack([v11, v12, v22], axis=1)
             self.running_v = self.momentum * self.running_v + (1 - self.momentum) * batch_v
-            w, s, t, veps, mean, a, b, c = self._coeffs(mean, v11, v12, v22)
-            self._cache = (u, w, s, t, veps, axes, n, train)
+            w, s, t, veps, a, b, c = self._coeffs(mean, v11, v12, v22)
+            self._cache = (u, w, s, t, veps, axes, n)
         else:
-            w, s, t, veps, mean, a, b, c = self._infer_map()
-            # backward rebuilds u = x - mean in infer mode
-            self._cache = ((x, mean), w, s, t, veps, axes, 0, train)
+            a, b, c = self._infer_map()
+            self._cache = None
         y = _apply_widely_linear(x, a, b)
         y += _expand(c.astype(x.dtype, copy=False), x.ndim)
         return y
 
     def backward(self, grad):
-        src, w, s, t, (v11, v12, v22), axes, n, train = self._cache
+        u, w, s, t, (v11, v12, v22), axes, n = self._take_cache()
         grad = np.asarray(grad, dtype=self.beta.dtype)
         nd = grad.ndim
-        u = src if train else src[0] - _expand(src[1], nd)
         gr, gi, ur, ui = grad.real, grad.imag, u.real, u.imag
         # sums[c] = [[<gr, ur>, <gr, ui>], [<gi, ur>, <gi, ui>]] over the moment axes
         sums = np.stack([np.stack([(gr * ur).sum(axis=axes), (gr * ui).sum(axis=axes)], -1),
@@ -695,10 +708,8 @@ class ComplexBatchNorm(Layer):
         # at fixed W the input grad is (gamma W)^T applied to the output grad
         ag, bg = _widely_linear(np.swapaxes(self.gamma @ w, -1, -2))
         dx = _apply_widely_linear(grad, ag, bg)
-        if not train:
-            return dx
-        # train mode: W depends on batch covariance, mean subtraction on batch mean.
-        # lw = grad wrt (w11, w12, w22) = the entries of gamma^T sums
+        # W depends on the batch covariance, the mean subtraction on the batch
+        # mean. lw = grad wrt (w11, w12, w22) = the entries of gamma^T sums
         gs = np.swapaxes(self.gamma, -1, -2) @ sums
         lw11, lw12, lw22 = gs[:, 0, 0], gs[:, 0, 1] + gs[:, 1, 0], gs[:, 1, 1]
         # partials of (w11, w12, w22) wrt (v11, v12, v22); eps-loaded V
@@ -740,7 +751,6 @@ class RealBatchNorm(Layer):
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
         self.grads: dict[str, np.ndarray] = {}
-        self._cache = None
 
     def spec(self):
         return {"kind": self.kind, "channels": self.channels, "eps": self.eps,
@@ -771,18 +781,15 @@ class RealBatchNorm(Layer):
                          for a in (self.running_mean, self.running_var))
         inv = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - _expand(mean, x.ndim)) * _expand(inv, x.ndim)
-        n = int(np.prod([x.shape[a] for a in axes]))
-        self._cache = (xhat, inv, axes, n, train)
+        self._cache = (xhat, inv, axes) if train else None
         return _expand(self.gamma, x.ndim) * xhat + _expand(self.beta, x.ndim)
 
     def backward(self, grad):
-        xhat, inv, axes, n, train = self._cache
+        xhat, inv, axes = self._take_cache()
         grad = np.asarray(grad, dtype=self.gamma.dtype)
         nd = grad.ndim
         self.grads = {"gamma": (grad * xhat).sum(axis=axes), "beta": grad.sum(axis=axes)}
         gsc = grad * _expand(self.gamma * inv, nd)
-        if not train:
-            return gsc
         return gsc - gsc.mean(axis=axes, keepdims=True) \
             - xhat * _expand((grad * xhat).mean(axis=axes)
                              * self.gamma * inv, nd)

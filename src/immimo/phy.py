@@ -42,9 +42,6 @@ class TacTable:
     def b1(self) -> int:
         return self.n_l.bit_length() - 1
 
-    def __contains__(self, tac) -> bool:
-        return tuple(tac) in self.tacs
-
     @functools.cached_property
     def cols(self) -> np.ndarray:
         """0-based ascending antenna columns of every codeword, (n_l, n_u) intp."""
@@ -161,14 +158,6 @@ def make_correlated(h: np.ndarray, rho: float) -> np.ndarray:
     return expfact(n_r, rho) @ h @ expfact(n_t, rho).conj().T
 
 
-def corrupt_csi(h: np.ndarray, error_var: float, rng: Rng) -> np.ndarray:
-    """Receiver CSI: h plus i.i.d. CN(0, error_var) estimation error."""
-    h = np.asarray(h, dtype=np.complex128)
-    if error_var == 0:
-        return h.copy()
-    return h + complex_gaussian(rng, h.shape[0], h.shape[1], error_var)
-
-
 def csi_error_variance(n_t: int, sigma_z2: float, n_p: int, e_p: float) -> float:
     """Pilot-based LS estimation error variance N_t * sigma_z^2 / (N_p * E_p)."""
     if n_p <= 0 or e_p <= 0:
@@ -178,7 +167,8 @@ def csi_error_variance(n_t: int, sigma_z2: float, n_p: int, e_p: float) -> float
 
 def draw_channel(rng: Rng, n_r: int, n_t: int, rho: float = 0.0) -> np.ndarray:
     """Draw H (n_r, n_t) with i.i.d. CN(0, 1/N_r) entries, then Kronecker
-    correlation `rho`; the receiver's estimate comes from corrupt_csi."""
+    correlation `rho`; dataset generation adds the receiver's CSI error
+    (dataset.generate_arrays)."""
     h = complex_gaussian(rng, n_r, n_t, 1.0 / n_r)
     if rho:
         h = make_correlated(h, rho)

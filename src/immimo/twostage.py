@@ -337,20 +337,13 @@ def train_full(train: dict, val: dict, cfg: TrainConfig, table: TacTable,
 
 
 def detect_frames(y: np.ndarray, h_est: np.ndarray, aapd: AapdModel, se: SeModel,
-                  table: TacTable, constellation: QamConstellation,
-                  chunk: int = 256):
+                  table: TacTable, constellation: QamConstellation):
     """Two-stage detection of a (B, n_r, t) batch back to payload bits.
 
-    Runs `chunk` frames at a time through AAPD, legalization and ZF
-    (build_zf_dataset, whose net passes hold at most 256 frames), then SE
-    and demapping. A single frame is a batch of 1.
+    AAPD, legalization and ZF (build_zf_dataset), then SE and demapping,
+    each over the whole batch; the nets run 256 frames at a time. A single
+    frame is a batch of 1.
     Returns (bits (B, b), tac_indices (B,)).
     """
-    y = np.asarray(y)
-    h_est = np.asarray(h_est)
-    bits, tacs = [], []
-    for lo in range(0, len(y), chunk):
-        s_zf, part = build_zf_dataset(aapd, y[lo:lo + chunk], h_est[lo:lo + chunk], table)
-        bits.append(demap_frame(part, se.enhance(s_zf), table, constellation))
-        tacs.append(part)
-    return _joined(bits), _joined(tacs)
+    s_zf, tacs = build_zf_dataset(aapd, y, h_est, table)
+    return demap_frame(tacs, se.enhance(s_zf), table, constellation), tacs

@@ -371,7 +371,7 @@ class TestActivations:
             grad = edge_crandn(np_rng, *x.shape)
             for g in (grad, np.asfortranarray(grad)):
                 act = layer()
-                y = act.forward(x)
+                y = act.forward(x, train=True)
                 gx = act.backward(g)
                 want_y, want_gx = ref(x, g)
                 assert y.dtype == gx.dtype == np.complex128
@@ -417,7 +417,7 @@ class TestReshapes:
     def test_flatten_round_trip(self, np_rng):
         f = Flatten()
         x = crandn(np_rng, 2, 3, 4, 5)
-        y = f.forward(x)
+        y = f.forward(x, train=True)
         assert y.shape == (2, 60)
         assert np.array_equal(f.backward(y), x)
 
@@ -450,7 +450,7 @@ class TestRealHead:
         for x in (base, base[::2], base[:, ::2], edge_crandn(np_rng, 3, 8).T):
             head = RealHeadDense(2 * x.shape[1], 3, rng=Rng(9))
             grad = np_rng.normal(size=(x.shape[0], 3))
-            y = head.forward(x)
+            y = head.forward(x, train=True)
             gx = head.backward(grad)
             want = ref_head_dense(head.weight, head.bias, x, grad)
             got = (y, head.grads["weight"], head.grads["bias"], gx)
@@ -542,9 +542,12 @@ class TestComplexBatchNorm:
         y_ref, dx_ref, dgamma_ref, dbeta_ref, mean_ref, v_ref = \
             whiten_then_gamma_batchnorm(bn, x, grad, train)
         y = bn.forward(x, train=train)
-        dx = bn.backward(grad)
-        for got, want in ((y, y_ref), (dx, dx_ref), (bn.grads["gamma"], dgamma_ref),
-                          (bn.grads["beta"], dbeta_ref)):
+        checks = [(y, y_ref)]
+        if train:   # infer mode keeps nothing for a backward
+            dx = bn.backward(grad)
+            checks += [(dx, dx_ref), (bn.grads["gamma"], dgamma_ref),
+                       (bn.grads["beta"], dbeta_ref)]
+        for got, want in checks:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert rel_err(got, want) <= 1e-12
         assert np.array_equal(bn.running_mean, mean_ref)
@@ -638,20 +641,16 @@ class TestComplexBatchNormMemo:
         return calls
 
     def check_against_fresh(self, bn, np_rng, calls):
-        """Infer output and infer-mode backward equal a new layer's that
-        holds copies of bn's tensors; a repeat call does not recompute."""
+        """Infer output equals a new layer's that holds copies of bn's
+        tensors; a repeat call does not recompute."""
         x = (crandn(np_rng, *self.shape) * 2.0 + (1.0 - 0.5j)).astype(bn.beta.dtype)
-        grad = crandn(np_rng, *self.shape).astype(bn.beta.dtype)
         fresh = ComplexBatchNorm(bn.channels, eps=bn.eps, momentum=bn.momentum)
         for name, a in bn.tensor_items():
             fresh.set_tensor(name, a.copy())
-        got = [bn.forward(x), bn.backward(grad), bn.grads["gamma"], bn.grads["beta"]]
-        want = [fresh.forward(x), fresh.backward(grad), fresh.grads["gamma"],
-                fresh.grads["beta"]]
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
+        got, want = bn.forward(x), fresh.forward(x)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
         before = len(calls)
-        assert np.array_equal(bn.forward(x), got[0])
+        assert np.array_equal(bn.forward(x), got)
         assert len(calls) == before
 
     @pytest.mark.parametrize("quantized", [False, True], ids=["c16", "c8"])
@@ -669,10 +668,10 @@ class TestComplexBatchNormMemo:
 
         def adam_step():
             # Adam rounds gamma and beta to c8/f4 (replaced tensors), then
-            # writes its step into them; an infer-mode backward sets the
-            # grads, so only gamma and beta move
+            # writes its step into them; a train-mode pass sets the grads
+            # and moves the running statistics too
             opt = Adam(net, lr=0.1)
-            net.forward(crandn(np_rng, *self.shape))
+            net.forward((crandn(np_rng, *self.shape) + (2.0 - 1.0j)).astype(dt), train=True)
             net.backward(crandn(np_rng, *self.shape))
             held = [bn.gamma, bn.beta]
             opt.step()
@@ -701,7 +700,7 @@ class TestComplexBatchNormMemo:
         def arrays(v):
             return [v] if isinstance(v, np.ndarray) else [a for e in v for a in arrays(e)]
         held = arrays(bn._memo[1])
-        assert held and all(a.shape[0] == 4 and a.size <= 4 * 4 for a in held)
+        assert len(held) == 3 and all(a.shape == (4,) for a in held)
 
 
 @pytest.mark.parametrize("make, shape", [
@@ -717,19 +716,58 @@ class TestComplexBatchNormMemo:
         "real_head_dense", "complex_batchnorm", "real_batchnorm", "real_sigmoid"])
 @pytest.mark.parametrize("train", [True, False], ids=["train", "infer"])
 def test_backward_computes_at_the_layers_precision(make, shape, train, np_rng):
-    # a layer at c8/f4 handed a 64-bit output gradient returns its input
-    # gradient and its parameter gradients at 32 bits
+    # a layer at c8/f4 infers at 32 bits, and handed a 64-bit output
+    # gradient after a train-mode forward returns its input gradient and
+    # its parameter gradients at 32 bits
     layer = make()
     Model([layer]).quantize_state()
     real = type(layer) in (RealConv2d, RealDense, RealBatchNorm, RealSigmoid)
     x = np_rng.normal(size=shape) if real else crandn(np_rng, *shape)
     y = layer.forward(x.astype(np.float32 if real else np.complex64), train=train)
+    assert y.dtype in (np.float32, np.complex64)
+    if not train:
+        return
     grad = np_rng.normal(size=y.shape) if np.isrealobj(y) else crandn(np_rng, *y.shape)
     assert grad.dtype in (np.float64, np.complex128)
     gx = layer.backward(grad)
     assert gx.dtype == (np.float32 if real else np.complex64)
     for (name, p), (_, g) in zip(layer.param_items(), layer.grad_items()):
         assert g.dtype == p.dtype and p.dtype in (np.float32, np.complex64), name
+
+
+@pytest.mark.parametrize("make, shape", [
+    (lambda: ComplexConv2d(2, 3, rng=Rng(1)), (4, 2, 3, 5)),
+    (lambda: RealConv2d(2, 3, rng=Rng(1)), (4, 2, 3, 5)),
+    (lambda: ComplexDense(4, 5, rng=Rng(1)), (4, 4)),
+    (lambda: RealDense(4, 5, rng=Rng(1)), (4, 4)),
+    (lambda: RealHeadDense(8, 3, rng=Rng(1)), (4, 4)),
+    (lambda: ComplexReLU(), (4, 3)),
+    (lambda: RealReLU(), (4, 3)),
+    (lambda: ComplexSigmoid(), (4, 3)),
+    (lambda: RealSigmoid(), (4, 3)),
+    (lambda: Flatten(), (4, 2, 3, 5)),
+    (lambda: ComplexBatchNorm(3), (4, 3, 2, 2)),
+    (lambda: RealBatchNorm(3), (4, 3, 2, 2)),
+], ids=["complex_conv2d", "real_conv2d", "complex_dense", "real_dense",
+        "real_head_dense", "complex_relu", "real_relu", "complex_sigmoid",
+        "real_sigmoid", "flatten", "complex_batchnorm", "real_batchnorm"])
+def test_backward_needs_a_train_mode_forward(make, shape, np_rng):
+    # an infer forward keeps nothing and drops what a train-mode forward
+    # kept, and a backward drops what the train-mode forward before it kept
+    layer = make()
+    real = type(layer) in (RealConv2d, RealDense, RealBatchNorm, RealReLU, RealSigmoid)
+    x = np_rng.normal(size=shape) if real else crandn(np_rng, *shape)
+    layer.forward(x, train=True)
+    y = layer.forward(x)
+    grad = np.ones_like(y)
+    assert layer._cache is None
+    with pytest.raises(RuntimeError, match="needs a train-mode forward"):
+        layer.backward(grad)
+    layer.forward(x, train=True)
+    layer.backward(grad)
+    assert layer._cache is None
+    with pytest.raises(RuntimeError, match="needs a train-mode forward"):
+        layer.backward(grad)
 
 
 @pytest.mark.parametrize("cls", [ComplexBatchNorm, RealBatchNorm])

@@ -24,7 +24,7 @@ from immimo.dataset import (
 )
 from immimo.linalg import Rng, complex_gaussian
 from immimo.modulation import QamConstellation
-from immimo.phy import corrupt_csi, frame_bit_count, noise_variance
+from immimo.phy import frame_bit_count, noise_variance
 
 
 def base_cfg(**kw):
@@ -179,6 +179,13 @@ def ref_assemble_frame(bits, table, constellation, t) -> RefFrame:
     return RefFrame(bits=bits, tac_index=tac_index, s=s, x=x, t=t)
 
 
+def ref_corrupt_csi(h, error_var, rng):
+    """Receiver CSI of one frame: h plus i.i.d. CN(0, error_var) error."""
+    if error_var == 0:
+        return h.copy()
+    return h + complex_gaussian(rng, h.shape[0], h.shape[1], error_var)
+
+
 def ref_apply_channel(frame: RefFrame, h, snr_db, rng):
     y = h @ frame.x
     n_r = h.shape[0]
@@ -194,7 +201,7 @@ def ref_generate_frame_data(cfg, table, constellation, snr_db, frame_index, h):
     nbits = frame_bit_count(table, constellation, cfg.t)
     bits = base.derive(0).bits(nbits)
     frame = ref_assemble_frame(bits, table, constellation, cfg.t)
-    h_est = corrupt_csi(h, cfg.csi_error_var, base.derive(1))
+    h_est = ref_corrupt_csi(h, cfg.csi_error_var, base.derive(1))
     y = ref_apply_channel(frame, h, snr_db, base.derive(2))
     g = np.zeros(cfg.n_t, dtype=np.uint8)
     g[[a - 1 for a in table.tacs[frame.tac_index]]] = 1

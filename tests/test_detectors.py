@@ -110,7 +110,7 @@ def legalize_support(support, table):
     """Reference per-frame support legalization: the exact match, else the
     legal TAC of maximal overlap, ties toward the earliest entry."""
     sup = set(support)
-    if tuple(sorted(sup)) in table:
+    if tuple(sorted(sup)) in table.tacs:
         return table.tacs.index(tuple(sorted(sup)))
     return int(np.argmax([len(sup & set(t)) for t in table.tacs]))
 
@@ -401,7 +401,7 @@ class TestBatchedMatchesPerFrame:
         for i in range(len(y)):
             support = somp_one(y[i], h[i], table.n_u)
             assert np.array_equal(supports[i] + 1, support)
-            nonlegal += support not in table
+            nonlegal += support not in table.tacs
             ti = legalize_support(support, table)
             assert tacs[i] == ti
             assert np.array_equal(s_hat[i], zf_one(y[i], h[i], table.tacs[ti]))

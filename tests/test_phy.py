@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from immimo.config import ExperimentConfig
+from immimo.dataset import generate_arrays
 from immimo.linalg import Rng, complex_gaussian
 from immimo.modulation import QamConstellation
 from immimo.phy import (
@@ -12,7 +14,6 @@ from immimo.phy import (
     assemble_frame,
     ber,
     build_tac_table,
-    corrupt_csi,
     csi_error_variance,
     demap_frame,
     draw_channel,
@@ -42,9 +43,6 @@ class TestTacTable:
         table = build_tac_table(8, 2)
         for i, tac in enumerate(table.tacs):
             assert table.tacs.index(tac) == i
-        assert (1, 2) in table
-        assert [1, 2] in table  # any sequence of antennas
-        assert (7, 8) not in table  # beyond the 16 kept combinations
 
     def test_aap_vector(self):
         table = build_tac_table(4, 2)
@@ -190,15 +188,15 @@ class TestChannel:
         h = draw_channel(Rng(3), 64, 64)
         assert abs(np.mean(np.abs(h) ** 2) - 1.0 / 64) < 2e-3 / 64 * 50
 
+    # generation adds the receiver's CSI error to the seed's channel
     def test_estimate_equals_truth_without_error(self):
-        h = draw_channel(Rng(3), 4, 4)
-        assert np.array_equal(corrupt_csi(h, 0.0, Rng(4)), h)
+        data = generate_arrays(ExperimentConfig(n_t=4, n_u=1, n_r=4, seed=3), 10.0, 8, 0)
+        assert np.array_equal(data["h_est"], data["h"])
 
     def test_csi_error_variance_empirical(self):
-        rng = Rng(4)
-        h = np.zeros((80, 80), dtype=np.complex128)
-        h_est = corrupt_csi(h, 0.04, rng)
-        assert abs(np.mean(np.abs(h_est - h) ** 2) - 0.04) < 3e-3
+        cfg = ExperimentConfig(n_t=8, n_u=2, n_r=8, csi_error_var=0.04, seed=4)
+        data = generate_arrays(cfg, 10.0, 100, 0)
+        assert abs(np.mean(np.abs(data["h_est"] - data["h"]) ** 2) - 0.04) < 3e-3
 
     def test_pilot_error_variance_formula(self):
         assert csi_error_variance(4, 0.1, n_p=8, e_p=2.0) == pytest.approx(0.025)
