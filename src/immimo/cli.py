@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from immimo.config import ConfigError, ExperimentConfig, check_detectors, load_config
+from immimo.config import ConfigError, ExperimentConfig, check_detectors, load_config, snr_tag
 from immimo.cvnn import count_flops, count_params
 from immimo.dataset import (
     check_header_matches,
@@ -51,17 +51,11 @@ from immimo.runner import (
     somp_flops,
     write_results,
 )
-from immimo.twostage import (
-    TrainConfig,
-    build_aapd,
-    build_se,
-    detect_frames,
-    train_full,
-)
+from immimo.twostage import build_aapd, build_se, detect_frames, train_full
 
 
 def _dataset_path(data_dir: str, snr_db: float, split: str) -> str:
-    return os.path.join(data_dir, f"snr{snr_db:g}_{split}.imds")
+    return os.path.join(data_dir, f"snr{snr_tag(snr_db)}_{split}.imds")
 
 
 def _load_cfg(args) -> ExperimentConfig:
@@ -114,18 +108,16 @@ def _load_pooled(data_dir: str, cfg: ExperimentConfig, snrs, split: str) -> dict
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     os.makedirs(args.out, exist_ok=True)
-    tcfg = TrainConfig(lr=cfg.lr, batch=cfg.batch, max_epochs=cfg.max_epochs,
-                       gamma1=cfg.gamma1, gamma2=cfg.gamma2, seed=cfg.seed)
     table = table_for(cfg)
     # snr None: one model from all SNR points pooled
     for snr in [None] if args.mixed else cfg.snr_db:
         pool = cfg.snr_db if snr is None else [snr]
         train = _load_pooled(args.data, cfg, pool, "train")
         val = _load_pooled(args.data, cfg, pool, "val")
-        tag = "mixed" if snr is None else f"{snr:g}"
+        tag = "mixed" if snr is None else snr_tag(snr)
         t0 = time.monotonic()
         aapd, se, history = train_full(
-            train, val, tcfg, table, variant=args.variant,
+            train, val, cfg, table, variant=args.variant,
             conv_channels=tuple(cfg.conv_channels),
             dense_units=tuple(cfg.dense_units),
             se_channels=tuple(cfg.se_channels))
@@ -338,10 +330,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

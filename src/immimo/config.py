@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import dataclass, field
 
 from immimo.phy import csi_error_variance
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Invalid configuration contents."""
 
 
@@ -19,8 +20,37 @@ _U64_MAX = 2**64 - 1
 _F32_MAX = 3.4028234663852886e38
 
 
+def snr_tag(snr_db: float) -> str:
+    """The text that names one SNR point in dataset and checkpoint file names."""
+    return f"{snr_db:g}"
+
+
 @dataclass
-class ExperimentConfig:
+class TrainConfig:
+    """Settings of the two training stages (twostage.train_full)."""
+    lr: float = 1e-3
+    batch: int = 100
+    max_epochs: int = 200
+    gamma1: float = 0.05          # AAPD validation BCE target
+    gamma2: float | None = None   # SE validation MSE target; None -> 1.05x ZF floor
+    seed: int = 0
+
+    def __post_init__(self):
+        for name in ("lr", "gamma1", "gamma2"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+            if value is not None and not value > 0:
+                raise ConfigError(f"{name} must be > 0, got {value}")
+        if self.batch < 2:
+            raise ConfigError(f"batch must be >= 2, got {self.batch}")
+        if self.max_epochs < 1:
+            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
+
+
+@dataclass
+class ExperimentConfig(TrainConfig):
+    """Every setting of an experiment; the training keys are TrainConfig's."""
     # system dimensions
     n_t: int = 4
     n_u: int = 1
@@ -28,7 +58,7 @@ class ExperimentConfig:
     t: int = 16
     m: int = 4
     # channel
-    snr_db: list = field(default_factory=lambda: [5.0, 10.0, 15.0, 20.0, 25.0])
+    snr_db: list[float] = field(default_factory=lambda: [5.0, 10.0, 15.0, 20.0, 25.0])
     rho: float = 0.0
     csi_error_var: float = 0.0
     n_p: int | None = None          # pilot count; with e_p/sigma_z2 overrides
@@ -39,24 +69,19 @@ class ExperimentConfig:
     frames_val: int = 2000
     frames_test: int = 2000
     seed: int = 1
-    # detection / training
-    detectors: list = field(default_factory=lambda: ["ml", "somp", "nn"])
+    # detection / net widths
+    detectors: list[str] = field(default_factory=lambda: ["ml", "somp", "nn"])
     tac_preset: str = "lexicographic"
-    lr: float = 1e-3
-    batch: int = 100
-    max_epochs: int = 200
-    gamma1: float = 0.05
-    gamma2: float | None = None
-    conv_channels: list = field(default_factory=lambda: [32, 64])
-    dense_units: list = field(default_factory=lambda: [256, 128])
-    se_channels: list = field(default_factory=lambda: [16, 16])
+    conv_channels: list[int] = field(default_factory=lambda: [32, 64])
+    dense_units: list[int] = field(default_factory=lambda: [256, 128])
+    se_channels: list[int] = field(default_factory=lambda: [16, 16])
     # csi sweep points, as error variances
-    sweep_error_var: list = field(default_factory=lambda: [0.0, 0.001, 0.01, 0.1])
+    sweep_error_var: list[float] = field(default_factory=lambda: [0.0, 0.001, 0.01, 0.1])
     threads: int = 1                # no effect; perfbench/ still reads it
 
     def __post_init__(self):
         # rho and csi_error_var get range checks below that NaN and inf fail
-        for name in ("e_p", "sigma_z2", "lr", "gamma1", "gamma2"):
+        for name in ("e_p", "sigma_z2"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
@@ -69,6 +94,11 @@ class ExperimentConfig:
             raise ConfigError(f"snr_db entries must be finite or +inf, got {self.snr_db}")
         if any(math.isfinite(v) and abs(v) > _F32_MAX for v in self.snr_db):
             raise ConfigError(f"snr_db entries must fit a float32, got {self.snr_db}")
+        # each point needs files of its own: 10 and 10.0000001 share a tag,
+        # and 0 and -0 (tags "0" and "-0") one value; v + 0.0 turns -0 into 0
+        if len({snr_tag(v + 0.0) for v in self.snr_db}) < len(self.snr_db):
+            raise ConfigError(f"snr_db entries must differ in their file tag "
+                              f"({{:g}}), got {self.snr_db}")
         for name in ("n_t", "n_u", "n_r", "t", "m"):
             if getattr(self, name) > _U16_MAX:
                 raise ConfigError(f"{name} must be <= {_U16_MAX}, got {getattr(self, name)}")
@@ -90,6 +120,10 @@ class ExperimentConfig:
            (self.n_p is not None) != (self.sigma_z2 is not None):
             raise ConfigError("n_p, e_p, sigma_z2 must be given together")
         if self.n_p is not None:
+            if not (1 <= self.n_p <= _U64_MAX and self.e_p > 0 and self.sigma_z2 >= 0):
+                raise ConfigError(f"need 1 <= n_p <= 2**64 - 1, e_p > 0 and sigma_z2 >= 0, "
+                                  f"got n_p={self.n_p}, e_p={self.e_p}, "
+                                  f"sigma_z2={self.sigma_z2}")
             self.csi_error_var = csi_error_variance(self.n_t, self.sigma_z2,
                                                     self.n_p, self.e_p)
         if not 0 <= self.csi_error_var < math.inf:
@@ -97,16 +131,7 @@ class ExperimentConfig:
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         # training keys, checked here so that no command starts on them
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
-        if self.batch < 2:
-            raise ConfigError(f"batch must be >= 2, got {self.batch}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        for name in ("gamma1", "gamma2"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ConfigError(f"{name} must be > 0, got {value}")
+        super().__post_init__()
         for name in ("conv_channels", "dense_units", "se_channels"):
             widths = getattr(self, name)
             if len(widths) != 2 or not all(
@@ -127,20 +152,19 @@ def check_detectors(names) -> None:
             raise ConfigError(f"unknown detector {d!r} (choose from {', '.join(DETECTORS)})")
 
 
-_FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
-_LIST_KEYS = {"snr_db", "detectors", "conv_channels", "dense_units",
-              "se_channels", "sweep_error_var"}
-_INT_KEYS = {"n_t", "n_u", "n_r", "t", "m", "frames_train", "frames_val",
-             "frames_test", "seed", "batch", "max_epochs", "n_p", "threads"}
-_FLOAT_KEYS = {"rho", "csi_error_var", "e_p", "sigma_z2", "lr", "gamma1", "gamma2"}
+def _parser(hint):
+    """The text -> value function of one field annotation: int, float and
+    str parse as such, `X | None` as X, and `list[X]` as comma-separated Xs
+    (empty items dropped)."""
+    if typing.get_origin(hint) is list:
+        item = _parser(typing.get_args(hint)[0])
+        return lambda raw: [item(s.strip()) for s in raw.split(",") if s.strip()]
+    args = typing.get_args(hint)
+    return _parser(args[0]) if args else hint
 
 
-def _parse_scalar(key: str, raw: str):
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    return raw
+_PARSERS = {name: _parser(hint)
+            for name, hint in typing.get_type_hints(ExperimentConfig).items()}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -159,24 +183,15 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, raw = body.partition("=")
         key = key.strip().replace("-", "_")
         raw = raw.strip()
-        if key not in _FIELD_NAMES:
+        if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            if key in _LIST_KEYS:
-                items = [s.strip() for s in raw.split(",") if s.strip()]
-                elem = str if key == "detectors" else (
-                    int if key in ("conv_channels", "dense_units", "se_channels") else float)
-                values[key] = [elem(s) for s in items]
-            else:
-                values[key] = _parse_scalar(key, raw)
+            values[key] = _PARSERS[key](raw)
         except ValueError as e:
             raise ConfigError(f"line {lineno}: bad value for {key}: {e}") from e
-    try:
-        return ExperimentConfig(**values)
-    except TypeError as e:
-        raise ConfigError(str(e)) from e
+    return ExperimentConfig(**values)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from immimo.config import ConfigError, ExperimentConfig
+from immimo.config import ConfigError, ExperimentConfig, snr_tag
 from immimo.cvnn import Model
 from immimo.detectors import classical_detect
 from immimo.files import replace_file
@@ -68,7 +68,7 @@ def run_nn(aapd: AapdModel, se: SeModel, data: dict, table: TacTable,
 def checkpoint_paths(ckpt_dir, variant: str, snr_db: float | None):
     """(AAPD, SE) checkpoint paths for one SNR point, or for the pooled
     `train --mixed` pair when snr_db is None."""
-    tag = "mixed" if snr_db is None else f"snr{snr_db:g}"
+    tag = "mixed" if snr_db is None else f"snr{snr_tag(snr_db)}"
     return (f"{ckpt_dir}/aapd_{variant}_{tag}.cvnn",
             f"{ckpt_dir}/se_{variant}_{tag}.cvnn")
 
@@ -106,8 +106,7 @@ def load_detector(ckpt_dir, variant: str, snr_db: float,
             if bad:
                 raise ConfigError(f"{path}: checkpoint does not match config: "
                                   + ", ".join(bad))
-        models.append(cls(net=net, variant=meta["variant"],
-                          **{k: meta[k] for k in keys}))
+        models.append(cls(net=net))
     return tuple(models)
 
 

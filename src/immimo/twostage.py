@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from immimo.config import TrainConfig
 from immimo.cvnn import (
     Adam,
     ComplexBatchNorm,
@@ -45,28 +46,6 @@ from immimo.modulation import QamConstellation
 from immimo.phy import TacTable, demap_frame
 
 
-@dataclass
-class TrainConfig:
-    lr: float = 1e-3
-    batch: int = 100
-    max_epochs: int = 200
-    gamma1: float = 0.05          # AAPD validation BCE target
-    gamma2: float | None = None   # SE validation MSE target; None -> 1.05x ZF floor
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.lr > 0:
-            raise ValueError("lr must be > 0")
-        if self.batch < 2:
-            raise ValueError("batch must be >= 2")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-        if self.gamma1 <= 0:
-            raise ValueError("gamma1 must be > 0")
-        if self.gamma2 is not None and self.gamma2 <= 0:
-            raise ValueError("gamma2 must be > 0")
-
-
 def _as_input(batch: np.ndarray) -> np.ndarray:
     """(B, rows, t) -> single-channel (B, 1, rows, t), the nets' layout."""
     batch = np.asarray(batch)
@@ -88,10 +67,6 @@ def _forward_in_chunks(net: Model, x: np.ndarray, chunk: int = 256) -> np.ndarra
 @dataclass
 class AapdModel:
     net: Model
-    variant: str
-    n_r: int
-    t: int
-    n_t: int
 
     def probabilities(self, y: np.ndarray) -> np.ndarray:
         """Receive matrices (B, n_r, t) -> activation probabilities (B, n_t)."""
@@ -101,9 +76,6 @@ class AapdModel:
 @dataclass
 class SeModel:
     net: Model
-    variant: str
-    n_u: int
-    t: int
 
     def enhance(self, s_zf: np.ndarray) -> np.ndarray:
         """ZF estimates (B, n_u, t) -> enhanced estimates (B, n_u, t)."""
@@ -162,8 +134,7 @@ def build_aapd(n_r: int, t: int, n_t: int, variant: str = "complex",
         layers.insert(0, SplitReIm())
     meta = {"role": "aapd", "variant": variant, "n_r": n_r, "t": t, "n_t": n_t,
             "conv_channels": list(conv_channels), "dense_units": list(dense_units)}
-    return AapdModel(net=Model(layers, meta=meta), variant=variant,
-                     n_r=n_r, t=t, n_t=n_t)
+    return AapdModel(net=Model(layers, meta=meta))
 
 
 def build_se(n_u: int, t: int, variant: str = "complex",
@@ -185,13 +156,17 @@ def build_se(n_u: int, t: int, variant: str = "complex",
         layers = [SplitReIm(), *layers, MergeReIm()]
     meta = {"role": "se", "variant": variant, "n_u": n_u, "t": t,
             "channels": list(channels)}
-    return SeModel(net=Model(layers, meta=meta), variant=variant, n_u=n_u, t=t)
+    return SeModel(net=Model(layers, meta=meta))
 
 
-def _epoch_batches(n: int, batch: int, rng: Rng):
-    perm = rng.permutation(n)
-    for start in range(0, n, batch):
-        yield perm[start:start + batch]
+def _epoch_batches(n: int, batch: int, rng: Rng) -> list[np.ndarray]:
+    """One epoch's shuffled minibatches of `batch` indices, covering range(n)
+    once; a last batch of one frame joins the batch before it, as train-mode
+    batch norm needs two frames."""
+    cuts = list(range(batch, n, batch))
+    if cuts and n - cuts[-1] == 1:
+        cuts.pop()
+    return np.split(rng.permutation(n), cuts)
 
 
 def _finite(loss: float, what: str) -> float:

@@ -249,6 +249,38 @@ class TestTrain:
                                                            capsys, cmd, line):
         self.check_exits_2_before_any_directory(workspace, tmp_path, capsys, cmd, line)
 
+    @pytest.mark.parametrize("line", ["snr_db = 10, 10.0000001", "snr_db = 10, 10",
+                                      "snr_db = 0, -0"])
+    @pytest.mark.parametrize("cmd", ["gen-data", "train"])
+    def test_snr_points_sharing_a_file_exit_2_before_any_directory(self, workspace, tmp_path,
+                                                                   capsys, cmd, line):
+        self.check_exits_2_before_any_directory(workspace, tmp_path, capsys, cmd, line)
+
+    @pytest.mark.parametrize("cmd, args", [
+        ("eval", ["--data", "d", "--out", "e.csv"]), ("bench", []),
+        ("sweep-csi-error", ["--ckpt", "c", "--out", "s.csv"])])
+    def test_snr_points_sharing_a_file_exit_2_in_reading_commands(self, tmp_path, capsys,
+                                                                  cmd, args):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(SMALL_CFG.replace("snr_db = 12", "snr_db = 12, 12.0000001"))
+        assert main([cmd, "--config", str(cfg)] + [str(tmp_path / a) if a[0] != "-" else a
+                                                   for a in args]) == 2
+        assert "snr_db" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_one_frame_past_a_whole_batch_trains(self, tmp_path):
+        # 9 training frames at batch 4: the ninth joins the second minibatch
+        # rather than reach the AAPD's batch norms alone
+        cfg = tmp_path / "nine.cfg"
+        cfg.write_text(SMALL_CFG.replace("frames_train = 32", "frames_train = 9")
+                       .replace("batch = 8", "batch = 4"))
+        data, ckpt = tmp_path / "data", tmp_path / "ckpt"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(data)]) == 0
+        assert main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(ckpt)]) == 0
+        assert (ckpt / "aapd_complex_snr12.cvnn").exists()
+        assert (ckpt / "se_complex_snr12.cvnn").exists()
+
 
 class TestEval:
     def test_csv_golden_header_and_sorted_rows(self, workspace):

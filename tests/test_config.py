@@ -1,8 +1,12 @@
 """Config file parsing and validation."""
 
+from dataclasses import fields
+
 import pytest
 
-from immimo.config import ConfigError, ExperimentConfig, load_config, parse_config
+from immimo.config import (ConfigError, ExperimentConfig, TrainConfig, load_config,
+                           parse_config, snr_tag)
+from immimo.runner import checkpoint_paths
 
 
 class TestParse:
@@ -209,3 +213,93 @@ class TestValidation:
     def test_known_detector_variants_accepted(self):
         cfg = ExperimentConfig(detectors=["ml", "somp", "nn-complex", "nn-real"])
         assert "nn-real" in cfg.detectors
+
+
+class TestSnrTag:
+    def test_tag_names_dataset_and_checkpoint_files(self):
+        assert [snr_tag(v) for v in (12.0, -2.5, float("inf"))] == ["12", "-2.5", "inf"]
+        assert checkpoint_paths("c", "real", 12.0) == ("c/aapd_real_snr12.cvnn",
+                                                       "c/se_real_snr12.cvnn")
+
+    @pytest.mark.parametrize("snrs", [[10.0, 10.0000001], [10.0, 10.0], [0.0, -0.0],
+                                      [5.0, 10.0, 5.0]])
+    def test_points_sharing_a_file_rejected(self, snrs):
+        with pytest.raises(ConfigError, match="snr_db"):
+            ExperimentConfig(snr_db=snrs)
+        with pytest.raises(ConfigError, match="snr_db"):
+            parse_config("snr_db = " + ", ".join(map(repr, snrs)))
+
+    def test_distinct_tags_accepted(self):
+        snrs = [-0.0, 10.0, 10.5, float("inf")]
+        assert ExperimentConfig(snr_db=snrs).snr_db == snrs
+
+
+# boundary texts for every key: each must parse to a config or a ConfigError
+_BOUNDARY_TEXTS = ["0", "-1", "65536", str(2 ** 64), "1e400", "nan", "inf", "",
+                   "1, 2", "true"]
+_PILOTS = {"n_p": "8", "e_p": "2.0", "sigma_z2": "0.1"}
+
+
+def _text(f) -> str:
+    """A valid config text for field `f`: its default as a config file writes
+    it, or a value for the keys that default to None."""
+    if f.name in _PILOTS:
+        return _PILOTS[f.name]
+    if f.name == "gamma2":
+        return "0.5"
+    value = getattr(ExperimentConfig(), f.name)
+    return ", ".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+class TestAnnotationParser:
+    def test_every_field_is_a_key(self):
+        text = "".join(f"{f.name} = {_text(f)}\n" for f in fields(ExperimentConfig))
+        assert parse_config(text) == ExperimentConfig(gamma2=0.5, n_p=8, e_p=2.0,
+                                                      sigma_z2=0.1)
+
+    @pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig)])
+    def test_boundary_texts_give_a_config_or_a_config_error(self, key):
+        others = "".join(f"{k} = {v}\n" for k, v in _PILOTS.items() if k != key) \
+            if key in _PILOTS else ""
+        for raw in _BOUNDARY_TEXTS:
+            try:
+                parse_config(f"{others}{key} = {raw}\n")
+            except ConfigError:
+                pass
+            except Exception as e:
+                pytest.fail(f"{key} = {raw!r}: {type(e).__name__}: {e}")
+
+    def test_values_take_their_annotated_type(self):
+        cfg = parse_config("n_p = 8\ne_p = 2\nsigma_z2 = 0\ngamma2 = 1\nsnr_db = 3, 4\n"
+                           "lr = 1\nse_channels = 3, 5\ndetectors = ml")
+        assert type(cfg.n_p) is int and type(cfg.e_p) is float
+        assert type(cfg.gamma2) is float and type(cfg.lr) is float
+        assert [type(v) for v in cfg.snr_db + cfg.se_channels] == [float] * 2 + [int] * 2
+        assert cfg.detectors == ["ml"]
+
+    @pytest.mark.parametrize("line", ["n_p = 0", "n_p = -1", f"n_p = {2 ** 64}",
+                                      "e_p = 0", "e_p = -2", "sigma_z2 = -0.1"])
+    def test_bad_pilot_key_named(self, line):
+        key = line.split()[0]
+        text = "".join(f"{k} = {v}\n" for k, v in _PILOTS.items() if k != key)
+        with pytest.raises(ConfigError, match=key):
+            parse_config(text + line)
+
+
+class TestOneTrainingDeclaration:
+    def test_experiment_config_is_a_train_config(self):
+        assert issubclass(ExperimentConfig, TrainConfig)
+        assert issubclass(ConfigError, ValueError)
+        # the experiment keeps its own seed default
+        assert (TrainConfig().seed, ExperimentConfig().seed) == (0, 1)
+
+    @pytest.mark.parametrize("key, value", [
+        ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")), ("lr", float("inf")),
+        ("batch", 1), ("max_epochs", 0), ("gamma1", 0.0), ("gamma1", float("-inf")),
+        ("gamma2", -1.0), ("gamma2", float("nan"))])
+    def test_same_values_rejected_with_the_same_message(self, key, value):
+        with pytest.raises(ConfigError, match=key) as train:
+            TrainConfig(**{key: value})
+        with pytest.raises(ConfigError, match=key) as experiment:
+            ExperimentConfig(**{key: value})
+        assert str(train.value) == str(experiment.value)

@@ -11,7 +11,7 @@ from immimo import detectors, twostage
 from immimo.config import ExperimentConfig
 from immimo.cvnn import Model, layers
 from immimo.dataset import generate_arrays, table_for
-from immimo.linalg import ls_solve
+from immimo.linalg import Rng, ls_solve
 from immimo.modulation import QamConstellation
 from immimo.phy import TAC_PRESET_4X2, build_tac_table, demap_frame
 from immimo.twostage import (
@@ -182,6 +182,17 @@ class TestTacLegalization:
 
 
 class TestTraining:
+    def test_epoch_batches_cover_each_index_once_without_one_frame_batches(self):
+        for n in range(1, 21):
+            for batch in range(2, 7):
+                perm = Rng(n).derive(batch).permutation(n)
+                parts = twostage._epoch_batches(n, batch, Rng(n).derive(batch))
+                # the permutation's order, cut into minibatches
+                assert np.array_equal(np.concatenate(parts), perm)
+                sizes = [len(p) for p in parts]
+                assert all(size == batch for size in sizes[:-1]), (n, batch, sizes)
+                assert 2 <= sizes[-1] <= batch + 1 or n == 1, (n, batch, sizes)
+
     def test_empty_dataset_rejected(self):
         aapd = build_aapd(2, 4, 4, conv_channels=(2, 2), dense_units=(4, 4))
         empty = (np.zeros((0, 2, 4), complex), np.zeros((0, 4)))
@@ -286,7 +297,7 @@ class TestTrainFull:
         frozen = stages.index(("aapd", "frozen"))
         se_start = stages.index(("se", "start"))
         assert frozen < se_start  # SE data exists only after AAPD freeze
-        assert aapd.variant == "complex" and se.variant == "complex"
+        assert aapd.net.meta["variant"] == "complex" and se.net.meta["variant"] == "complex"
         times = [h["time"] for h in hist if "time" in h]
         assert times == sorted(times)
 
