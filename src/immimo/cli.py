@@ -29,7 +29,7 @@ from immimo.dataset import (
 )
 from immimo.detectors import classical_detect
 from immimo.files import replace_file
-from immimo.linalg import DecompositionError, SingularMatrixError
+from immimo.linalg import SingularMatrixError
 from immimo.modulation import QamConstellation
 from immimo.runner import (
     BENCH_COLUMNS,
@@ -136,27 +136,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _nn_variant(name: str, default: str) -> str | None:
-    """The NN variant a detector name runs ("nn" runs `default`); None for
-    ml and somp."""
-    if name in ("ml", "somp"):
-        return None
-    return name.partition("-")[2] or default
-
-
-def _resolve_detectors(names, default: str) -> list:
-    """(name, NN variant) per detector name; ConfigError on an unknown name
-    or on two names that run the same detector (e.g. "nn" and
-    "nn-complex" when the default variant is complex)."""
+def _resolve_detectors(names, variant: str) -> list:
+    """(name, NN variant) per detector name, the variant None for ml and
+    somp; "nn" is named and runs "nn-<variant>". ConfigError on an unknown
+    name or on two names that run the same detector (e.g. "nn" and
+    "nn-complex" when `variant` is complex)."""
     check_detectors(names)
-    detectors = [(d, _nn_variant(d, default)) for d in names]
     seen = {}
-    for d, var in detectors:
-        key = (d if var is None else "nn", var)
-        if key in seen:
-            raise ConfigError(f"repeated detector {d!r} (runs the same detector as {seen[key]!r})")
-        seen[key] = d
-    return detectors
+    for d in names:
+        name = f"nn-{variant}" if d == "nn" else d
+        if name in seen:
+            raise ConfigError(f"repeated detector {d!r} "
+                              f"(runs the same detector as {seen[name]!r})")
+        seen[name] = d
+    return [(name, name.partition("-")[2] or None) for name in seen]
 
 
 def _eval_detector_rows(cfg, detectors, data_by_snr, ckpt_dir):
@@ -181,8 +174,7 @@ def _eval_detector_rows(cfg, detectors, data_by_snr, ckpt_dir):
 
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
-    names = args.detectors.split(",") if args.detectors else \
-        [d if d != "nn" else f"nn-{args.variant}" for d in cfg.detectors]
+    names = args.detectors.split(",") if args.detectors else cfg.detectors
     # an unknown or repeated name, then a missing checkpoint, fail before any
     # dataset is read
     detectors = _resolve_detectors(names, args.variant)
@@ -302,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="output CSV path")
     sp.add_argument("--variant", choices=("complex", "real"), default="complex")
     sp.add_argument("--detectors", default=None,
-                    help="comma list: ml,somp,nn-complex,nn-real")
+                    help="comma list: ml,somp,nn,nn-complex,nn-real")
     sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("bench", help="parameter/FLOPs/latency table")
@@ -339,8 +331,7 @@ def main(argv=None) -> int:
     except MemoryError as e:
         print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
-    except (SingularMatrixError, DecompositionError, FloatingPointError,
-            np.linalg.LinAlgError) as e:
+    except (SingularMatrixError, FloatingPointError, np.linalg.LinAlgError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 4
 

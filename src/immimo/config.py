@@ -6,7 +6,7 @@ import math
 import typing
 from dataclasses import dataclass, field
 
-from immimo.phy import csi_error_variance
+from immimo.phy import TAC_PRESETS, build_tac_table, csi_error_variance
 
 
 class ConfigError(ValueError):
@@ -80,14 +80,12 @@ class ExperimentConfig(TrainConfig):
     threads: int = 1                # no effect; perfbench/ still reads it
 
     def __post_init__(self):
-        # rho and csi_error_var get range checks below that NaN and inf fail
+        # rho and the CSI error variances get range checks below that NaN
+        # and inf fail
         for name in ("e_p", "sigma_z2"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
-        if not all(map(math.isfinite, self.sweep_error_var)):
-            raise ConfigError(f"sweep_error_var entries must be finite, "
-                              f"got {self.sweep_error_var}")
         if not self.snr_db:
             raise ConfigError("snr_db must list at least one SNR")
         if any(math.isnan(v) or v == -math.inf for v in self.snr_db):
@@ -106,6 +104,16 @@ class ExperimentConfig(TrainConfig):
             raise ConfigError(f"need 1 <= n_u <= n_t, got n_u={self.n_u}, n_t={self.n_t}")
         if self.n_u > self.n_r:
             raise ConfigError(f"need n_u <= n_r for ZF, got n_u={self.n_u}, n_r={self.n_r}")
+        if self.tac_preset not in TAC_PRESETS:
+            raise ConfigError(f"unknown tac_preset {self.tac_preset!r} "
+                              f"(choose from {', '.join(TAC_PRESETS)})")
+        tacs = TAC_PRESETS[self.tac_preset]
+        if tacs is not None:
+            try:
+                build_tac_table(self.n_t, self.n_u, tacs=tacs)
+            except ValueError as e:
+                raise ConfigError(f"tac_preset {self.tac_preset!r} does not fit "
+                                  f"n_t={self.n_t}, n_u={self.n_u}: {e}") from None
         m = self.m
         if m < 4 or (m & (m - 1)) or (m.bit_length() - 1) % 2:
             raise ConfigError(f"m must be a power of 4 (square QAM), got {m}")
@@ -126,8 +134,10 @@ class ExperimentConfig(TrainConfig):
                                   f"sigma_z2={self.sigma_z2}")
             self.csi_error_var = csi_error_variance(self.n_t, self.sigma_z2,
                                                     self.n_p, self.e_p)
-        if not 0 <= self.csi_error_var < math.inf:
-            raise ConfigError(f"csi_error_var must be finite and >= 0, got {self.csi_error_var}")
+        for name, values in (("csi_error_var", [self.csi_error_var]),
+                             ("sweep_error_var", self.sweep_error_var)):
+            if not all(0 <= v < math.inf for v in values):
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         # training keys, checked here so that no command starts on them

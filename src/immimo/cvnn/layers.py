@@ -242,7 +242,13 @@ class Layer:
         return [(n, getattr(self, n)) for n in self.param_names]
 
     def grad_items(self) -> list:
-        return [(n, self.grads[n]) for n in self.param_names]
+        """(name, gradient) per parameter, from the last backward;
+        RuntimeError when no backward has run."""
+        try:
+            return [(n, self.grads[n]) for n in self.param_names]
+        except KeyError:
+            raise RuntimeError(f"{self.kind} has missing gradients; "
+                               f"run backward first") from None
 
     def buffer_items(self) -> list:
         return [(n, getattr(self, n)) for n in self.buffer_names]

@@ -64,8 +64,6 @@ class Adam:
         """Apply one update from the gradients currently held by the layers."""
         params = self.model.param_items()
         grads = self.model.grad_items()
-        if len(grads) != len(params):
-            raise RuntimeError("missing gradients; run backward first")
         self.step_count += 1
         c1 = 1.0 - self.beta1 ** self.step_count
         c2 = 1.0 - self.beta2 ** self.step_count

@@ -41,7 +41,7 @@ from immimo.files import replace_file
 from immimo.linalg import Rng, derive_stream, stream_bits, stream_complex_gaussian
 from immimo.modulation import QamConstellation
 from immimo.phy import (
-    TAC_PRESET_4X2,
+    TAC_PRESETS,
     TacTable,
     apply_channel,
     assemble_frame,
@@ -97,13 +97,8 @@ class DatasetHeader:
 
 
 def table_for(cfg: ExperimentConfig) -> TacTable:
-    if cfg.tac_preset == "lexicographic":
-        return build_tac_table(cfg.n_t, cfg.n_u)
-    if cfg.tac_preset == "preset-4x2":
-        if (cfg.n_t, cfg.n_u) != (4, 2):
-            raise ValueError("preset-4x2 needs n_t=4, n_u=2")
-        return build_tac_table(4, 2, tacs=TAC_PRESET_4X2)
-    raise ValueError(f"unknown tac_preset {cfg.tac_preset!r}")
+    """The legal TAC codebook of the config's `tac_preset` (phy.TAC_PRESETS)."""
+    return build_tac_table(cfg.n_t, cfg.n_u, tacs=TAC_PRESETS[cfg.tac_preset])
 
 
 def scenario_channel(cfg: ExperimentConfig) -> np.ndarray:

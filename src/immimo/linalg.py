@@ -31,10 +31,6 @@ class SingularMatrixError(Exception):
     """Least-squares system is rank deficient (or numerically so)."""
 
 
-class DecompositionError(Exception):
-    """Matrix factorization failed (e.g. Cholesky on a non-PD input)."""
-
-
 def _splitmix64(x):
     # Standard splitmix64 finalizer; good avalanche for stream derivation.
     # Exact on Python ints, wrapping on uint64 arrays: the same words.
@@ -246,16 +242,3 @@ def ls_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise SingularMatrixError("rank-deficient least-squares system")
     x = np.linalg.solve(r, np.swapaxes(q.conj(), -1, -2) @ b)
     return x[..., 0] if squeeze else x
-
-
-def cholesky_factor(r: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L L^H = R for Hermitian positive-definite R."""
-    r = np.asarray(r, dtype=np.complex128)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValueError("r must be square")
-    if not np.allclose(r, r.conj().T, rtol=1e-10, atol=1e-12):
-        raise ValueError("r must be Hermitian")
-    try:
-        return np.linalg.cholesky(r)
-    except np.linalg.LinAlgError as e:
-        raise DecompositionError(f"not positive definite: {e}") from e

@@ -54,9 +54,3 @@ class QamConstellation:
         labels = np.argmin(d2, axis=-1)
         bits = (labels[..., None] >> np.arange(self.bits_per_symbol - 1, -1, -1)) & 1
         return bits.reshape(symbols.shape[:-1] + (symbols.shape[-1] * self.bits_per_symbol,))
-
-    def nearest(self, symbols: np.ndarray) -> np.ndarray:
-        """Snap each entry to the nearest constellation point."""
-        symbols = np.asarray(symbols, dtype=np.complex128)
-        d2 = np.abs(symbols[..., None] - self.points) ** 2
-        return self.points[np.argmin(d2, axis=-1)]

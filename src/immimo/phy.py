@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from immimo.linalg import Rng, complex_gaussian, cholesky_factor
+from immimo.linalg import Rng, complex_gaussian
 from immimo.modulation import QamConstellation
 
 
@@ -88,6 +88,10 @@ def build_tac_table(n_t: int, n_u: int, tacs=None) -> TacTable:
 # bit positions directly steer the two active indices.
 TAC_PRESET_4X2 = ((1, 3), (1, 4), (2, 4), (2, 3))
 
+# The `tac_preset` config values: each name's explicit codebook, or None for
+# build_tac_table's lexicographic one.
+TAC_PRESETS = {"lexicographic": None, "preset-4x2": TAC_PRESET_4X2}
+
 
 def frame_bit_count(table: TacTable, constellation: QamConstellation, t: int) -> int:
     """Payload bits per frame: spatial bits once + fresh symbols every slot."""
@@ -142,7 +146,8 @@ def make_correlated(h: np.ndarray, rho: float) -> np.ndarray:
     """Apply Kronecker spatial correlation: H_c = L_r H L_t^H.
 
     R entries are rho^|i-j| on both the receive and the transmit side; L
-    are Cholesky factors, which satisfy the required L L^H = R.
+    are Cholesky factors, which satisfy the required L L^H = R (R is
+    positive definite for 0 <= rho < 1).
     """
     h = np.asarray(h, dtype=np.complex128)
     n_r, n_t = h.shape
@@ -153,7 +158,7 @@ def make_correlated(h: np.ndarray, rho: float) -> np.ndarray:
 
     def expfact(n, r):
         idx = np.arange(n)
-        return cholesky_factor((r ** np.abs(idx[:, None] - idx[None, :])).astype(np.complex128))
+        return np.linalg.cholesky((r ** np.abs(idx[:, None] - idx[None, :])).astype(np.complex128))
 
     return expfact(n_r, rho) @ h @ expfact(n_t, rho).conj().T
 
@@ -219,6 +224,12 @@ def ber(bits_true, bits_hat) -> float:
     if a.size == 0:
         raise ValueError("empty bit arrays")
     return float(np.mean(a != b))
+
+
+def tac_accuracy(tacs, g, table: TacTable) -> float:
+    """Fraction of frames whose detected TAC index has the activation
+    pattern of the frame's 0/1 row g (B, n_t)."""
+    return float(np.mean(np.all(table.patterns[np.asarray(tacs)] == g, axis=1)))
 
 
 def aap_accuracy(tacs_true, tacs_hat) -> float:

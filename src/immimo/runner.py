@@ -15,7 +15,7 @@ from immimo.cvnn import Model
 from immimo.detectors import classical_detect
 from immimo.files import replace_file
 from immimo.modulation import QamConstellation
-from immimo.phy import TacTable, ber, demap_frame
+from immimo.phy import TacTable, ber, demap_frame, tac_accuracy
 from immimo.twostage import AapdModel, SeModel, detect_frames
 
 EVAL_SCHEMA = "immimo-eval-1"
@@ -37,11 +37,9 @@ def ml_hypotheses_per_slot(table: TacTable, m: int) -> int:
 
 
 def _score(data: dict, table: TacTable, tacs, bits_hat, seconds: float) -> dict:
-    """BER and TAC accuracy of detected frames; a TAC is right when its
-    activation pattern equals the frame's 0/1 row g (phy.aap_accuracy)."""
-    hits = np.all(table.patterns[np.asarray(tacs)] == data["g"], axis=1)
+    """BER and TAC accuracy (phy.tac_accuracy) of detected frames."""
     return {"frames": len(tacs), "ber": ber(data["bits"], bits_hat),
-            "aap_accuracy": float(np.mean(hits)), "wall_time_s": seconds}
+            "aap_accuracy": tac_accuracy(tacs, data["g"], table), "wall_time_s": seconds}
 
 
 def run_classical(method: str, data: dict, table: TacTable,

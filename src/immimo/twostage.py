@@ -43,7 +43,7 @@ from immimo.cvnn import (
 from immimo.detectors import tacs_from_probabilities, zf_estimate
 from immimo.linalg import Rng
 from immimo.modulation import QamConstellation
-from immimo.phy import TacTable, demap_frame
+from immimo.phy import TacTable, demap_frame, tac_accuracy
 
 
 def _as_input(batch: np.ndarray) -> np.ndarray:
@@ -234,20 +234,19 @@ def train_aapd(aapd: AapdModel, train: tuple, val: tuple, cfg: TrainConfig,
                table: TacTable | None = None) -> list[dict]:
     """Train the AAPD net on (Y, g) pairs until validation BCE < cfg.gamma1
     or the epoch cap (see _fit). With `table`, each epoch record also holds
-    the validation TAC accuracy after legalization."""
+    the validation TAC accuracy after legalization (phy.tac_accuracy)."""
     g_va = np.asarray(val[1], dtype=np.float64)
-    truth = None if table is None else tacs_from_probabilities(g_va, table)
 
-    def tac_accuracy(p_va):
+    def val_tac_accuracy(p_va):
         if table is None:
             return {}
-        est = tacs_from_probabilities(p_va, table)
-        return {"val_tac_accuracy": float(np.mean(est == truth))}
+        return {"val_tac_accuracy": tac_accuracy(tacs_from_probabilities(p_va, table),
+                                                 g_va, table)}
 
     return _fit(aapd.net, "aapd",
                 (_as_input(train[0]), np.asarray(train[1], dtype=np.float64)),
                 (_as_input(val[0]), g_va), bce, bce_backward, cfg, 11,
-                lambda loss: loss < cfg.gamma1, tac_accuracy)
+                lambda loss: loss < cfg.gamma1, val_tac_accuracy)
 
 
 def build_zf_dataset(aapd: AapdModel, y: np.ndarray, h_est: np.ndarray,

@@ -135,6 +135,14 @@ class TestGenData:
         assert (out / "snr12_test.imds").exists()
         assert not list(out.glob("snr-800_*"))
 
+    def test_unknown_tac_preset_exits_2_before_any_write(self, tmp_path, capsys):
+        cfg = tmp_path / "preset.cfg"
+        cfg.write_text(SMALL_CFG + "tac_preset = preset-4x1\n")
+        out = tmp_path / "d"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "tac_preset" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["gen-data", "--config", str(tmp_path / "none.cfg"),
                      "--out", str(tmp_path / "d")]) == 2
@@ -303,6 +311,15 @@ class TestEval:
         mirror = json.loads((workspace["root"] / "eval.json").read_text())
         assert mirror["command"] == "eval"
         assert [r["detector"] for r in mirror["rows"]] == ["ml", "nn-complex", "somp"]
+
+    def test_nn_alias_rows_are_labelled_by_variant(self, workspace, tmp_path):
+        out = tmp_path / "alias.csv"
+        assert main(["eval", "--config", str(workspace["cfg"]),
+                     "--data", str(workspace["data"]),
+                     "--ckpt", str(workspace["ckpt"]),
+                     "--detectors", "ml,nn", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [r[1] for r in rows] == ["ml", "nn-complex"]
 
     def test_classical_only_needs_no_checkpoints(self, workspace, tmp_path):
         out = tmp_path / "classical.csv"
@@ -716,6 +733,18 @@ class TestSweep:
         assert main(["sweep-csi-error", "--config", str(workspace["cfg"]),
                      "--ckpt", str(tmp_path / "none"), "--snr", "12",
                      "--out", str(tmp_path / "s.csv")]) == 2
+
+    def test_negative_sweep_point_exits_2_before_checkpoints(self, tmp_path, capsys):
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text(SMALL_CFG.replace("sweep_error_var = 0, 0.05",
+                                         "sweep_error_var = 0, -1"))
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        out = tmp_path / "s.csv"
+        assert main(["sweep-csi-error", "--config", str(cfg), "--ckpt", str(empty),
+                     "--snr", "12", "--out", str(out)]) == 2
+        assert "sweep_error_var must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("snr", ["-inf", "nan"])
     def test_nan_or_minus_inf_snr_exits_2(self, workspace, tmp_path, capsys, snr):

@@ -130,6 +130,17 @@ class TestValidation:
         with pytest.raises(ConfigError, match="sweep_error_var"):
             ExperimentConfig(sweep_error_var=[0.0, value])
 
+    def test_negative_sweep_error_var_rejected(self):
+        with pytest.raises(ConfigError, match="sweep_error_var must be finite and >= 0"):
+            parse_config("sweep_error_var = 0, -1")
+
+    @pytest.mark.parametrize("fields", [dict(tac_preset="fancy"),
+                                        dict(n_t=8, n_u=2, tac_preset="preset-4x2")],
+                             ids=["unknown", "wrong-dims"])
+    def test_bad_tac_preset_rejected(self, fields):
+        with pytest.raises(ConfigError, match="tac_preset"):
+            ExperimentConfig(**fields)
+
     @pytest.mark.parametrize("value", [float("nan"), float("-inf")], ids=["nan", "-inf"])
     def test_snr_db_must_be_finite_or_plus_inf(self, value):
         with pytest.raises(ConfigError, match="snr_db"):

@@ -601,6 +601,12 @@ class TestAdam:
         with pytest.raises((RuntimeError, KeyError)):
             Adam(model).step()
 
+    def test_step_before_any_backward_is_a_runtime_error(self):
+        opt = Adam(build_se(1, 4, channels=(2, 2)).net)
+        with pytest.raises(RuntimeError, match="missing gradients; run backward first"):
+            opt.step()
+        assert opt.step_count == 0
+
     def test_hundred_steps_bitwise_reproducible(self):
         a, b = small_model(seed=9), small_model(seed=9)
         train_steps(a, 100, seed=13)

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 from numpy.random import Philox
 
 from immimo.linalg import (
-    DecompositionError,
     Rng,
     SingularMatrixError,
-    cholesky_factor,
     complex_gaussian,
     derive_stream,
     ls_solve,
@@ -251,30 +249,3 @@ class TestLsSolve:
     def test_stack_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ls_solve(np.ones((2, 3, 2), dtype=complex), np.ones((3, 3), dtype=complex))
-
-
-class TestCholesky:
-    def test_hand_2x2(self):
-        # R = [[4, 2j], [-2j, 5]] = L L^H with L = [[2, 0], [-1j, 2]]
-        r = np.array([[4.0, 2.0j], [-2.0j, 5.0]])
-        l = cholesky_factor(r)
-        expect = np.array([[2.0, 0.0], [-1.0j, 2.0]])
-        assert np.allclose(l, expect)
-        assert np.allclose(l @ l.conj().T, r)
-
-    def test_factor_reproduces_input(self, np_rng):
-        for _ in range(10):
-            a = np_rng.normal(size=(5, 5)) + 1j * np_rng.normal(size=(5, 5))
-            r = a @ a.conj().T + 5 * np.eye(5)
-            l = cholesky_factor(r)
-            assert np.allclose(l @ l.conj().T, r, atol=1e-10)
-            assert np.allclose(l, np.tril(l))
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            cholesky_factor(np.array([[1.0, 2.0], [3.0, 1.0]], dtype=complex))
-
-    def test_non_pd_raises(self):
-        r = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-        with pytest.raises(DecompositionError):
-            cholesky_factor(r)

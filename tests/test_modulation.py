@@ -96,17 +96,3 @@ class TestRoundTrip:
         c = QamConstellation(16)
         with pytest.raises(ValueError):
             c.modulate(np.zeros(3, dtype=int))
-
-
-class TestNearest:
-    def test_snaps_to_grid(self, np_rng):
-        c = QamConstellation(64)
-        bits = np_rng.integers(0, 2, size=600)
-        sym = c.modulate(bits)
-        jittered = sym + 0.02 * np_rng.normal(size=100)
-        snapped = c.nearest(jittered)
-        assert np.allclose(snapped, sym)
-
-    def test_idempotent(self):
-        c = QamConstellation(4)
-        assert np.array_equal(c.nearest(c.points), c.points)
