@@ -36,6 +36,7 @@ from immimo.runner import (
     BENCH_SCHEMA,
     EVAL_COLUMNS,
     EVAL_SCHEMA,
+    LATENCY_TRIALS,
     ML_GUARD_HYPOTHESES,
     SWEEP_COLUMNS,
     SWEEP_SCHEMA,
@@ -129,7 +130,7 @@ def cmd_train(args) -> int:
         se.net.save(se_path)
         log_path = os.path.join(args.out, f"train_{args.variant}_snr{tag}.jsonl")
         replace_file(log_path, [line.encode("utf-8") for line in lines])
-        converged = all(r.get("converged", True) for r in history if "converged" in r)
+        converged = all(r["converged"] for r in history if "converged" in r)
         status = "" if converged else " (warning: epoch cap before loss target)"
         print(f"trained {tag} dB -> {aapd_path}, {se_path} "
               f"[{time.monotonic() - t0:.1f} s]{status}")
@@ -228,7 +229,7 @@ def cmd_bench(args) -> int:
              items)},
     ]
     for r in rows:
-        r.update({"schema": BENCH_SCHEMA, "trials": 33})
+        r.update({"schema": BENCH_SCHEMA, "trials": LATENCY_TRIALS})
     if args.out:
         write_results(args.out, rows, BENCH_COLUMNS, extra={"command": "bench"})
         print(f"wrote {args.out}")

@@ -20,6 +20,12 @@ _U64_MAX = 2**64 - 1
 _F32_MAX = 3.4028234663852886e38
 
 
+# the default net widths, in complex units (the real variant doubles them)
+CONV_CHANNELS = (32, 64)
+DENSE_UNITS = (256, 128)
+SE_CHANNELS = (16, 16)
+
+
 def snr_tag(snr_db: float) -> str:
     """The text that names one SNR point in dataset and checkpoint file names."""
     return f"{snr_db:g}"
@@ -32,7 +38,7 @@ class TrainConfig:
     batch: int = 100
     max_epochs: int = 200
     gamma1: float = 0.05          # AAPD validation BCE target
-    gamma2: float | None = None   # SE validation MSE target; None -> 1.05x ZF floor
+    gamma2: float | None = None   # SE validation MSE target, capped at the ZF floor
     seed: int = 0
 
     def __post_init__(self):
@@ -72,9 +78,9 @@ class ExperimentConfig(TrainConfig):
     # detection / net widths
     detectors: list[str] = field(default_factory=lambda: ["ml", "somp", "nn"])
     tac_preset: str = "lexicographic"
-    conv_channels: list[int] = field(default_factory=lambda: [32, 64])
-    dense_units: list[int] = field(default_factory=lambda: [256, 128])
-    se_channels: list[int] = field(default_factory=lambda: [16, 16])
+    conv_channels: list[int] = field(default_factory=lambda: list(CONV_CHANNELS))
+    dense_units: list[int] = field(default_factory=lambda: list(DENSE_UNITS))
+    se_channels: list[int] = field(default_factory=lambda: list(SE_CHANNELS))
     # csi sweep points, as error variances
     sweep_error_var: list[float] = field(default_factory=lambda: [0.0, 0.001, 0.01, 0.1])
     threads: int = 1                # no effect; perfbench/ still reads it

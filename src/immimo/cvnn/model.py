@@ -24,7 +24,7 @@ import struct
 
 import numpy as np
 
-from immimo.cvnn.layers import Layer, _walk_items, layer_from_spec
+from immimo.cvnn.layers import Layer, RealHeadDense, Residual, _walk_items, layer_from_spec
 from immimo.files import replace_file
 
 _MAGIC = b"CVNN"
@@ -92,9 +92,6 @@ class Model:
     def tensor_items(self) -> list:
         return _walk_items(self.layers, "tensor_items", lambda i, n: (i, n))
 
-    def specs(self) -> list[dict]:
-        return [layer.spec() for layer in self.layers]
-
     # -- state copy (for best-checkpoint bookkeeping during training) --
 
     def state_arrays(self) -> list[np.ndarray]:
@@ -123,7 +120,7 @@ class Model:
     def save(self, path) -> None:
         """Write the checkpoint beside `path`, then rename it into place."""
         tensors = self.tensor_items()
-        header = {"layers": self.specs(),
+        header = {"layers": [layer.spec() for layer in self.layers],
                   "tensors": [_manifest_entry(k, a) for k, a in tensors],
                   "meta": self.meta, "adam": None}
         hj = json.dumps(header, sort_keys=True).encode()
@@ -172,12 +169,13 @@ class Model:
         return model
 
 
-def _walk_specs(specs):
-    for s in specs:
-        if s["kind"] == "residual_add":
-            yield from _walk_specs(s["layers"])
+def _leaf_layers(layers):
+    """The layers in execution order, each Residual's branch in its place."""
+    for layer in layers:
+        if isinstance(layer, Residual):
+            yield from _leaf_layers(layer.layers)
         else:
-            yield s
+            yield layer
 
 
 def count_params(model: Model) -> int:
@@ -190,15 +188,10 @@ def count_params(model: Model) -> int:
     are identical across variants and are left out of the comparison.
     """
     total = 0
-    for s in _walk_specs(model.specs()):
-        prefix, _, op = s["kind"].partition("_")
-        if op == "conv2d":
-            n = s["kernel"] ** 2 * s["in_channels"] * s["out_channels"]
-        elif op == "dense":
-            n = s["in_features"] * s["out_features"]
-        else:
-            continue
-        total += 2 * n if prefix == "complex" else n
+    for layer in _leaf_layers(model.layers):
+        w = getattr(layer, "weight", None)
+        if w is not None and not isinstance(layer, RealHeadDense):
+            total += (2 if np.iscomplexobj(w) else 1) * w.size
     return total
 
 
@@ -208,31 +201,20 @@ def count_flops(model: Model, input_shape) -> int:
     Convention: one complex multiply-accumulate = 8 FLOPs, one real MAC =
     2 FLOPs. Only MAC-bearing layers (conv, dense, readout) are counted;
     normalization and activation costs are sub-percent at these shapes and
-    excluded.
+    excluded. The count runs one inference pass of a real zero frame at
+    batch 1 through the layers and reads each output's shape, so, like any
+    inference pass, it drops a pending train-mode cache; a frame the net
+    cannot take is the ValueError its forward raises.
     """
-    shape = tuple(input_shape)
+    # real: a bare real layer would warn on casting a complex frame, and
+    # complex layers cast a real one exactly
+    x = np.zeros((1, *input_shape))
     total = 0
-    for s in _walk_specs(model.specs()):
-        kind = s["kind"]
-        prefix, _, op = kind.partition("_")
-        flops_per_mac = 8 if prefix == "complex" else 2
-        if op == "conv2d":
-            c, h, w = shape
-            if c != s["in_channels"]:
-                raise ValueError(f"shape {shape} does not feed {s}")
-            if s["padding"] == "valid":
-                h, w = h - s["kernel"] + 1, w - s["kernel"] + 1
-            macs = h * w * s["kernel"] ** 2 * s["in_channels"] * s["out_channels"]
-            total += macs * flops_per_mac
-            shape = (s["out_channels"], h, w)
-        elif op in ("dense", "head_dense"):
-            total += s["in_features"] * s["out_features"] * flops_per_mac
-            shape = (s["out_features"],)
-        elif kind == "flatten":
-            shape = (int(np.prod(shape)),)
-        elif kind == "split_reim":
-            shape = (2 * shape[0],) + shape[1:]
-        elif kind == "merge_reim":
-            shape = (shape[0] // 2,) + shape[1:]
-        # batchnorm / activations: shape-preserving, not counted
+    for layer in _leaf_layers(model.layers):
+        x = layer.forward(x)
+        # conv and dense layers, the readout too, hold a weight: each of its
+        # entries is one MAC per output position, x.size / channels at batch 1
+        w = getattr(layer, "weight", None)
+        if w is not None:
+            total += (8 if np.iscomplexobj(w) else 2) * w.size * x.size // x.shape[1]
     return total

@@ -44,13 +44,14 @@ class Adam:
     same bits as one pass over the whole tensor.
     """
 
-    def __init__(self, model: Model, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    # the defaults of Kingma & Ba (ICLR 2015)
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, model: Model, lr: float = 1e-3):
         self.model = model
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         params = model.param_items()
         self.masters = [_master(a) for _, a in params]

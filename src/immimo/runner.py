@@ -30,6 +30,8 @@ SWEEP_COLUMNS = ["schema", "detector", "snr_db", "csi_error_var", "frames",
                  "ber", "aap_accuracy", "wall_time_s"]
 
 ML_GUARD_HYPOTHESES = 10_000_000
+# timed detections per bench row, the row's `trials` column
+LATENCY_TRIALS = 33
 
 
 def ml_hypotheses_per_slot(table: TacTable, m: int) -> int:
@@ -152,9 +154,10 @@ def ml_flops(table: TacTable, m: int, n_r: int, t: int) -> int:
     return 8 * table.n_l * m ** table.n_u * t * n_r * (table.n_u + 1)
 
 
-def median_latency_ms(fn, frames: list, trials: int = 33) -> float:
+def median_latency_ms(fn, frames: list) -> float:
+    """Median ms of LATENCY_TRIALS calls of fn, cycling over `frames`."""
     times = []
-    for k in range(trials):
+    for k in range(LATENCY_TRIALS):
         frame = frames[k % len(frames)]
         t0 = time.perf_counter()
         fn(frame)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from immimo.config import TrainConfig
+from immimo.config import CONV_CHANNELS, DENSE_UNITS, SE_CHANNELS, TrainConfig
 from immimo.cvnn import (
     Adam,
     ComplexBatchNorm,
@@ -59,9 +59,13 @@ def _joined(parts: list) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _forward_in_chunks(net: Model, x: np.ndarray, chunk: int = 256) -> np.ndarray:
-    return _joined([net.forward(x[i:i + chunk], train=False)
-                    for i in range(0, len(x), chunk)])
+# frames per inference forward: bounds the activations held at once
+_INFER_CHUNK = 256
+
+
+def _forward_in_chunks(net: Model, x: np.ndarray) -> np.ndarray:
+    return _joined([net.forward(x[i:i + _INFER_CHUNK], train=False)
+                    for i in range(0, len(x), _INFER_CHUNK)])
 
 
 @dataclass
@@ -100,8 +104,8 @@ def _kit(variant: str) -> tuple:
 
 
 def build_aapd(n_r: int, t: int, n_t: int, variant: str = "complex",
-               conv_channels: tuple[int, int] = (32, 64),
-               dense_units: tuple[int, int] = (256, 128),
+               conv_channels: tuple[int, int] = CONV_CHANNELS,
+               dense_units: tuple[int, int] = DENSE_UNITS,
                seed: int = 0) -> AapdModel:
     """Activation-pattern detector: two conv blocks, two dense blocks, real
     sigmoid readout of length n_t.
@@ -138,7 +142,7 @@ def build_aapd(n_r: int, t: int, n_t: int, variant: str = "complex",
 
 
 def build_se(n_u: int, t: int, variant: str = "complex",
-             channels: tuple[int, int] = (16, 16), seed: int = 0) -> SeModel:
+             channels: tuple[int, int] = SE_CHANNELS, seed: int = 0) -> SeModel:
     """Signal-enhancement net: residual conv stack on the (n_u, t) estimate."""
     if min(n_u, t) < 1:
         raise ValueError("dims must be >= 1")
@@ -231,15 +235,13 @@ def _fit(net: Model, stage: str, train: tuple, val: tuple, loss, loss_backward,
 
 
 def train_aapd(aapd: AapdModel, train: tuple, val: tuple, cfg: TrainConfig,
-               table: TacTable | None = None) -> list[dict]:
+               table: TacTable) -> list[dict]:
     """Train the AAPD net on (Y, g) pairs until validation BCE < cfg.gamma1
-    or the epoch cap (see _fit). With `table`, each epoch record also holds
-    the validation TAC accuracy after legalization (phy.tac_accuracy)."""
+    or the epoch cap (see _fit). Each epoch record also holds the validation
+    TAC accuracy after legalization by `table` (phy.tac_accuracy)."""
     g_va = np.asarray(val[1], dtype=np.float64)
 
     def val_tac_accuracy(p_va):
-        if table is None:
-            return {}
         return {"val_tac_accuracy": tac_accuracy(tacs_from_probabilities(p_va, table),
                                                  g_va, table)}
 
@@ -263,14 +265,14 @@ def build_zf_dataset(aapd: AapdModel, y: np.ndarray, h_est: np.ndarray,
 def train_se(se: SeModel, train: tuple, val: tuple, cfg: TrainConfig) -> list[dict]:
     """Train the SE net on (s_zf, s_true) pairs (see _fit).
 
-    The stop target is min(gamma2, ZF floor): with gamma2 defaulting to
-    1.05x the validation MSE of the raw ZF input, the floor term keeps the
-    net training until it is at least as good as doing nothing.
+    The stop target is the ZF floor, the validation MSE of the raw ZF
+    input, or gamma2 when that is lower: the net trains until it is at
+    least as good as doing nothing.
     """
     z_va, s_va = val
     x_tr, x_va = _as_input(train[0]), _as_input(z_va)
     floor = mse(z_va, s_va)
-    target = min(cfg.gamma2 if cfg.gamma2 is not None else 1.05 * floor, floor)
+    target = floor if cfg.gamma2 is None else min(cfg.gamma2, floor)
     history = _fit(se.net, "se", (x_tr, _as_input(train[1])),
                    (x_va, _as_input(s_va)), mse, mse_backward, cfg, 22,
                    lambda loss: loss <= target, lambda out_va: {"zf_floor": floor})
@@ -280,9 +282,9 @@ def train_se(se: SeModel, train: tuple, val: tuple, cfg: TrainConfig) -> list[di
 
 def train_full(train: dict, val: dict, cfg: TrainConfig, table: TacTable,
                variant: str = "complex",
-               conv_channels: tuple[int, int] = (32, 64),
-               dense_units: tuple[int, int] = (256, 128),
-               se_channels: tuple[int, int] = (16, 16)):
+               conv_channels: tuple[int, int] = CONV_CHANNELS,
+               dense_units: tuple[int, int] = DENSE_UNITS,
+               se_channels: tuple[int, int] = SE_CHANNELS):
     """Step-by-step training of both stages.
 
     `train`/`val` are dicts with keys y (B, n_r, t), g (B, n_t), s (B, n_u, t),
@@ -297,7 +299,7 @@ def train_full(train: dict, val: dict, cfg: TrainConfig, table: TacTable,
                       seed=cfg.seed)
     history = [{"stage": "aapd", "event": "start", "time": time.time()}]
     history += train_aapd(aapd, (train["y"], train["g"]), (val["y"], val["g"]),
-                          cfg, table=table)
+                          cfg, table)
     history.append({"stage": "aapd", "event": "frozen", "time": time.time()})
     z_tr, _ = build_zf_dataset(aapd, np.asarray(train["y"]),
                                np.asarray(train["h_est"]), table)
@@ -315,8 +317,8 @@ def detect_frames(y: np.ndarray, h_est: np.ndarray, aapd: AapdModel, se: SeModel
     """Two-stage detection of a (B, n_r, t) batch back to payload bits.
 
     AAPD, legalization and ZF (build_zf_dataset), then SE and demapping,
-    each over the whole batch; the nets run 256 frames at a time. A single
-    frame is a batch of 1.
+    each over the whole batch; the nets run _INFER_CHUNK frames at a time.
+    A single frame is a batch of 1.
     Returns (bits (B, b), tac_indices (B,)).
     """
     s_zf, tacs = build_zf_dataset(aapd, y, h_est, table)

@@ -687,3 +687,20 @@ class TestCountFlops:
         c = build_se(1, 16, variant="complex", channels=(8, 8), seed=0)
         r = build_se(1, 16, variant="real", channels=(8, 8), seed=0)
         assert count_flops(c.net, (1, 1, 16)) == count_flops(r.net, (1, 1, 16))
+
+
+class TestDefaultNetTotals:
+    # (AAPD params, AAPD FLOPs, SE params, SE FLOPs) at the default widths,
+    # as the spec-reading accounting gave them
+    @pytest.mark.parametrize("dims, variant, totals", [
+        ((4, 1, 4, 16), "complex", (2200128, 18237440, 5184, 331776)),
+        ((4, 1, 4, 16), "real", (4400256, 18237440, 10368, 331776)),
+        ((8, 2, 8, 16), "complex", (4297280, 36212736, 5184, 663552)),
+        ((8, 2, 8, 16), "real", (8594560, 36212736, 10368, 663552)),
+    ])
+    def test_totals_pinned(self, dims, variant, totals):
+        n_t, n_u, n_r, t = dims
+        aapd = build_aapd(n_r, t, n_t, variant).net
+        se = build_se(n_u, t, variant).net
+        assert (count_params(aapd), count_flops(aapd, (1, n_r, t)),
+                count_params(se), count_flops(se, (1, n_u, t))) == totals

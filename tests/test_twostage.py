@@ -27,6 +27,10 @@ from immimo.twostage import (
 )
 
 
+# the codebook of the 4-antenna, one-active AAPD tests below
+TABLE_4X1 = build_tac_table(4, 1)
+
+
 def zero_params(model):
     for _, a in model.param_items():
         a[...] = 0
@@ -197,7 +201,7 @@ class TestTraining:
         aapd = build_aapd(2, 4, 4, conv_channels=(2, 2), dense_units=(4, 4))
         empty = (np.zeros((0, 2, 4), complex), np.zeros((0, 4)))
         with pytest.raises(ValueError):
-            train_aapd(aapd, empty, empty, TrainConfig())
+            train_aapd(aapd, empty, empty, TrainConfig(), TABLE_4X1)
         se = build_se(1, 4, channels=(2, 2))
         empty_se = (np.zeros((0, 1, 4), complex), np.zeros((0, 1, 4), complex))
         with pytest.raises(ValueError):
@@ -210,7 +214,7 @@ class TestTraining:
         y2, g2 = np.repeat(y, 2, axis=0), np.repeat(g, 2, axis=0)
         aapd = build_aapd(2, 4, 4, conv_channels=(2, 2), dense_units=(4, 4), seed=3)
         cfg = TrainConfig(lr=0.05, batch=2, max_epochs=400, gamma1=1e-3, seed=3)
-        hist = train_aapd(aapd, (y2, g2), (y2, g2), cfg)
+        hist = train_aapd(aapd, (y2, g2), (y2, g2), cfg, TABLE_4X1)
         done = hist[-1]
         assert done["event"] == "done"
         assert done["best_val_loss"] < 1e-3
@@ -220,7 +224,7 @@ class TestTraining:
         g = (np_rng.random((8, 4)) < 0.25).astype(float)
         aapd = build_aapd(2, 4, 4, conv_channels=(2, 2), dense_units=(4, 4), seed=4)
         cfg = TrainConfig(lr=0.05, batch=4, max_epochs=12, gamma1=1e-9, seed=4)
-        hist = train_aapd(aapd, (y, g), (y, g), cfg)
+        hist = train_aapd(aapd, (y, g), (y, g), cfg, TABLE_4X1)
         done = hist[-1]
         epochs = [h for h in hist if "epoch" in h]
         assert done["best_val_loss"] == min(h["val_loss"] for h in epochs)
@@ -232,7 +236,7 @@ class TestTraining:
         g = (np_rng.random((8, 4)) < 0.25).astype(float)
         aapd = build_aapd(2, 4, 4, conv_channels=(2, 2), dense_units=(4, 4), seed=4)
         cfg = TrainConfig(batch=4, max_epochs=3, gamma1=gamma1, seed=4)
-        hist = train_aapd(aapd, (y, g), (y, g), cfg)
+        hist = train_aapd(aapd, (y, g), (y, g), cfg, TABLE_4X1)
         done = hist[-1]
         epochs = [h for h in hist if "epoch" in h]
         assert done["stop_reason"] == reason
@@ -264,7 +268,7 @@ class TestTraining:
         tr, va = with_nan(y)
         aapd = build_aapd(2, 4, 4, conv_channels=(2, 2), dense_units=(4, 4), seed=4)
         with pytest.raises(FloatingPointError):
-            train_aapd(aapd, (tr, g), (va, g), cfg)
+            train_aapd(aapd, (tr, g), (va, g), cfg, TABLE_4X1)
         s = y[:, :1, :]
         tr, va = with_nan(s)
         se = build_se(1, 4, channels=(2, 2), seed=4)
