@@ -53,6 +53,19 @@ computed from (and eps). A call whose tensors differ in any byte
 recomputes, so in-place writes (Adam, load_state_arrays) and replaced
 tensors (set_tensor, quantize_state, a train-mode forward) need no
 invalidation step.
+
+An inference pass keeps no activation, so each of its arrays is dead once
+the next layer has read it; the ownership rule says when a layer may
+overwrite its input. Model and Residual run their layers through
+_forward_chain: in infer mode a layer owns its input unless that input
+shares memory with the chain's input, which is the caller's array (for a
+Residual's branch, the skip) or a view of it (after a leading Flatten).
+Any other input is an array that the layer before made and nothing else
+references. The chain decides this per call, so the rule holds for leaf
+layers re-wrapped in another Model, and a layer called on its own, or in
+train mode, never owns its input. The infer-mode batch norms and ReLUs
+run one arithmetic sequence into an owned input or into a new array, so
+the bytes do not depend on ownership.
 """
 
 from __future__ import annotations
@@ -135,6 +148,20 @@ def _walk_items(layers, items: str, key) -> list:
             for n, a in getattr(layer, items)()]
 
 
+def _forward_chain(layers, x: np.ndarray, train: bool) -> np.ndarray:
+    """x through `layers` in order, each called as layer.forward(x,
+    train=train); in infer mode a layer owns an input that shares no memory
+    with x (see the module docstring)."""
+    x0 = x
+    for layer in layers:
+        layer._owns_input = not train and not np.may_share_memory(x, x0)
+        try:
+            x = layer.forward(x, train=train)
+        finally:
+            layer._owns_input = False
+    return x
+
+
 def _out_hw(h: int, w: int, k: int, padding: str) -> tuple[int, int, int]:
     # padding and kernel were checked by _ConvBase.__init__
     if padding == "same":
@@ -162,6 +189,11 @@ def _windows(x: np.ndarray, k: int, pad: int) -> np.ndarray:
     sb, sc, sh, sw = xp.strides
     return np.lib.stride_tricks.as_strided(xp, (b, c, h - k + 1, w - k + 1, k, k),
                                            (sb, sc, sh, sw, sh, sw), writeable=False)
+
+
+# bytes of batch-major patches that one conv forward GEMM slab holds: about
+# one core's L2 cache
+_SLAB_BYTES = 2 << 20
 
 
 def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
@@ -219,6 +251,9 @@ class Layer:
     buffer_names: tuple = ()
     # what a train-mode forward keeps for the backward that follows it
     _cache = None
+    # set by _forward_chain for the length of one infer-mode call: the
+    # input is an array that nothing else references (the ownership rule)
+    _owns_input = False
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -270,13 +305,18 @@ class _ConvBase(Layer):
     """2-D convolution, stride 1, as patch-matrix products in the weight's
     dtype.
 
-    Forward is W (Cout, C*k*k) @ cols (B, C*k*k, P) over P = Ho*Wo output
-    positions, on batch-major patches that are freed after the product;
-    the layer keeps only its input. Backward rebuilds the patches from that
-    input channel-major, cols (C*k*k, B*P), so batch and position share one
-    GEMM axis, and runs two GEMMs on the output gradient G (Cout, B*P): the
-    weight gradient conj(conj(G) @ cols.T), which conjugates G and the
-    (Cout, C*k*k) result instead of the patches, and the patch gradient
+    Forward is W (Cout, C*k*k) @ cols (s, C*k*k, P) over P = Ho*Wo output
+    positions, one slab of s frames at a time: each slab's batch-major
+    patches fit in _SLAB_BYTES, so the GEMMs read them from cache, and each
+    slab's product is written into its rows of the preallocated output.
+    numpy runs a stacked matmul as one (Cout, C*k*k) @ (C*k*k, P) GEMM per
+    frame whatever the stack's length, so the output is the same bit for
+    bit at any slab size. The layer keeps only its input. Backward rebuilds
+    the patches from that input channel-major, cols (C*k*k, B*P), so batch
+    and position share one GEMM axis, and runs two GEMMs on the output
+    gradient G (Cout, B*P): the weight gradient conj(conj(G) @ cols.T),
+    which conjugates G and the (Cout, C*k*k) result instead of the
+    patches, and the patch gradient
     conj(W.T @ conj(G)) = conj(W).T @ G. _col2im_cm folds that onto the
     input before it is conjugated (negating a sum is exact), so only the
     (B, C, H, W) result is conjugated. Taps that only read padding (a
@@ -318,7 +358,11 @@ class _ConvBase(Layer):
             raise ValueError(f"expected {self.in_channels} channels, got {c}")
         ho, wo, pad = _out_hw(h, w, self.kernel, self.padding)
         wmat = self.weight.reshape(self.out_channels, -1)
-        out = wmat @ _im2col(x, self.kernel, pad)                  # (B, Cout, P)
+        out = np.empty((b, self.out_channels, ho * wo), dtype=wmat.dtype)
+        # frames whose (s, C*k*k, P) patches fit in _SLAB_BYTES
+        s = max(1, _SLAB_BYTES // (wmat.shape[1] * ho * wo * wmat.itemsize))
+        for i in range(0, b, s):
+            np.matmul(wmat, _im2col(x[i:i + s], self.kernel, pad), out=out[i:i + s])
         out += self.bias[None, :, None]
         self._cache = (x, pad) if train else None
         return out.reshape(b, self.out_channels, ho, wo)
@@ -442,7 +486,9 @@ class RealReLU(Layer):
         v = _real_view(x, self.dtype)
         m = v > 0
         self._cache = m if train else None
-        return _from_real_view(v * m, self.dtype)
+        # v * m, not maximum(v, 0): a negative entry becomes -0.0
+        return _from_real_view(np.multiply(v, m, out=v if self._owns_input else None),
+                               self.dtype)
 
     def backward(self, grad):
         return _from_real_view(_real_view(grad, self.dtype) * self._take_cache(), self.dtype)
@@ -694,8 +740,13 @@ class ComplexBatchNorm(Layer):
         else:
             a, b, c = self._infer_map()
             self._cache = None
-        y = _apply_widely_linear(x, a, b)
-        y += _expand(c.astype(x.dtype, copy=False), x.ndim)
+        a, b, c = (_expand(v.astype(x.dtype, copy=False), x.ndim) for v in (a, b, c))
+        # conj(x)*b before x*a, which may overwrite x
+        t = x.conj()
+        t *= b
+        y = np.multiply(x, a, out=x if self._owns_input else None)
+        y += t
+        y += c
         return y
 
     def backward(self, grad):
@@ -786,9 +837,14 @@ class RealBatchNorm(Layer):
             mean, var = (a.astype(x.dtype, copy=False)
                          for a in (self.running_mean, self.running_var))
         inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - _expand(mean, x.ndim)) * _expand(inv, x.ndim)
+        nd = x.ndim
+        xhat = np.subtract(x, _expand(mean, nd), out=x if self._owns_input else None)
+        xhat *= _expand(inv, nd)
         self._cache = (xhat, inv, axes) if train else None
-        return _expand(self.gamma, x.ndim) * xhat + _expand(self.beta, x.ndim)
+        # backward reads xhat: train mode scales a new array
+        y = np.multiply(xhat, _expand(self.gamma, nd), out=None if train else xhat)
+        y += _expand(self.beta, nd)
+        return y
 
     def backward(self, grad):
         xhat, inv, axes = self._take_cache()
@@ -830,9 +886,7 @@ class Residual(Layer):
         return self.layers[int(i)].tensor_fault(rest, a)
 
     def forward(self, x, train=False):
-        out = x
-        for l in self.layers:
-            out = l.forward(out, train=train)
+        out = _forward_chain(self.layers, x, train)
         if out.shape != x.shape:
             raise ValueError(f"residual branch changed shape {x.shape} -> {out.shape}")
         return x + out

@@ -24,7 +24,8 @@ import struct
 
 import numpy as np
 
-from immimo.cvnn.layers import Layer, RealHeadDense, Residual, _walk_items, layer_from_spec
+from immimo.cvnn.layers import (Layer, RealHeadDense, Residual, _forward_chain, _walk_items,
+                                layer_from_spec)
 from immimo.files import replace_file
 
 _MAGIC = b"CVNN"
@@ -73,9 +74,7 @@ class Model:
         self.meta = dict(meta or {})
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        for layer in self.layers:
-            x = layer.forward(x, train=train)
-        return x
+        return _forward_chain(self.layers, x, train)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         for layer in reversed(self.layers):

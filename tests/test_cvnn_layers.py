@@ -23,13 +23,14 @@ from immimo.cvnn.layers import (
     _col2im_cm,
     _im2col,
     _im2col_cm,
+    _out_hw,
     _pad,
     _tap_spans,
     _sigmoid,
     _windows,
     layer_from_spec,
 )
-from immimo.cvnn import Adam, Model
+from immimo.cvnn import Adam, Model, layers as layers_module
 from immimo.linalg import Rng
 
 from conftest import rel_err
@@ -268,6 +269,72 @@ class TestConvBackward:
         held = [a for v in vars(layer).values() for a in (v if isinstance(v, tuple) else (v,))
                 if isinstance(a, np.ndarray)]
         assert max(a.size for a in held) <= x.size
+
+
+def slab_frames(layer, h, w):
+    """Frames in one forward slab of `layer` on an (h, w) map."""
+    ho, wo, _ = _out_hw(h, w, layer.kernel, layer.padding)
+    return layers_module._SLAB_BYTES // (layer.in_channels * layer.kernel ** 2 * ho * wo
+                                         * layer.weight.itemsize)
+
+
+class TestConvSlabs:
+    """The forward's slabbed product equals the whole-batch one byte for
+    byte: numpy runs one GEMM per frame of a stacked matmul."""
+
+    @staticmethod
+    def whole_batch(layer, x):
+        # the forward before it was slabbed: one product over every frame
+        x = np.asarray(x, dtype=layer.weight.dtype)
+        b, _, h, w = x.shape
+        ho, wo, pad = _out_hw(h, w, layer.kernel, layer.padding)
+        out = layer.weight.reshape(layer.out_channels, -1) @ _im2col(x, layer.kernel, pad)
+        out += layer.bias[None, :, None]
+        return out.reshape(b, layer.out_channels, ho, wo)
+
+    # complex widths on n_r x t = 8 x 16 and 4 x 16 (AAPD convs) and on
+    # n_u x t = 2 x 16 and 1 x 16 (SE convs); the real twin doubles them
+    @pytest.mark.parametrize("cin, cout, h", [
+        (1, 32, 8), (32, 64, 8), (1, 32, 4), (32, 64, 4),
+        (1, 16, 2), (16, 16, 2), (16, 1, 2), (1, 16, 1), (16, 16, 1), (16, 1, 1)])
+    @pytest.mark.parametrize("batch", [1, 257])
+    @pytest.mark.parametrize("cls", [ComplexConv2d, RealConv2d])
+    @pytest.mark.parametrize("narrow", [True, False])
+    def test_equals_whole_batch(self, np_rng, cls, cin, cout, h, batch, narrow):
+        real = cls is RealConv2d
+        w = 2 if real else 1
+        layer = cls(w * cin, w * cout, rng=Rng(3))
+        layer.bias = np_rng.normal(size=w * cout)
+        dt = (np.float32 if narrow else np.float64) if real else \
+            (np.complex64 if narrow else np.complex128)
+        layer.weight, layer.bias = layer.weight.astype(dt), layer.bias.astype(dt)
+        x = crandn(np_rng, batch, w * cin, h, 16)
+        x = x.real.copy() if real else x
+        got = layer.forward(x)
+        want = self.whole_batch(layer, x)
+        assert got.dtype == want.dtype == layer.weight.dtype
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cls", [ComplexConv2d, RealConv2d])
+    @pytest.mark.parametrize("train", [True, False])
+    @pytest.mark.parametrize("batch", [1, 5, 37])
+    def test_valid_and_train(self, np_rng, cls, train, batch, monkeypatch):
+        # a small slab budget: 2 frames of (6*9, 4*14) c16 patches per
+        # slab, 4 of f8 ones
+        monkeypatch.setattr(layers_module, "_SLAB_BYTES", 2 * 54 * 56 * 16)
+        layer = cls(6, 5, kernel=3, padding="valid", rng=Rng(4))
+        x = crandn(np_rng, batch, 6, 6, 16)
+        x = x if cls is ComplexConv2d else x.real.copy()
+        assert slab_frames(layer, 6, 16) == (2 if cls is ComplexConv2d else 4)
+        got = layer.forward(x, train=train)
+        assert got.tobytes() == self.whole_batch(layer, x).tobytes()
+
+    def test_aapd_chunk_spans_slabs(self):
+        # the second AAPD conv of 8x2-csi at c8, whose patches the slab
+        # bound keeps in cache: 256 frames run as many GEMM slabs
+        layer = ComplexConv2d(32, 64)
+        layer.weight = layer.weight.astype(np.complex64)
+        assert 1 < slab_frames(layer, 8, 16) < 256
 
 
 class TestIm2Col:

@@ -26,10 +26,12 @@ from immimo.cvnn import (
 from immimo.cvnn.layers import (
     ComplexBatchNorm,
     ComplexConv2d,
+    Flatten,
     RealBatchNorm,
     RealConv2d,
     Residual,
 )
+from immimo.cvnn.model import _leaf_layers
 from immimo.cvnn.optim import _BLOCK
 from immimo.linalg import Rng
 from immimo.twostage import build_aapd, build_se
@@ -704,3 +706,139 @@ class TestDefaultNetTotals:
         se = build_se(n_u, t, variant).net
         assert (count_params(aapd), count_flops(aapd, (1, n_r, t)),
                 count_params(se), count_flops(se, (1, n_u, t))) == totals
+
+
+def trained_like(net, rows, np_rng):
+    """`net` after two train-mode passes (batch norms off their initial
+    statistics) at checkpoint precision, as a loaded net infers."""
+    for _ in range(2):
+        net.forward(crandn(np_rng, 4, 1, rows, 16), train=True)
+    net.quantize_state()
+    return net
+
+
+def standalone(layers, x):
+    """x through `layers`, each leaf called on its own (owning nothing)."""
+    for layer in layers:
+        x = x + standalone(layer.layers, x) if isinstance(layer, Residual) \
+            else layer.forward(x)
+    return x
+
+
+def spy_on_skips(net, seen):
+    """Wrap each Residual of `net` to record (skip, its bytes on entry)."""
+    for layer in net.layers:
+        if isinstance(layer, Residual):
+            def forward(x, train=False, _orig=layer.forward):
+                seen.append((x, x.tobytes()))
+                return _orig(x, train=train)
+            layer.forward = forward
+
+
+# (net, rows of its input): the AAPD of both benchmark systems and the SE at
+# n_u 1 and 2, each in both variants
+NETS = [(lambda v: build_aapd(8, 16, 8, v).net, 8), (lambda v: build_aapd(4, 16, 4, v).net, 4),
+        (lambda v: build_se(2, 16, v).net, 2), (lambda v: build_se(1, 16, v).net, 1)]
+NET_IDS = ["aapd-8x2", "aapd-4x1", "se-2", "se-1"]
+
+
+class TestOwnership:
+    """An infer-mode batch norm or ReLU may overwrite an input that its
+    chain owns; the caller's array and a Residual's skip are never written,
+    and the output bytes do not depend on who owns what."""
+
+    @pytest.mark.parametrize("variant", ["complex", "real"])
+    @pytest.mark.parametrize("make, rows", NETS, ids=NET_IDS)
+    @pytest.mark.parametrize("train", [False, True])
+    def test_keeps_input_and_skip(self, np_rng, make, rows, variant, train):
+        net = trained_like(make(variant), rows, np_rng)
+        seen = []
+        spy_on_skips(net, seen)
+        # at the net's own precision too, so that no first cast copies it
+        for x in (crandn(np_rng, 5, 1, rows, 16), crandn(np_rng, 5, 1, rows, 16)
+                  .astype(np.complex64)):
+            before = x.tobytes()
+            want = None if train else standalone(net.layers, x)
+            seen.clear()
+            got = net.forward(x, train=train)
+            assert x.tobytes() == before
+            assert len(seen) == (net.meta["role"] == "se")
+            assert all(skip.tobytes() == b for skip, b in seen)
+            if want is not None:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("variant", ["complex", "real"])
+    @pytest.mark.parametrize("make, rows", NETS, ids=NET_IDS)
+    def test_rewrapped_leaves(self, np_rng, make, rows, variant):
+        net = trained_like(make(variant), rows, np_rng)
+        x = crandn(np_rng, 5, 1, rows, 16).astype(np.complex64)
+        first = net.forward(x).tobytes()
+        leaves = list(_leaf_layers(net.layers))
+        for i in range(1, len(leaves) + 1):
+            before = x.tobytes()
+            got = Model(leaves[:i]).forward(x)
+            assert x.tobytes() == before
+            assert got.tobytes() == standalone(leaves[:i], x).tobytes()
+        # the original container still runs as it did
+        assert net.forward(x).tobytes() == first
+
+    @pytest.mark.parametrize("cls, dtype", [
+        (ComplexBatchNorm, np.complex64), (ComplexBatchNorm, np.complex128),
+        (RealBatchNorm, np.float32), (RealBatchNorm, np.float64), (ComplexReLU, np.complex64),
+        (ComplexReLU, np.complex128), (RealReLU, np.float32), (RealReLU, np.float64)])
+    @pytest.mark.parametrize("train", [False, True])
+    def test_lone_layer_keeps_input(self, np_rng, cls, dtype, train):
+        layer = cls(3) if cls in (ComplexBatchNorm, RealBatchNorm) else cls()
+        x = crandn(np_rng, 4, 3, 2, 5)
+        x = (x if np.dtype(dtype).kind == "c" else x.real).astype(dtype)
+        # a net's pass first, in which the layer owned its input
+        Model([Flatten(), layer, layer] if layer.kind.endswith("relu")
+              else [ComplexConv2d(3, 3) if np.iscomplexobj(x) else RealConv2d(3, 3),
+                    layer]).forward(x)
+        before = x.tobytes()
+        layer.forward(x, train=train)
+        assert x.tobytes() == before
+
+    @pytest.mark.parametrize("layers", [
+        lambda: [ComplexReLU(), ComplexReLU()],
+        lambda: [Flatten(), ComplexReLU()],
+        lambda: [ComplexBatchNorm(3), ComplexReLU()],
+        lambda: [Residual([ComplexReLU(), ComplexBatchNorm(3)]), ComplexReLU()]],
+        ids=["relu-relu", "flatten-relu", "bn-relu", "residual-relu"])
+    def test_callers_array_not_owned(self, np_rng, layers):
+        x = crandn(np_rng, 4, 3, 2, 5).astype(np.complex64)
+        before = x.tobytes()
+        model = Model(layers())
+        got = model.forward(x)
+        assert x.tobytes() == before
+        assert got.tobytes() == standalone(model.layers, x).tobytes()
+
+
+class TestTracerShapedWrapper:
+    """perfbench/tracer.py wraps net.forward and each leaf layer's forward
+    as an instance attribute taking (x, train=False) only; an inference
+    pass must call each once and give the same bytes."""
+
+    @staticmethod
+    def wrap(obj, calls, key):
+        forward = obj.forward
+
+        def traced_forward(x, train=False):
+            calls[key] = calls.get(key, 0) + 1
+            return forward(x, train=train)
+
+        obj.forward = traced_forward
+
+    @pytest.mark.parametrize("variant", ["complex", "real"])
+    @pytest.mark.parametrize("make, rows", NETS, ids=NET_IDS)
+    def test_each_leaf_once_same_bytes(self, np_rng, make, rows, variant):
+        net = trained_like(make(variant), rows, np_rng)
+        x = crandn(np_rng, 9, 1, rows, 16)
+        want = net.forward(x).tobytes()
+        calls = {}
+        leaves = list(_leaf_layers(net.layers))
+        self.wrap(net, calls, "net")
+        for i, layer in enumerate(leaves):
+            self.wrap(layer, calls, i)
+        assert net.forward(x).tobytes() == want
+        assert calls == {"net": 1, **{i: 1 for i in range(len(leaves))}}
