@@ -31,6 +31,7 @@ from immimo.detectors import classical_detect
 from immimo.files import replace_file
 from immimo.linalg import SingularMatrixError
 from immimo.modulation import QamConstellation
+from immimo.phy import demap_frame
 from immimo.runner import (
     BENCH_COLUMNS,
     BENCH_SCHEMA,
@@ -44,8 +45,6 @@ from immimo.runner import (
     load_detector,
     median_latency_ms,
     ml_flops,
-    ml_hypotheses_per_slot,
-    resolve_checkpoints,
     rows_to_csv,
     run_classical,
     run_nn,
@@ -66,9 +65,8 @@ def _load_cfg(args) -> ExperimentConfig:
     return cfg
 
 
-def _warn_ml_guard(cfg: ExperimentConfig) -> None:
-    table = table_for(cfg)
-    hyp = ml_hypotheses_per_slot(table, cfg.m)
+def _warn_ml_guard(table, m: int) -> None:
+    hyp = table.n_l * m ** table.n_u
     if hyp > ML_GUARD_HYPOTHESES:
         print(f"warning: ML search spans {hyp} hypotheses per slot "
               f"(> {ML_GUARD_HYPOTHESES}); expect long runtimes", file=sys.stderr)
@@ -91,18 +89,18 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _load_split(data_dir: str, cfg: ExperimentConfig, snr: float, split: str):
+def _load_split(data_dir: str, cfg: ExperimentConfig, table, snr: float, split: str):
     path = _dataset_path(data_dir, snr, split)
     if not os.path.exists(path):
         raise ConfigError(f"missing dataset file {path}")
     header, arrays = read_dataset(path)
     check_header_matches(header, cfg, path)
-    check_indicators(arrays, table_for(cfg), path)
+    check_indicators(arrays, table, path)
     return arrays
 
 
-def _load_pooled(data_dir: str, cfg: ExperimentConfig, snrs, split: str) -> dict:
-    parts = [_load_split(data_dir, cfg, snr, split) for snr in snrs]
+def _load_pooled(data_dir: str, cfg: ExperimentConfig, table, snrs, split: str) -> dict:
+    parts = [_load_split(data_dir, cfg, table, snr, split) for snr in snrs]
     return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
 
 
@@ -113,8 +111,8 @@ def cmd_train(args) -> int:
     # snr None: one model from all SNR points pooled
     for snr in [None] if args.mixed else cfg.snr_db:
         pool = cfg.snr_db if snr is None else [snr]
-        train = _load_pooled(args.data, cfg, pool, "train")
-        val = _load_pooled(args.data, cfg, pool, "val")
+        train = _load_pooled(args.data, cfg, table, pool, "train")
+        val = _load_pooled(args.data, cfg, table, pool, "val")
         tag = "mixed" if snr is None else snr_tag(snr)
         t0 = time.monotonic()
         aapd, se, history = train_full(
@@ -153,39 +151,39 @@ def _resolve_detectors(names, variant: str) -> list:
     return [(name, name.partition("-")[2] or None) for name in seen]
 
 
-def _eval_detector_rows(cfg, detectors, data_by_snr, ckpt_dir):
-    table = table_for(cfg)
-    constellation = QamConstellation(cfg.m)
-    if ("ml", None) in detectors:
-        _warn_ml_guard(cfg)
+def _detector_rows(detectors, data, load_pair, table, constellation, fixed) -> list:
+    """`fixed` (schema, point coordinates) plus the metrics on `data` of each
+    (name, NN variant) pair of _resolve_detectors: run_classical for ml and
+    somp, run_nn on the (AAPD, SE) pair load_pair(variant) for a variant."""
     rows = []
     for name, var in detectors:
-        for snr in cfg.snr_db:
-            data = data_by_snr[snr]
-            if var is None:
-                res = run_classical(name, data, table, constellation)
-            else:
-                aapd, se = load_detector(ckpt_dir, var, snr, cfg)
-                res = run_nn(aapd, se, data, table, constellation)
-            rows.append({"schema": EVAL_SCHEMA, "detector": name,
-                         "snr_db": float(snr), **res})
-    rows.sort(key=lambda r: (r["detector"], r["snr_db"]))
+        if var is None:
+            res = run_classical(name, data, table, constellation)
+        else:
+            res = run_nn(*load_pair(var), data, table, constellation)
+        rows.append({**fixed, "detector": name, **res})
     return rows
 
 
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
     names = args.detectors.split(",") if args.detectors else cfg.detectors
-    # an unknown or repeated name, then a missing checkpoint, fail before any
-    # dataset is read
+    # an unknown or repeated name, then a missing or malformed checkpoint,
+    # fail before any dataset is read
     detectors = _resolve_detectors(names, args.variant)
-    for _, var in detectors:
-        if var is not None:
-            for snr in cfg.snr_db:
-                resolve_checkpoints(args.ckpt, var, snr)
-    data_by_snr = {snr: _load_split(args.data, cfg, snr, "test")
+    pairs = {(var, snr): load_detector(args.ckpt, var, snr, cfg)
+             for _, var in detectors if var is not None for snr in cfg.snr_db}
+    table = table_for(cfg)
+    constellation = QamConstellation(cfg.m)
+    data_by_snr = {snr: _load_split(args.data, cfg, table, snr, "test")
                    for snr in cfg.snr_db}
-    rows = _eval_detector_rows(cfg, detectors, data_by_snr, args.ckpt)
+    if ("ml", None) in detectors:
+        _warn_ml_guard(table, cfg.m)
+    rows = []
+    for snr, data in data_by_snr.items():
+        rows += _detector_rows(detectors, data, lambda var: pairs[var, snr], table,
+                               constellation, {"schema": EVAL_SCHEMA, "snr_db": float(snr)})
+    rows.sort(key=lambda r: (r["detector"], r["snr_db"]))
     write_results(args.out, rows, EVAL_COLUMNS, extra={"command": "eval"})
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
@@ -195,7 +193,7 @@ def cmd_bench(args) -> int:
     cfg = _load_cfg(args)
     table = table_for(cfg)
     constellation = QamConstellation(cfg.m)
-    _warn_ml_guard(cfg)
+    _warn_ml_guard(table, cfg.m)
     frames = generate_arrays(cfg, cfg.snr_db[0], count=8, start_index=0)
     aapd = build_aapd(cfg.n_r, cfg.t, cfg.n_t, variant=args.variant,
                       conv_channels=tuple(cfg.conv_channels),
@@ -205,21 +203,22 @@ def cmd_bench(args) -> int:
     # time the precision eval runs at: the tensors a checkpoint holds
     aapd.net.quantize_state()
     se.net.quantize_state()
-    # each latency trial detects one frame as a batch of 1
+    # each latency trial detects one frame, as a batch of 1, down to its bits
     items = list(zip(frames["y"][:, None], frames["h_est"][:, None]))
+
+    def classical_bits(method):
+        return lambda it: demap_frame(
+            *classical_detect(*it, table, constellation, method), table, constellation)
+
     rows = [
         {"detector": "ml",
          "params": 0,
          "flops_per_frame": ml_flops(table, cfg.m, cfg.n_r, cfg.t),
-         "latency_ms_median": median_latency_ms(
-             lambda it: classical_detect(*it, table, constellation, "ml"),
-             items)},
+         "latency_ms_median": median_latency_ms(classical_bits("ml"), items)},
         {"detector": "somp",
          "params": 0,
          "flops_per_frame": somp_flops(cfg.n_t, cfg.n_r, cfg.n_u, cfg.t),
-         "latency_ms_median": median_latency_ms(
-             lambda it: classical_detect(*it, table, constellation, "somp"),
-             items)},
+         "latency_ms_median": median_latency_ms(classical_bits("somp"), items)},
         {"detector": f"nn-{args.variant}",
          "params": count_params(aapd.net) + count_params(se.net),
          "flops_per_frame": count_flops(aapd.net, (1, cfg.n_r, cfg.t))
@@ -243,20 +242,18 @@ def cmd_sweep_csi_error(args) -> int:
     snr = args.snr
     table = table_for(cfg)
     constellation = QamConstellation(cfg.m)
-    aapd, se = load_detector(args.ckpt, args.variant, snr, cfg)
+    detectors = _resolve_detectors(["ml", "somp", "nn"], args.variant)
+    pair = load_detector(args.ckpt, args.variant, snr, cfg)
+    _warn_ml_guard(table, cfg.m)
     start = cfg.frames_train + cfg.frames_val
     rows = []
     for err_var in cfg.sweep_error_var:
         cfg_pt = replace(cfg, csi_error_var=float(err_var), n_p=None, e_p=None,
                          sigma_z2=None)
         data = generate_arrays(cfg_pt, snr, cfg.frames_test, start)
-        for name in ("ml", "somp", f"nn-{args.variant}"):
-            if name.startswith("nn"):
-                res = run_nn(aapd, se, data, table, constellation)
-            else:
-                res = run_classical(name, data, table, constellation)
-            rows.append({"schema": SWEEP_SCHEMA, "detector": name,
-                         "snr_db": float(snr), "csi_error_var": float(err_var), **res})
+        rows += _detector_rows(detectors, data, lambda var: pair, table, constellation,
+                               {"schema": SWEEP_SCHEMA, "snr_db": float(snr),
+                                "csi_error_var": float(err_var)})
     rows.sort(key=lambda r: (r["detector"], r["csi_error_var"]))
     write_results(args.out, rows, SWEEP_COLUMNS, extra={"command": "sweep-csi-error"})
     print(f"wrote {args.out} ({len(rows)} rows)")

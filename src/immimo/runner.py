@@ -34,10 +34,6 @@ ML_GUARD_HYPOTHESES = 10_000_000
 LATENCY_TRIALS = 33
 
 
-def ml_hypotheses_per_slot(table: TacTable, m: int) -> int:
-    return table.n_l * m ** table.n_u
-
-
 def _score(data: dict, table: TacTable, tacs, bits_hat, seconds: float) -> dict:
     """BER and TAC accuracy (phy.tac_accuracy) of detected frames."""
     return {"frames": len(tacs), "ber": ber(data["bits"], bits_hat),
@@ -87,9 +83,9 @@ def load_detector(ckpt_dir, variant: str, snr_db: float,
                   cfg: ExperimentConfig | None = None) -> tuple[AapdModel, SeModel]:
     """Load the AAPD/SE pair for one SNR point (see resolve_checkpoints).
 
-    A checkpoint whose meta lacks a model field is a ConfigError. With
-    `cfg`, the checkpoints' n_r/t/n_t (AAPD) and n_u/t (SE) must match it,
-    else ConfigError.
+    A checkpoint whose meta lacks a model field, or whose variant is not
+    `variant`, is a ConfigError. With `cfg`, the checkpoints' n_r/t/n_t
+    (AAPD) and n_u/t (SE) must match it, else ConfigError.
     """
     models = []
     for path, cls, keys in zip(resolve_checkpoints(ckpt_dir, variant, snr_db),
@@ -100,6 +96,8 @@ def load_detector(ckpt_dir, variant: str, snr_db: float,
         missing = [k for k in ("variant",) + keys if k not in meta]
         if missing:
             raise ConfigError(f"{path}: checkpoint meta lacks {', '.join(missing)}")
+        if meta["variant"] != variant:
+            raise ConfigError(f"{path}: checkpoint variant {meta['variant']!r}, not {variant!r}")
         if cfg is not None:
             bad = [f"{k}={meta[k]} (config {getattr(cfg, k)})"
                    for k in keys if meta[k] != getattr(cfg, k)]

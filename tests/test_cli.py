@@ -4,6 +4,7 @@ import json
 import os
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,11 @@ from hypothesis import strategies as st
 
 from immimo import cli
 from immimo.cli import main
-from immimo.config import ExperimentConfig
+from immimo.config import ExperimentConfig, load_config
 from immimo.cvnn import Model, count_flops, count_params
-from immimo.dataset import read_dataset, read_header
+from immimo.dataset import generate_arrays, read_dataset, read_header, table_for
+from immimo.modulation import QamConstellation
+from immimo.runner import load_detector, run_classical, run_nn
 from immimo.twostage import build_aapd, build_se
 
 SMALL_CFG = """
@@ -536,6 +539,20 @@ class TestCheckpointInput:
         assert self._eval(workspace, workspace["ckpt"], tmp_path, cfg=cfg, data=data) == 2
         assert "n_t" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("net", ["aapd", "se"])
+    def test_variant_mismatch_exits_2(self, workspace, tmp_path, capsys, net):
+        # a real-variant net of SMALL_CFG's shape saved under the complex name
+        ckpt = self._ckpt_copy(workspace, tmp_path)
+        real = (build_aapd(2, 4, 4, "real", conv_channels=(2, 2), dense_units=(4, 4),
+                           seed=3) if net == "aapd"
+                else build_se(1, 4, "real", channels=(2, 2), seed=3))
+        real.net.save(ckpt / f"{net}_complex_snr12.cvnn")
+        assert self._eval(workspace, ckpt, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"{net}_complex_snr12.cvnn" in err
+        assert "'real'" in err and "'complex'" in err
+        assert not list(tmp_path.glob("x.*"))
+
 
 _CKPTS = ("aapd_complex_snr12.cvnn", "se_complex_snr12.cvnn")
 _DROP = object()
@@ -713,6 +730,28 @@ class TestBench:
         assert big > 1000 * small
 
 
+class TestMlGuard:
+    """Each command that runs ML warns when its search exceeds the guard."""
+
+    @pytest.mark.parametrize("cmd", ["eval", "bench", "sweep-csi-error"])
+    def test_warns_past_the_guard(self, workspace, tmp_path, monkeypatch, capsys, cmd):
+        args = {"eval": ["--data", str(workspace["data"]), "--detectors", "ml,somp",
+                         "--out", str(tmp_path / "e.csv")],
+                "bench": [],
+                "sweep-csi-error": ["--ckpt", str(workspace["ckpt"]), "--snr", "12",
+                                    "--out", str(tmp_path / "s.csv")]}[cmd]
+        monkeypatch.setattr(cli, "ML_GUARD_HYPOTHESES", 0)
+        assert main([cmd, "--config", str(workspace["cfg"])] + args) == 0
+        assert "warning: ML search spans" in capsys.readouterr().err
+
+    def test_eval_without_ml_does_not_warn(self, workspace, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "ML_GUARD_HYPOTHESES", 0)
+        assert main(["eval", "--config", str(workspace["cfg"]),
+                     "--data", str(workspace["data"]), "--detectors", "somp",
+                     "--out", str(tmp_path / "e.csv")]) == 0
+        assert "warning" not in capsys.readouterr().err
+
+
 class TestSweep:
     def test_sweep_csv_header_and_rows(self, workspace):
         out = workspace["root"] / "sweep.csv"
@@ -728,6 +767,19 @@ class TestSweep:
         for det in ("ml", "somp", "nn-complex"):
             vals = [float(r[3]) for r in rows if r[1] == det]
             assert vals == [0.0, 0.05]
+        # each row scores the test frames (after train and val) of its point,
+        # as the runners score them when called directly
+        cfg = load_config(workspace["cfg"])
+        table, const = table_for(cfg), QamConstellation(cfg.m)
+        aapd, se = load_detector(workspace["ckpt"], "complex", 12.0, cfg)
+        mirror = json.loads(out.with_suffix(".json").read_text())["rows"]
+        for row in mirror:
+            data = generate_arrays(replace(cfg, csi_error_var=row["csi_error_var"]), 12.0,
+                                   cfg.frames_test, cfg.frames_train + cfg.frames_val)
+            want = (run_nn(aapd, se, data, table, const) if row["detector"] == "nn-complex"
+                    else run_classical(row["detector"], data, table, const))
+            assert {k: row[k] for k in ("frames", "ber", "aap_accuracy")} == \
+                {k: want[k] for k in ("frames", "ber", "aap_accuracy")}
 
     def test_missing_checkpoint_exits_2(self, workspace, tmp_path):
         assert main(["sweep-csi-error", "--config", str(workspace["cfg"]),
