@@ -12,13 +12,14 @@ and both batch norms cast their input in forward, and their output
 gradient in backward, to it (the sigmoid's backward keeps its forward's
 precision), so a net holding complex128 and float64 tensors runs at 64-bit
 parts (how nets are built) and one holding complex64 and float32 runs at
-32-bit parts, the checkpoint precision at which nets train (Adam keeps
-their float64 masters, optim.py) and loaded and trained nets infer (see
-Model.quantize_state). A c16 loss gradient therefore does not pull the
-backward up to 64-bit parts. In infer mode the batch norms read their
-running statistics at the layer's precision too: training accumulates
-them at float64, and a checkpoint holds them rounded. The class-level
-`dtype` only sets the precision of the initial weight draw.
+32-bit parts, the checkpoint precision at which nets train (Adam rounds
+a built net to it and updates it in place, optim.py) and loaded and
+trained nets infer (see Model.quantize_state). A c16 loss gradient
+therefore does not pull the backward up to 64-bit parts. In infer mode
+the batch norms read their running statistics at the layer's precision
+too: training accumulates them at float64, and a checkpoint holds them
+rounded. The class-level `dtype` only sets the precision of the initial
+weight draw.
 
 One implementation per operation. A twin pair shares one class body and
 differs only in `kind` and a class-level `dtype` (complex or real): conv
@@ -408,7 +409,13 @@ class RealConv2d(_ConvBase):
 
 
 class _DenseBase(Layer):
-    """Fully-connected layer in the weight's dtype, y = x W^T + b."""
+    """Fully-connected layer in the weight's dtype, y = x W^T + b.
+
+    The product's bytes depend on the batch size: BLAS rounds the GEMM
+    differently at other row counts (a GEMV at one row). So a frame's
+    output can differ in the last bits, at f4 by 1-2 ulps, between a batch
+    of 1 and a larger batch; the code path is the same.
+    """
 
     dtype: type
     param_names = ("weight", "bias")
@@ -437,12 +444,10 @@ class _DenseBase(Layer):
     def backward(self, grad):
         x = self._take_cache()
         grad = np.asarray(grad, dtype=self.weight.dtype)
-        # grad.T @ conj(x) as conj(conj(grad).T @ x): no conjugated copy of x
-        gc = _conj(grad)
-        dw = gc.T @ x
-        self.grads = {"weight": np.conjugate(dw, out=dw), "bias": grad.sum(axis=0)}
+        # conjugate the (B, in) input, not the (out, in) product
+        self.grads = {"weight": grad.T @ _conj(x), "bias": grad.sum(axis=0)}
         # grad @ conj(W) as conj(conj(grad) @ W): no conjugated copy of W
-        dx = gc @ self.weight
+        dx = _conj(grad) @ self.weight
         return np.conjugate(dx, out=dx)
 
 

@@ -8,13 +8,13 @@ header is an object with exactly the keys `layers` (layer specs), `tensors`
 are f32, complex tensors are c8 (interleaved re/im f32).
 
 Nets are built at f64/c16 and train at their disk dtype (f32/c8): Adam
-(optim.py) keeps f64/c16 master weights and hands the net their roundings,
-and a layer computes in the dtype of its own tensors (layers.py). A loaded
-net holds each tensor at its disk dtype, and so does a trained one
-(`quantize_state`, which training ends with, also rounds the batch-norm
-running statistics), so both infer at that precision. Save -> load -> save
-is byte identical. Save writes beside the target and renames the file into
-place.
+(optim.py) rounds a built net's parameters to it and updates them in
+place, and a layer computes in the dtype of its own tensors (layers.py).
+A loaded net holds each tensor at its disk dtype, and so does a trained
+one (`quantize_state`, which training ends with, also rounds the
+batch-norm running statistics), so both infer at that precision. Save ->
+load -> save is byte identical. Save writes beside the target and
+renames the file into place.
 """
 
 from __future__ import annotations

@@ -1,47 +1,44 @@
-"""Adam with float64 master weights, treating (real, imag) slots as independent reals."""
+"""Adam in place on float32/complex64 parameters, (real, imag) slots as independent reals."""
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
-from immimo.cvnn.layers import _real_view
 from immimo.cvnn.model import Model, _at_disk_precision
 
 
 # Adam walks each tensor in blocks of this many real slots: its scratch
-# stays small, and a block's operands (about 1.8 MB) stay in cache
+# stays small, and a block's operands (about 0.6 MB) stay in cache
 _BLOCK = 1 << 15
 
 
-def _master(a: np.ndarray) -> np.ndarray:
-    """A C-contiguous float64 (complex128) copy of `a`, exact from f32/c8."""
-    return np.array(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64,
-                    order="C")
-
-
 class Adam:
-    """Standard Adam with bias correction on float64 master weights; the
-    net it trains computes at checkpoint precision (mixed-precision
-    training, Micikevicius et al., ICLR 2018).
+    """Adam with bias correction in the short form of Kingma & Ba (ICLR
+    2015, end of section 2), run in place on the net's own parameters.
 
-    Built over a net, Adam keeps a float64/complex128 master copy of each
-    parameter (`masters`, exact for a loaded float32/complex64 net) and
-    replaces the net's parameters with their float32/complex64 roundings,
-    the precision a checkpoint holds, so forward and backward run at that
-    precision. Batch-norm running statistics are buffers, not parameters:
-    they keep the precision they have, float64 for a built net, until
-    Model.quantize_state.
+    Built over a net, Adam replaces its parameters with their
+    float32/complex64 roundings (a loaded net keeps its bytes), the
+    precision a checkpoint holds, so forward, backward and update all run
+    at that precision; as the net computes in float32, a wider master copy
+    would buy nothing (mixed-precision training, Micikevicius et al., ICLR
+    2018, keeps one for nets that compute below float32). Batch-norm
+    running statistics are buffers, not parameters: they keep their
+    precision, float64 for a built net, until Model.quantize_state.
 
-    Every master, gradient and moment is updated through its flat real
-    view, so a complex parameter is exactly two real parameters (its real
-    and imaginary slots) and real and complex tensors share one code path.
-    The moments `m` and `v` keep the master's dtype, so a complex `v`
-    holds the real slot's second moment in v.real and the imaginary slot's
-    in v.imag. step() upcasts each block of gradient slots to float64
-    (exactly), updates the masters and moments in place, and writes the
-    block's rounded masters into the net's parameter in the same pass. The
-    update is elementwise, so walking a tensor block by block gives the
-    same bits as one pass over the whole tensor.
+    Every parameter, gradient and moment is updated through its flat
+    float32 real view, so a complex parameter is exactly two real
+    parameters (its real and imaginary slots) and real and complex tensors
+    share one code path. `m` and `v` take the parameter's dtype, so a
+    complex `v` holds the real slot's second moment in v.real and the
+    imaginary slot's in v.imag. At step t, with a_t = lr sqrt(1 - b2^t) /
+    (1 - b1^t) and e_t = eps sqrt(1 - b2^t), both rounded to float32:
+        m += (1 - b1)(g - m);  v += (1 - b2)(g^2 - v)
+        p -= a_t (m / (sqrt(v) + e_t))
+    The update is elementwise, so walking a tensor block by block gives
+    the same bits as one pass over the whole tensor.
     """
 
     # the defaults of Kingma & Ba (ICLR 2015)
@@ -53,70 +50,72 @@ class Adam:
         self.model = model
         self.lr = lr
         self.step_count = 0
-        params = model.param_items()
-        self.masters = [_master(a) for _, a in params]
+        model.set_tensors([(key, _at_disk_precision(a)) for key, a in model.param_items()])
         self.slots = [{"m": np.zeros_like(a), "v": np.zeros_like(a)}
-                      for a in self.masters]
-        model.set_tensors([(key, _at_disk_precision(a))
-                           for (key, _), a in zip(params, self.masters)])
-        self._scratch = np.empty((3, _BLOCK))
+                      for _, a in model.param_items()]
+        self._scratch = np.empty(_BLOCK, dtype=np.float32)
 
     def step(self) -> None:
         """Apply one update from the gradients currently held by the layers."""
         params = self.model.param_items()
         grads = self.model.grad_items()
         self.step_count += 1
-        c1 = 1.0 - self.beta1 ** self.step_count
-        c2 = 1.0 - self.beta2 ** self.step_count
-        for master, slot, (key, p), (_, g) in zip(self.masters, self.slots, params, grads):
+        root_c2 = math.sqrt(1.0 - self.beta2 ** self.step_count)
+        lr_t = np.float32(self.lr * root_c2 / (1.0 - self.beta1 ** self.step_count))
+        eps_t = np.float32(self.eps * root_c2)
+        for slot, (key, p), (_, g) in zip(self.slots, params, grads):
             # the flat view must alias p: reshape copies otherwise
             if not p.flags.c_contiguous:
                 raise ValueError(f"parameter {key} is not C-contiguous")
-            wide = [a.view(np.float64).reshape(-1) for a in (master, slot["m"], slot["v"])]
-            low, g = (_real_view(a, master.dtype).reshape(-1) for a in (p, g))
-            for lo in range(0, wide[0].size, _BLOCK):
-                hi = lo + _BLOCK
-                self._update(*(a[lo:hi] for a in wide), g[lo:hi], c1, c2)
-                low[lo:hi] = wide[0][lo:hi]
+            if p.dtype != slot["m"].dtype:
+                raise ValueError(f"parameter {key} is {p.dtype}, its moments {slot['m'].dtype}")
+            flat = [np.ascontiguousarray(a, dtype=p.dtype).view(p.real.dtype).reshape(-1)
+                    for a in (p, slot["m"], slot["v"], g)]
+            for lo in range(0, flat[0].size, _BLOCK):
+                self._update(*(a[lo:lo + _BLOCK] for a in flat), lr_t, eps_t)
 
-    def _update(self, p, m, v, g, c1: float, c2: float) -> None:
-        """One Adam update of a block of float64 slots p, m and v, in place,
-        from the gradient slots g at any precision."""
-        b1, b2 = self.beta1, self.beta2
-        s, u, gw = self._scratch[:, :p.size]
-        gw[...] = g
-        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
-        m *= b1
-        m += np.multiply(gw, 1 - b1, out=s)
-        v *= b2
-        np.multiply(gw, gw, out=s)
-        s *= 1 - b2
+    def _update(self, p, m, v, g, lr_t: np.float32, eps_t: np.float32) -> None:
+        """One Adam update of a block of float32 slots p, m and v, in place,
+        from the gradient slots g."""
+        s = self._scratch[:p.size]
+        # m += (1 - b1)(g - m)
+        np.subtract(g, m, out=s)
+        s *= np.float32(1 - self.beta1)
+        m += s
+        # v += (1 - b2)(g^2 - v)
+        np.multiply(g, g, out=s)
+        s -= v
+        s *= np.float32(1 - self.beta2)
         v += s
-        # p -= lr (m / c1) / (sqrt(v / c2) + eps)
-        np.divide(v, c2, out=s)
-        np.sqrt(s, out=s)
-        s += self.eps
-        np.divide(m, c1, out=u)
-        u /= s
-        u *= self.lr
-        p -= u
+        # p -= lr_t (m / (sqrt(v) + eps_t))
+        np.sqrt(v, out=s)
+        s += eps_t
+        np.divide(m, s, out=s)
+        s *= lr_t
+        p -= s
 
     def state(self) -> dict:
-        return {"step": self.step_count, "lr": self.lr, "slots": self.slots,
-                "masters": self.masters}
+        return {"step": self.step_count, "lr": self.lr, "slots": self.slots}
 
     def load_state(self, state: dict) -> None:
-        """Take over `state` (from state()) and write its masters, rounded,
-        into the net's parameters."""
-        if (len(state["slots"]) != len(self.slots)
-                or len(state["masters"]) != len(self.masters)):
-            raise ValueError("adam state mismatch")
-        self.step_count = int(state["step"])
-        self.lr = float(state["lr"])
-        for mine, theirs in zip(self.slots, state["slots"]):
+        """Take over the step count, learning rate and moments of `state`
+        (from state()); ValueError, with nothing taken, when they do not
+        fit this optimizer's parameters."""
+        step, lr, slots = state["step"], state["lr"], state["slots"]
+        if not (isinstance(step, numbers.Integral) and step >= 0):
+            raise ValueError(f"adam step must be an int >= 0, got {step!r}")
+        if not (isinstance(lr, numbers.Real) and math.isfinite(lr) and lr > 0):
+            raise ValueError(f"adam lr must be finite and > 0, got {lr!r}")
+        if len(slots) != len(self.slots):
+            raise ValueError(f"adam state has {len(slots)} slots, the net {len(self.slots)}")
+        for i, (mine, theirs) in enumerate(zip(self.slots, slots)):
+            for k, want in mine.items():
+                got = np.asarray(theirs[k])
+                if (got.shape, got.dtype) != (want.shape, want.dtype):
+                    raise ValueError(f"adam slot {i} {k} is {got.dtype} {got.shape}, "
+                                     f"not {want.dtype} {want.shape}")
+        self.step_count = int(step)
+        self.lr = float(lr)
+        for mine, theirs in zip(self.slots, slots):
             mine["m"][...] = theirs["m"]
             mine["v"][...] = theirs["v"]
-        for mine, theirs, (_, p) in zip(self.masters, state["masters"],
-                                        self.model.param_items()):
-            mine[...] = theirs
-            p[...] = mine

@@ -185,8 +185,8 @@ def _fit(net: Model, stage: str, train: tuple, val: tuple, loss, loss_backward,
 
     `train`/`val` are (net input, target) pairs. Training and its
     validation passes run at checkpoint precision (float32/complex64):
-    Adam keeps the float64 master weights and hands `net` their roundings,
-    and validation reads the batch-norm running statistics (accumulated at
+    Adam rounds `net`'s parameters to it and updates them in place, and
+    validation reads the batch-norm running statistics (accumulated at
     float64) rounded as a checkpoint holds them, so each validation loss,
     and so the best-epoch pick, judges exactly the net a checkpoint of that
     epoch holds. Runs until done(val loss) or the epoch cap and leaves
@@ -318,7 +318,11 @@ def detect_frames(y: np.ndarray, h_est: np.ndarray, aapd: AapdModel, se: SeModel
 
     AAPD, legalization and ZF (build_zf_dataset), then SE and demapping,
     each over the whole batch; the nets run _INFER_CHUNK frames at a time.
-    A single frame is a batch of 1.
+    A single frame is a batch of 1: the same code path, but not always the
+    same bytes, since the dense layers' GEMMs round differently at other
+    row counts (_DenseBase). A frame's AAPD probabilities can differ by 1-2
+    f4 ulps between a batch of 1 and a larger batch, so only a near-tie
+    top-N_u decision can flip.
     Returns (bits (B, b), tac_indices (B,)).
     """
     s_zf, tacs = build_zf_dataset(aapd, y, h_est, table)

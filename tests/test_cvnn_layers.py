@@ -406,6 +406,28 @@ class TestDense:
         x = np_rng.normal(size=(3, 4))
         assert np.allclose(layer.forward(x), x @ layer.weight.T + layer.bias)
 
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128, np.float32, np.float64])
+    @pytest.mark.parametrize("batch, n_in, n_out", [(100, 8192, 256), (100, 256, 128),
+                                                     (50, 128, 8), (1, 16, 8), (257, 33, 7)])
+    def test_weight_gradient_keeps_the_conjugated_product_bytes(self, np_rng, dtype,
+                                                                batch, n_in, n_out):
+        # backward takes grad.T @ conj(x), conjugating the (B, in) input; the
+        # form before, conj(conj(grad).T @ x), conjugated the (out, in)
+        # product, and the bytes are the same (the AAPD's first dense layer
+        # at both workloads' widths, its next two, a single frame, odd sizes)
+        cls = ComplexDense if np.dtype(dtype).kind == "c" else RealDense
+        layer = cls(n_in, n_out, rng=Rng(3))
+        layer.set_tensor("weight", layer.weight.astype(dtype))
+        layer.set_tensor("bias", layer.bias.astype(dtype))
+        x, grad = (crandn(np_rng, *shape).astype(dtype) if cls is ComplexDense
+                   else np_rng.normal(size=shape).astype(dtype)
+                   for shape in ((batch, n_in), (batch, n_out)))
+        layer.forward(x, train=True)
+        layer.backward(grad)
+        want = np.conjugate(np.conjugate(grad).T @ x)
+        got = layer.grads["weight"]
+        assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
+
 
 class TestActivations:
     def test_complex_relu_componentwise(self):
