@@ -20,6 +20,7 @@ import numpy as np
 from immimo.config import ConfigError, ExperimentConfig, check_detectors, load_config, snr_tag
 from immimo.cvnn import count_flops, count_params
 from immimo.dataset import (
+    check_channel,
     check_header_matches,
     check_indicators,
     generate_arrays,
@@ -96,6 +97,7 @@ def _load_split(data_dir: str, cfg: ExperimentConfig, table, snr: float, split: 
     header, arrays = read_dataset(path)
     check_header_matches(header, cfg, path)
     check_indicators(arrays, table, path)
+    check_channel(arrays, cfg, path)
     return arrays
 
 

@@ -67,6 +67,13 @@ layers re-wrapped in another Model, and a layer called on its own, or in
 train mode, never owns its input. The infer-mode batch norms and ReLUs
 run one arithmetic sequence into an owned input or into a new array, so
 the bytes do not depend on ownership.
+
+Backward runs through _backward_chain, the twin of _forward_chain. No
+caller reads a net's input gradient, so Model.backward's chain clears
+Layer._input_grad on its first layer with parameters for that one call:
+the layer computes only its parameter gradients and returns None (a
+Residual passes the flag to its branch), and the layers before it are
+not called.
 """
 
 from __future__ import annotations
@@ -163,6 +170,21 @@ def _forward_chain(layers, x: np.ndarray, train: bool) -> np.ndarray:
     return x
 
 
+def _backward_chain(layers, grad: np.ndarray, input_grad: bool) -> np.ndarray | None:
+    """grad back through `layers`, each called as layer.backward(grad); without
+    `input_grad`, the first layer with parameters ends it in None (module docstring)."""
+    first = 0 if input_grad else next(
+        (i for i, layer in enumerate(layers) if layer.param_items()), len(layers))
+    for i in range(len(layers) - 1, first - 1, -1):
+        layer = layers[i]
+        layer._input_grad = input_grad or i > first
+        try:
+            grad = layer.backward(grad)
+        finally:
+            layer._input_grad = True
+    return grad if input_grad else None
+
+
 def _out_hw(h: int, w: int, k: int, padding: str) -> tuple[int, int, int]:
     # padding and kernel were checked by _ConvBase.__init__
     if padding == "same":
@@ -205,41 +227,25 @@ def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
     return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * k * k, ho * wo)
 
 
+def _conv(x: np.ndarray, wmat: np.ndarray, k: int, pad: int) -> np.ndarray:
+    """(B, C, H, W) convolved with wmat (Cout, C*k*k), stride 1 and zero
+    padding `pad`: (B, Cout, P), wmat @ _im2col(x) one slab at a time."""
+    b, _, h, w = x.shape
+    ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    out = np.empty((b, wmat.shape[0], ho * wo), dtype=wmat.dtype)
+    # frames whose (s, C*k*k, P) patches fit in _SLAB_BYTES
+    s = max(1, _SLAB_BYTES // (wmat.shape[1] * ho * wo * wmat.itemsize))
+    for i in range(0, b, s):
+        np.matmul(wmat, _im2col(x[i:i + s], k, pad), out=out[i:i + s])
+    return out
+
+
 def _im2col_cm(x: np.ndarray, k: int, pad: int) -> np.ndarray:
     """(B, C, H, W) -> channel-major (C*k*k, B*P) patch matrix, stride 1."""
     win = _windows(x, k, pad)
     b, c, ho, wo = win.shape[:4]
     # (B, C, Ho, Wo, k, k) -> (C, k, k, B, Ho, Wo), one strided copy
     return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, b * ho * wo)
-
-
-def _tap_spans(h: int, w: int, k: int, pad: int) -> tuple[slice, slice]:
-    """Rows and columns of a k x k kernel whose taps land on the (h, w)
-    input from some output position; the other taps only read padding."""
-    def span(n):
-        no = n + 2 * pad - k + 1
-        taps = [d for d in range(k) if max(pad - d, 0) < min(n + pad - d, no)]
-        return slice(taps[0], taps[-1] + 1)
-    return span(h), span(w)
-
-
-def _col2im_cm(cols: np.ndarray, shape, k: int, pad: int) -> np.ndarray:
-    """Adjoint of _im2col_cm, over the taps of _tap_spans: scatter-add the
-    (C*kh*kw, B*P) patches of those kh x kw taps back onto a C-contiguous
-    (B, C, H, W), the taps summed in (di, dj) order. A tap adds only the
-    outputs that land inside the input, so nothing is summed into padding."""
-    b, c, h, w = shape
-    ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
-    ti, tj = _tap_spans(h, w, k, pad)
-    six = cols.reshape(c, ti.stop - ti.start, tj.stop - tj.start, b, ho, wo)
-    xt = np.zeros((c, b, h, w), dtype=cols.dtype)
-    for di in range(ti.start, ti.stop):
-        i0, i1 = max(pad - di, 0), min(h + pad - di, ho)
-        for dj in range(tj.start, tj.stop):
-            j0, j1 = max(pad - dj, 0), min(w + pad - dj, wo)
-            xt[:, :, i0 + di - pad:i1 + di - pad, j0 + dj - pad:j1 + dj - pad] += \
-                six[:, di - ti.start, dj - tj.start, :, i0:i1, j0:j1]
-    return np.ascontiguousarray(xt.transpose(1, 0, 2, 3))
 
 
 class Layer:
@@ -255,6 +261,8 @@ class Layer:
     # set by _forward_chain for the length of one infer-mode call: the
     # input is an array that nothing else references (the ownership rule)
     _owns_input = False
+    # cleared by _backward_chain for one call: backward returns None
+    _input_grad = True
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -306,24 +314,21 @@ class _ConvBase(Layer):
     """2-D convolution, stride 1, as patch-matrix products in the weight's
     dtype.
 
-    Forward is W (Cout, C*k*k) @ cols (s, C*k*k, P) over P = Ho*Wo output
-    positions, one slab of s frames at a time: each slab's batch-major
-    patches fit in _SLAB_BYTES, so the GEMMs read them from cache, and each
-    slab's product is written into its rows of the preallocated output.
-    numpy runs a stacked matmul as one (Cout, C*k*k) @ (C*k*k, P) GEMM per
-    frame whatever the stack's length, so the output is the same bit for
-    bit at any slab size. The layer keeps only its input. Backward rebuilds
-    the patches from that input channel-major, cols (C*k*k, B*P), so batch
-    and position share one GEMM axis, and runs two GEMMs on the output
-    gradient G (Cout, B*P): the weight gradient conj(conj(G) @ cols.T),
-    which conjugates G and the (Cout, C*k*k) result instead of the
-    patches, and the patch gradient
-    conj(W.T @ conj(G)) = conj(W).T @ G. _col2im_cm folds that onto the
-    input before it is conjugated (negating a sum is exact), so only the
-    (B, C, H, W) result is conjugated. Taps that only read padding (a
-    kernel taller or wider than the input allows, as on a one-row map) are
-    left out of the patch gradient; the others add only the outputs that
-    land inside the input.
+    Forward (_conv) is W (Cout, C*k*k) @ cols (s, C*k*k, P) over P = Ho*Wo
+    output positions, one slab of s frames at a time: each slab's
+    batch-major patches fit in _SLAB_BYTES, so the GEMMs read them from
+    cache, and each slab's product is written into its rows of the
+    preallocated output. numpy runs a stacked matmul as one
+    (Cout, C*k*k) @ (C*k*k, P) GEMM per frame whatever the stack's length,
+    so the output is the same bit for bit at any slab size.
+
+    The layer keeps only its input. Backward rebuilds the patches from it
+    channel-major, cols (C*k*k, B*P), and takes the weight gradient as
+    conj(cols @ conj(G)) with the output gradient G as (B*P, Cout), the
+    (C*k*k, Cout) result conjugated into W's layout. The input gradient is
+    itself a convolution (Dumoulin & Visin, A guide to convolution
+    arithmetic, 2016, section 4): _conv of G with conj(W), spatially
+    flipped and with its in and out channels swapped, at padding k-1-pad.
     """
 
     dtype: type
@@ -358,12 +363,7 @@ class _ConvBase(Layer):
         if c != self.in_channels:
             raise ValueError(f"expected {self.in_channels} channels, got {c}")
         ho, wo, pad = _out_hw(h, w, self.kernel, self.padding)
-        wmat = self.weight.reshape(self.out_channels, -1)
-        out = np.empty((b, self.out_channels, ho * wo), dtype=wmat.dtype)
-        # frames whose (s, C*k*k, P) patches fit in _SLAB_BYTES
-        s = max(1, _SLAB_BYTES // (wmat.shape[1] * ho * wo * wmat.itemsize))
-        for i in range(0, b, s):
-            np.matmul(wmat, _im2col(x[i:i + s], self.kernel, pad), out=out[i:i + s])
+        out = _conv(x, self.weight.reshape(self.out_channels, -1), self.kernel, pad)
         out += self.bias[None, :, None]
         self._cache = (x, pad) if train else None
         return out.reshape(b, self.out_channels, ho, wo)
@@ -371,23 +371,18 @@ class _ConvBase(Layer):
     def backward(self, grad):
         x, pad = self._take_cache()
         grad = np.asarray(grad, dtype=self.weight.dtype)
-        b, cout = grad.shape[0], self.out_channels
+        b, cout, k = grad.shape[0], self.out_channels, self.kernel
         g = grad.reshape(b, cout, -1)                               # (B, Cout, P)
-        # conj(G) with the batch and position axes merged: (Cout, B*P)
-        gc = np.empty((cout, b, g.shape[2]), dtype=g.dtype)
-        np.conjugate(g.transpose(1, 0, 2), out=gc)
-        gc = gc.reshape(cout, -1)
-        dw = gc @ _im2col_cm(x, self.kernel, pad).T
-        self.grads = {
-            "weight": np.conjugate(dw, out=dw).reshape(self.weight.shape),
-            "bias": g.sum(axis=(0, 2)),
-        }
-        # conj(W).T @ G as conj(W.T @ conj(G)), conjugated once folded, over
-        # the taps that reach the input
-        ti, tj = _tap_spans(*x.shape[2:], self.kernel, pad)
-        wmat = self.weight[:, :, ti, tj].reshape(cout, -1)
-        dx = _col2im_cm(wmat.T @ gc, x.shape, self.kernel, pad)
-        return np.conjugate(dx, out=dx)
+        # conj(G) with the batch and position axes merged: (B*P, Cout)
+        gc = np.empty((b, g.shape[2], cout), dtype=g.dtype)
+        np.conjugate(g.transpose(0, 2, 1), out=gc)
+        dwt = _im2col_cm(x, k, pad) @ gc.reshape(-1, cout)          # (C*k*k, Cout)
+        self.grads = {"weight": np.conjugate(dwt.T, order="C").reshape(self.weight.shape),
+                      "bias": g.sum(axis=(0, 2))}
+        if not self._input_grad:
+            return None
+        wflip = np.conjugate(self.weight.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+        return _conv(grad, wflip.reshape(self.in_channels, -1), k, k - 1 - pad).reshape(x.shape)
 
 
 class ComplexConv2d(_ConvBase):
@@ -446,6 +441,8 @@ class _DenseBase(Layer):
         grad = np.asarray(grad, dtype=self.weight.dtype)
         # conjugate the (B, in) input, not the (out, in) product
         self.grads = {"weight": grad.T @ _conj(x), "bias": grad.sum(axis=0)}
+        if not self._input_grad:
+            return None
         # grad @ conj(W) as conj(conj(grad) @ W): no conjugated copy of W
         dx = _conj(grad) @ self.weight
         return np.conjugate(dx, out=dx)
@@ -480,7 +477,8 @@ class RealHeadDense(RealDense):
         return super().forward(_real_view(x, self._in_dtype), train)
 
     def backward(self, grad):
-        return _from_real_view(super().backward(grad), self._in_dtype)
+        dx = super().backward(grad)
+        return None if dx is None else _from_real_view(dx, self._in_dtype)
 
 
 class RealReLU(Layer):
@@ -767,6 +765,8 @@ class ComplexBatchNorm(Layer):
         dbeta = grad.sum(axis=axes)
         self.grads = {"gamma": (sums @ w).astype(self.gamma.dtype, copy=False),
                       "beta": dbeta}
+        if not self._input_grad:
+            return None
         # at fixed W the input grad is (gamma W)^T applied to the output grad
         ag, bg = _widely_linear(np.swapaxes(self.gamma @ w, -1, -2))
         dx = _apply_widely_linear(grad, ag, bg)
@@ -856,6 +856,8 @@ class RealBatchNorm(Layer):
         grad = np.asarray(grad, dtype=self.gamma.dtype)
         nd = grad.ndim
         self.grads = {"gamma": (grad * xhat).sum(axis=axes), "beta": grad.sum(axis=axes)}
+        if not self._input_grad:
+            return None
         gsc = grad * _expand(self.gamma * inv, nd)
         return gsc - gsc.mean(axis=axes, keepdims=True) \
             - xhat * _expand((grad * xhat).mean(axis=axes)
@@ -897,10 +899,8 @@ class Residual(Layer):
         return x + out
 
     def backward(self, grad):
-        g = grad
-        for l in reversed(self.layers):
-            g = l.backward(g)
-        return grad + g
+        g = _backward_chain(self.layers, grad, self._input_grad)
+        return grad + g if self._input_grad else None
 
 
 _LAYER_CLASSES = {cls.kind: cls for cls in (

@@ -24,8 +24,8 @@ import struct
 
 import numpy as np
 
-from immimo.cvnn.layers import (Layer, RealHeadDense, Residual, _forward_chain, _walk_items,
-                                layer_from_spec)
+from immimo.cvnn.layers import (Layer, RealHeadDense, Residual, _backward_chain,
+                                _forward_chain, _walk_items, layer_from_spec)
 from immimo.files import replace_file
 
 _MAGIC = b"CVNN"
@@ -76,10 +76,10 @@ class Model:
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         return _forward_chain(self.layers, x, train)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
+    def backward(self, grad: np.ndarray) -> None:
+        """Parameter gradients for grad_items() after a train-mode forward
+        (else RuntimeError); no input gradient (layers._backward_chain)."""
+        _backward_chain(self.layers, grad, input_grad=False)
 
     # items are keyed (layer index, tensor name)
     def param_items(self) -> list:

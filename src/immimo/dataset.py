@@ -25,7 +25,8 @@ accepted for compatibility and ignored.
 
 A file's records are checked on read: values must be finite
 (`read_dataset`), and `check_indicators` refuses a `g` that is not the
-pattern of the TAC its bits select, which needs the config's codebook.
+pattern of the TAC its bits select, which needs the config's codebook, and
+`check_channel` refuses an `h` that is not the config's scenario channel.
 """
 
 from __future__ import annotations
@@ -230,7 +231,7 @@ def read_dataset(path) -> tuple[DatasetHeader, dict]:
 
 def check_header_matches(header: DatasetHeader, cfg: ExperimentConfig, path) -> None:
     """Refuse mismatched dataset/config pairs (self-describing files)."""
-    for name in ("n_t", "n_u", "n_r", "t", "m"):
+    for name in ("n_t", "n_u", "n_r", "t", "m", "seed"):
         have = getattr(header, name)
         want = getattr(cfg, name)
         if have != want:
@@ -246,3 +247,13 @@ def check_indicators(arrays: dict, table: TacTable, path) -> None:
     if bad.size:
         raise ValueError(f"{path}: record {bad[0]} has an activation indicator g "
                          f"that does not match its TAC bits")
+
+
+def check_channel(arrays: dict, cfg: ExperimentConfig, path) -> None:
+    """Refuse records whose channel h is not the config's scenario channel
+    at f32 (a file drawn under another rho, or a spliced record)."""
+    want = scenario_channel(cfg).astype(np.complex64)
+    bad = np.flatnonzero(np.any(arrays["h"] != want, axis=(1, 2)))
+    if bad.size:
+        raise ValueError(f"{path}: record {bad[0]} has a channel h that is not the "
+                         f"scenario channel of seed {cfg.seed}, rho {cfg.rho}")

@@ -164,6 +164,15 @@ def make_case(kind: str, loss_name: str, seed: int):
     return model, x, target
 
 
+def full_backward(layers, grad):
+    """The loss gradient back through `layers` to their input, each layer's
+    own backward called in turn. Model.backward leaves the same parameter
+    gradients but computes no input gradient."""
+    for layer in reversed(layers):
+        grad = layer.backward(grad)
+    return grad
+
+
 def run_case(model: Model, x, target, loss_name: str, step: float = 1e-4):
     """Analytic vs finite-difference gradients; returns worst relative error."""
     loss_fn = bce if loss_name == "bce" else mse
@@ -173,7 +182,7 @@ def run_case(model: Model, x, target, loss_name: str, step: float = 1e-4):
         return loss_fn(model.forward(x, train=True), target)
 
     pred = model.forward(x, train=True)
-    gx = model.backward(loss_bwd(pred, target))
+    gx = full_backward(model.layers, loss_bwd(pred, target))
     analytic = [(key, g.copy()) for key, g in model.grad_items()]
 
     worst = 0.0

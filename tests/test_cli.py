@@ -412,6 +412,19 @@ class TestEval:
                      "--data", str(workspace["data"]),
                      "--detectors", "ml", "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("edit, needle", [
+        (("seed = 3", "seed = 4"), "seed=3 does not match config seed=4"),
+        (("seed = 3", "seed = 3\nrho = 0.5"), "record 0 has a channel h")],
+        ids=["seed", "rho"])
+    def test_data_of_another_channel_exits_2(self, workspace, tmp_path, capsys, edit, needle):
+        # the workspace's files hold seed 3's channel at rho 0
+        cfg2 = tmp_path / "other.cfg"
+        cfg2.write_text(SMALL_CFG.replace(*edit))
+        assert main(["eval", "--config", str(cfg2), "--data", str(workspace["data"]),
+                     "--detectors", "ml", "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "snr12_test.imds" in err and needle in err
+
     def test_noiseless_ml_is_error_free(self, tmp_path):
         cfg = tmp_path / "clean.cfg"
         cfg.write_text(SMALL_CFG.replace("snr_db = 12", "snr_db = inf"))

@@ -20,12 +20,10 @@ from immimo.cvnn.layers import (
     Residual,
     SplitReIm,
     _LAYER_CLASSES,
-    _col2im_cm,
     _im2col,
     _im2col_cm,
     _out_hw,
     _pad,
-    _tap_spans,
     _sigmoid,
     _windows,
     layer_from_spec,
@@ -235,14 +233,42 @@ class TestConvBackward:
             assert rel_err(g, w) <= 1e-12
 
     # the train shapes of the benchmark nets at batch 100: AAPD convs on
-    # n_r x t = 8 x 16 and 4 x 16, SE convs on n_u x t = 2 x 16 and 1 x 16
+    # n_r x t = 8 x 16 and 4 x 16, SE convs on n_u x t = 2 x 16 and 1 x 16.
+    # The input gradient is a convolution of the output gradient, and the
+    # weight gradient a product with the patches on the left, so both sum
+    # in another order than the reference. Measured at complex128: within
+    # 7.3e-16 of the largest entry (a few ulps); required: 1e-14. The bias
+    # gradient is the same sum, bit for bit.
     @pytest.mark.parametrize("cin, cout, h", [
         (1, 32, 8), (32, 64, 8), (1, 32, 4), (32, 64, 4), (16, 16, 2), (16, 16, 1)])
-    def test_equals_rows_reference_bit_for_bit(self, np_rng, cin, cout, h):
+    def test_tracks_rows_reference_at_train_shapes(self, np_rng, cin, cout, h):
         got, want = conv_backward_pair(np_rng, ComplexConv2d, cin, cout, h, 16, 100)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape
-            assert np.array_equal(g, w)
+            assert rel_err(g, w) <= 1e-14
+        assert np.array_equal(got[1], want[1])
+
+    # (h, w, kernel, padding): maps 5 x 6, 1 x 16, 2 x 1 and 1 x 1, each
+    # kernel that fits the map under valid padding
+    @pytest.mark.parametrize("h, w, kernel, padding", [
+        (h, w, k, p) for p in ("same", "valid") for k in (1, 3, 5)
+        for h, w in ((5, 6), (1, 16), (2, 1), (1, 1)) if p == "same" or min(h, w) >= k])
+    @pytest.mark.parametrize("batch", [1, 7])
+    @pytest.mark.parametrize("cls", [ComplexConv2d, RealConv2d])
+    def test_input_gradient_is_the_adjoint(self, np_rng, cls, batch, h, w, kernel, padding):
+        # <conv(x), G> == <x, dX(G)> for the bias-free conv at 64 bits: the
+        # flipped-kernel convolution that backward runs is the exact adjoint,
+        # taps that only read padding included
+        layer = cls(3, 4, kernel=kernel, padding=padding, rng=Rng(8))
+        assert not layer.bias.any()
+        draw = crandn if cls is ComplexConv2d else (lambda r, *s: r.normal(size=s))
+        x = draw(np_rng, batch, 3, h, w)
+        y = layer.forward(x, train=True)
+        g = draw(np_rng, *y.shape)
+        dx = layer.backward(g)
+        assert dx.shape == x.shape and dx.dtype == x.dtype
+        lhs, rhs = np.sum(y * np.conj(g)), np.sum(x * np.conj(dx))
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
     # one output channel (a gemv in BLAS) and float64 may sum in another
     # order; kernels larger than the input leave taps that only read padding
@@ -338,33 +364,6 @@ class TestConvSlabs:
 
 
 class TestIm2Col:
-    @staticmethod
-    def check_adjoint(np_rng, h, w, k, pad):
-        # <im2col_cm(x), c> == <x, col2im_cm(c)> pins col2im_cm as the exact
-        # adjoint over the taps of _tap_spans; the other taps read only zeros
-        x = crandn(np_rng, 2, 3, h, w)
-        cols = _im2col_cm(x, k, pad).reshape(3, k, k, -1)
-        ti, tj = _tap_spans(h, w, k, pad)
-        inside = cols[:, ti, tj]
-        assert np.count_nonzero(cols) == np.count_nonzero(inside)
-        c = crandn(np_rng, *inside.shape)
-        lhs = np.sum(inside * c.conj()).real
-        rhs = np.sum(x * _col2im_cm(c.reshape(-1, c.shape[-1]), x.shape, k, pad).conj()).real
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_adjoint_identity(self, np_rng):
-        self.check_adjoint(np_rng, 5, 6, 3, 1)
-
-    @pytest.mark.parametrize("h, w, k, pad", [
-        (5, 6, 3, 0), (5, 6, 1, 0), (1, 6, 3, 1), (2, 1, 5, 2), (1, 1, 3, 1)])
-    def test_adjoint_identity_other_shapes(self, np_rng, h, w, k, pad):
-        self.check_adjoint(np_rng, h, w, k, pad)
-
-    def test_tap_spans(self):
-        assert _tap_spans(5, 6, 3, 1) == (slice(0, 3), slice(0, 3))
-        assert _tap_spans(1, 16, 3, 1) == (slice(1, 2), slice(0, 3))
-        assert _tap_spans(2, 1, 5, 2) == (slice(1, 4), slice(2, 3))
-
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128, np.float32, np.float64])
     @pytest.mark.parametrize("batch", [1, 7])
     @pytest.mark.parametrize("padding", ["same", "valid"])

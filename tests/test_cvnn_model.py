@@ -36,6 +36,7 @@ from immimo.cvnn.optim import _BLOCK
 from immimo.linalg import Rng
 from immimo.twostage import build_aapd, build_se
 
+from _gradcheck import full_backward
 from conftest import rel_err
 
 
@@ -396,7 +397,9 @@ class TestTrainingPrecision:
             layer.forward, layer.backward = forward, backward
         out = net.forward(crandn(np_rng, *shape), train=True)
         assert out.dtype == (np.float32 if role == "aapd" else np.complex128)
-        net.backward(loss_backward(out, target))
+        # every layer's own backward, so that the first layer with
+        # parameters returns its input gradient too (Model.backward stops it)
+        full_backward(net.layers, loss_backward(out, target))
         for layer, x_dtype, g_dtype in seen:
             # a gradient is never wider than the activation it belongs to
             assert np.finfo(g_dtype).bits <= np.finfo(x_dtype).bits, layer.kind
@@ -971,3 +974,92 @@ class TestTracerShapedWrapper:
             self.wrap(layer, calls, i)
         assert net.forward(x).tobytes() == want
         assert calls == {"net": 1, **{i: 1 for i in range(len(leaves))}}
+
+
+def leaf_by_leaf_backward(layers, grad):
+    """The loss gradient back through `layers` to their input: each leaf
+    layer's own backward in turn, each Residual's skip added."""
+    for layer in reversed(layers):
+        if isinstance(layer, Residual):
+            grad = grad + leaf_by_leaf_backward(layer.layers, grad)
+        else:
+            grad = layer.backward(grad)
+    return grad
+
+
+def flags_are_reset(layers) -> bool:
+    """Every layer, and each Residual's branch, computes input gradients."""
+    return all(layer._input_grad and (not isinstance(layer, Residual)
+                                      or flags_are_reset(layer.layers))
+               for layer in layers)
+
+
+class TestBackwardChain:
+    """Model.backward leaves the parameter gradients of the full chain,
+    but nothing reads the net's input gradient: the first layer that holds
+    parameters computes none, and the layers before it are not called.
+    Each leaf is still called as layer.backward(grad), the attribute that
+    perfbench/tracer.py wraps."""
+
+    @staticmethod
+    def spy(layer, calls, key):
+        # shaped like the tracer's wrapper: an instance attribute of (grad)
+        backward = layer.backward
+
+        def traced_backward(grad):
+            gx = backward(grad)
+            calls.append((key, gx is None))
+            return gx
+
+        layer.backward = traced_backward
+
+    @staticmethod
+    def output_grad(np_rng, out):
+        return crandn(np_rng, *out.shape) if np.iscomplexobj(out) \
+            else np_rng.normal(size=out.shape)
+
+    @pytest.mark.parametrize("narrow", [False, True], ids=["c16", "c8"])
+    @pytest.mark.parametrize("variant", ["complex", "real"])
+    @pytest.mark.parametrize("make, rows", NETS, ids=NET_IDS)
+    def test_equals_the_full_chain(self, np_rng, make, rows, variant, narrow):
+        ref, net = make(variant), make(variant)
+        if narrow:
+            ref.quantize_state()
+            net.quantize_state()
+        x = crandn(np_rng, 5, 1, rows, 16)
+        out = ref.forward(x, train=True)
+        assert net.forward(x, train=True).tobytes() == out.tobytes()
+        grad = self.output_grad(np_rng, out)
+        leaf_by_leaf_backward(ref.layers, grad)
+        leaves = list(_leaf_layers(net.layers))
+        calls = []
+        for i, layer in enumerate(leaves):
+            self.spy(layer, calls, i)
+        assert net.backward(grad) is None
+        # one call per leaf from the last to the first with parameters,
+        # which alone returns None; the real variant's SplitReIm is skipped
+        first = next(i for i, layer in enumerate(leaves) if layer.param_items())
+        assert first == (variant == "real")
+        assert calls == [(i, i == first) for i in range(len(leaves) - 1, first - 1, -1)]
+        assert flags_are_reset(net.layers)
+        for (key, want), (_, got) in zip(ref.grad_items(), net.grad_items()):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), key
+
+    @pytest.mark.parametrize("variant", ["complex", "real"])
+    @pytest.mark.parametrize("make, rows", NETS, ids=NET_IDS)
+    def test_needs_a_train_mode_forward(self, np_rng, make, rows, variant):
+        net = make(variant)
+        x = crandn(np_rng, 3, 1, rows, 16)
+        grad = self.output_grad(np_rng, net.forward(x))
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="needs a train-mode forward"):
+                net.backward(grad)
+            assert flags_are_reset(net.layers)
+            net.forward(x, train=True)
+            net.backward(grad)
+
+    def test_flag_reset_when_the_first_layer_raises(self, np_rng):
+        net = Model([Residual([ComplexConv2d(2, 2, rng=Rng(3))])])
+        with pytest.raises(RuntimeError, match="needs a train-mode forward"):
+            net.backward(crandn(np_rng, 2, 2, 3, 4))
+        assert flags_are_reset(net.layers)

@@ -13,6 +13,7 @@ from immimo import dataset, files, linalg
 from immimo.config import ExperimentConfig
 from immimo.dataset import (
     DatasetHeader,
+    check_channel,
     check_header_matches,
     check_indicators,
     generate_arrays,
@@ -304,6 +305,55 @@ class TestIndicatorCheck:
         arrays["g"][4, 0] = 1.0 - arrays["g"][4, 0]
         with pytest.raises(ValueError, match="x.imds: record 4 "):
             check_indicators(arrays, table_for(cfg), "x.imds")
+
+
+class TestChannelCheck:
+    """A file pairs with a config only if its header's seed and every
+    record's channel h are the config's: otherwise the AAPD is trained or
+    scored on another channel."""
+
+    @staticmethod
+    def written(tmp_path, cfg, name="x.imds", count=8):
+        path = tmp_path / name
+        header = write_dataset(path, cfg, 10.0, count, 0)
+        return path, header, read_dataset(path)[1]
+
+    def test_matching_file_passes(self, tmp_path):
+        cfg = base_cfg(n_r=4, seed=3, rho=0.5, csi_error_var=0.1)
+        path, header, arrays = self.written(tmp_path, cfg)
+        check_header_matches(header, cfg, path)
+        check_channel(arrays, cfg, path)
+
+    def test_another_seed_is_refused(self, tmp_path):
+        path, header, arrays = self.written(tmp_path, base_cfg(n_r=4, seed=3))
+        other = base_cfg(n_r=4, seed=4)
+        with pytest.raises(ValueError, match="seed=3 does not match config seed=4"):
+            check_header_matches(header, other, path)
+        with pytest.raises(ValueError, match="record 0 "):
+            check_channel(arrays, other, path)
+
+    def test_another_rho_is_refused(self, tmp_path):
+        # rho is not in the header: only the records' channel tells
+        path, header, arrays = self.written(tmp_path, base_cfg(n_r=4, seed=3))
+        other = base_cfg(n_r=4, seed=3, rho=0.5)
+        check_header_matches(header, other, path)
+        with pytest.raises(ValueError, match=r"x\.imds: record 0 .*rho 0\.5"):
+            check_channel(arrays, other, path)
+
+    def test_spliced_record_is_named(self, tmp_path):
+        cfg = base_cfg(n_r=4, seed=3)
+        path, header, _ = self.written(tmp_path, cfg)
+        donor, _, _ = self.written(tmp_path, base_cfg(n_r=4, seed=4), "donor.imds")
+        size, start = header.record_nbytes(), dataset._HEADER.size
+        raw = bytearray(path.read_bytes())
+        raw[start + 5 * size:start + 6 * size] = \
+            donor.read_bytes()[start + 5 * size:start + 6 * size]
+        path.write_bytes(bytes(raw))
+        spliced_header, arrays = read_dataset(path)
+        check_header_matches(spliced_header, cfg, path)
+        check_indicators(arrays, table_for(cfg), path)
+        with pytest.raises(ValueError, match="record 5 "):
+            check_channel(arrays, cfg, path)
 
 
 class TestFileFormat:

@@ -77,6 +77,24 @@ previous digests (`F64_MASTER_TRAINED`) come back byte for byte.
 `two_branch_adam_step` in test_cvnn_model.py is the float64 standard form
 the new update must track within a float32 bound. `DATASETS`,
 `SEED_BUILT`, `EVAL_METRICS` and `C16_TRAINED` were not edited.
+
+Sixth, when the conv backward became convolutions: the input gradient is
+the output gradient convolved with the flipped, conjugated kernel, run by
+the forward's patch-matrix routine, in place of a patch gradient folded by
+col2im, and the weight gradient takes the patches on the left,
+conj(cols @ conj(G)). Both sum in another order, and every digest moved:
+  complex AAPD 6059e91e... -> b06e59fd...,  complex SE 7a60c88e... -> e8a26b1d...
+  real AAPD    f85fa988... -> 5e5dbee0...,  real SE    eea34684... -> f088d791...
+Model.backward also stops at the first layer with parameters, which
+computes no input gradient; that moves no parameter gradient. Re-runs are
+byte-identical. `col2im_conv_backward` below is the previous conv
+backward, moved here verbatim; with it in `_ConvBase.backward`'s place
+the previous digests (`COL2IM_TRAINED`) come back byte for byte, and so
+do `C16_TRAINED` and `F64_MASTER_TRAINED` under their optimizers.
+`rows_conv_backward` in test_cvnn_layers.py is the reference the new
+backward tracks within 1e-14 relative at complex128.
+`test_c8_training_tracks_the_c16_reference` holds at its bounds, and
+`DATASETS`, `SEED_BUILT` and `EVAL_METRICS` were not edited.
 """
 
 import hashlib
@@ -89,7 +107,7 @@ from immimo import twostage
 from immimo.cli import main
 from immimo.config import ExperimentConfig
 from immimo.cvnn import Adam, bce, bce_backward, mse, mse_backward
-from immimo.cvnn.layers import _real_view
+from immimo.cvnn.layers import _ConvBase, _im2col_cm, _real_view
 from immimo.cvnn.model import Model, _at_disk_precision
 from immimo.dataset import generate_arrays, table_for, write_dataset
 from immimo.detectors import tacs_from_probabilities, zf_estimate
@@ -126,6 +144,19 @@ SEED_BUILT = {
 
 TRAINED = {
     "complex": (
+        "b06e59fdd20482d2671c09790730c415c3e3d934f5caa49fe8c93b62f6cfafb8",
+        "e8a26b1de99339ce2a575b21502e53e465f0c4d07e6cf8d615adb07e6872cfc0",
+    ),
+    "real": (
+        "5e5dbee09d8879de2cda518bb7651dbe124e1f073af8c0a49363f7372d1ab3e2",
+        "f088d7910022c489789f93b61ff7e297b83b51e114a9bb20e36109ed8fdc12c7",
+    ),
+}
+
+# TRAINED while the conv backward folded its patch gradient with col2im;
+# col2im_conv_backward gives it
+COL2IM_TRAINED = {
+    "complex": (
         "6059e91e00c3132b79dcb1e94117a5bc703768144c72ab2f3f913bc08dcae768",
         "7a60c88e2192bf65824f7d15d9156585e256065fba1889aba887f41ef98b1b5c",
     ),
@@ -135,7 +166,8 @@ TRAINED = {
     ),
 }
 
-# TRAINED while Adam kept float64 masters and moments; F64MasterAdam gives it
+# TRAINED while Adam kept float64 masters and moments; F64MasterAdam with
+# col2im_conv_backward gives it
 F64_MASTER_TRAINED = {
     "complex": (
         "5be447fd05f24a7a702c896d75693dcaaea38c918160ac648997c1645bfb1ede",
@@ -147,7 +179,8 @@ F64_MASTER_TRAINED = {
     ),
 }
 
-# TRAINED before training moved to checkpoint precision; C16Adam gives it
+# TRAINED before training moved to checkpoint precision; C16Adam with
+# col2im_conv_backward gives it
 C16_TRAINED = {
     "complex": (
         "e2d6449655519332730b31d531a4cc4945e5e48db9099871224a14c568668ea2",
@@ -161,6 +194,60 @@ C16_TRAINED = {
 
 TRAINED_CFG = ExperimentConfig(n_t=4, n_u=2, n_r=4, t=8, m=4,
                                tac_preset="preset-4x2", seed=3)
+
+
+# _tap_spans, _col2im_cm and col2im_conv_backward: the conv backward before
+# its input gradient became a convolution, moved here verbatim (but for the
+# method's name)
+def _tap_spans(h: int, w: int, k: int, pad: int) -> tuple[slice, slice]:
+    """Rows and columns of a k x k kernel whose taps land on the (h, w)
+    input from some output position; the other taps only read padding."""
+    def span(n):
+        no = n + 2 * pad - k + 1
+        taps = [d for d in range(k) if max(pad - d, 0) < min(n + pad - d, no)]
+        return slice(taps[0], taps[-1] + 1)
+    return span(h), span(w)
+
+
+def _col2im_cm(cols: np.ndarray, shape, k: int, pad: int) -> np.ndarray:
+    """Adjoint of _im2col_cm, over the taps of _tap_spans: scatter-add the
+    (C*kh*kw, B*P) patches of those kh x kw taps back onto a C-contiguous
+    (B, C, H, W), the taps summed in (di, dj) order. A tap adds only the
+    outputs that land inside the input, so nothing is summed into padding."""
+    b, c, h, w = shape
+    ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    ti, tj = _tap_spans(h, w, k, pad)
+    six = cols.reshape(c, ti.stop - ti.start, tj.stop - tj.start, b, ho, wo)
+    xt = np.zeros((c, b, h, w), dtype=cols.dtype)
+    for di in range(ti.start, ti.stop):
+        i0, i1 = max(pad - di, 0), min(h + pad - di, ho)
+        for dj in range(tj.start, tj.stop):
+            j0, j1 = max(pad - dj, 0), min(w + pad - dj, wo)
+            xt[:, :, i0 + di - pad:i1 + di - pad, j0 + dj - pad:j1 + dj - pad] += \
+                six[:, di - ti.start, dj - tj.start, :, i0:i1, j0:j1]
+    return np.ascontiguousarray(xt.transpose(1, 0, 2, 3))
+
+
+def col2im_conv_backward(self, grad):
+    x, pad = self._take_cache()
+    grad = np.asarray(grad, dtype=self.weight.dtype)
+    b, cout = grad.shape[0], self.out_channels
+    g = grad.reshape(b, cout, -1)                               # (B, Cout, P)
+    # conj(G) with the batch and position axes merged: (Cout, B*P)
+    gc = np.empty((cout, b, g.shape[2]), dtype=g.dtype)
+    np.conjugate(g.transpose(1, 0, 2), out=gc)
+    gc = gc.reshape(cout, -1)
+    dw = gc @ _im2col_cm(x, self.kernel, pad).T
+    self.grads = {
+        "weight": np.conjugate(dw, out=dw).reshape(self.weight.shape),
+        "bias": g.sum(axis=(0, 2)),
+    }
+    # conj(W).T @ G as conj(W.T @ conj(G)), conjugated once folded, over
+    # the taps that reach the input
+    ti, tj = _tap_spans(*x.shape[2:], self.kernel, pad)
+    wmat = self.weight[:, :, ti, tj].reshape(cout, -1)
+    dx = _col2im_cm(wmat.T @ gc, x.shape, self.kernel, pad)
+    return np.conjugate(dx, out=dx)
 
 
 class C16Adam:
@@ -348,14 +435,22 @@ def test_trained_checkpoint_bytes(variant, tmp_path):
 
 
 @pytest.mark.parametrize("variant", ["complex", "real"])
+def test_col2im_reference_gives_the_previous_digests(variant, tmp_path, monkeypatch):
+    monkeypatch.setattr(_ConvBase, "backward", col2im_conv_backward)
+    assert _train_trained_cfg(variant, tmp_path) == COL2IM_TRAINED[variant]
+
+
+@pytest.mark.parametrize("variant", ["complex", "real"])
 def test_c16_reference_gives_the_previous_digests(variant, tmp_path, monkeypatch):
     monkeypatch.setattr(twostage, "Adam", C16Adam)
+    monkeypatch.setattr(_ConvBase, "backward", col2im_conv_backward)
     assert _train_trained_cfg(variant, tmp_path) == C16_TRAINED[variant]
 
 
 @pytest.mark.parametrize("variant", ["complex", "real"])
 def test_f64_master_reference_gives_the_previous_digests(variant, tmp_path, monkeypatch):
     monkeypatch.setattr(twostage, "Adam", F64MasterAdam)
+    monkeypatch.setattr(_ConvBase, "backward", col2im_conv_backward)
     assert _train_trained_cfg(variant, tmp_path) == F64_MASTER_TRAINED[variant]
 
 
