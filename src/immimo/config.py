@@ -67,8 +67,10 @@ class ExperimentConfig(TrainConfig):
     snr_db: list[float] = field(default_factory=lambda: [5.0, 10.0, 15.0, 20.0, 25.0])
     rho: float = 0.0
     csi_error_var: float = 0.0
-    n_p: int | None = None          # pilot count; with e_p/sigma_z2 overrides
-    e_p: float | None = None        # pilot energy        csi_error_var
+    # the pilot triple, given together, sets csi_error_var
+    # (phy.csi_error_variance); a config file names one or the other
+    n_p: int | None = None          # pilot count
+    e_p: float | None = None        # pilot energy
     sigma_z2: float | None = None   # estimation noise variance
     # data
     frames_train: int = 6000
@@ -207,6 +209,11 @@ def parse_config(text: str) -> ExperimentConfig:
             values[key] = _PARSERS[key](raw)
         except ValueError as e:
             raise ConfigError(f"line {lineno}: bad value for {key}: {e}") from e
+    # __post_init__ overwrites csi_error_var from the triple, so the two can
+    # only be told apart here
+    if "csi_error_var" in values and values.keys() & {"n_p", "e_p", "sigma_z2"}:
+        raise ConfigError("csi_error_var and the pilot triple n_p, e_p, sigma_z2 "
+                          "exclude each other: the triple sets csi_error_var")
     return ExperimentConfig(**values)
 
 

@@ -36,8 +36,11 @@ two real slots and one code path serves both dtypes. Code
 that does not fit the rule stays separate: ComplexBatchNorm whitens the
 (re, im) pair jointly, which is not two real batch norms, and computes it
 as one widely-linear map per channel, y = a*z + b*conj(z) + c, with a, b
-and c from the batch statistics (train) or the running ones (infer);
-SplitReIm and MergeReIm order the parts by channel block, not interleaved.
+and c from the batch statistics (train) or the running ones (infer),
+applied by _apply_widely_linear as in its backward; SplitReIm and
+MergeReIm order the parts by channel block, not interleaved. A layer's
+spec is its constructor's arguments (_spec_keys, for Layer.spec and
+layer_from_spec alike).
 
 Forward state lives from a train-mode forward to the backward that reads
 it: `forward(x, train=True)` stores a cache on the layer, an infer-mode
@@ -94,28 +97,17 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / d, e / d)
 
 
-def _glorot_limit(fan_in: int, fan_out: int) -> float:
-    return np.sqrt(6.0 / (fan_in + fan_out))
-
-
-def _init_complex(rng: Rng, shape, fan_in: int, fan_out: int) -> np.ndarray:
-    lim = _glorot_limit(fan_in, fan_out) / np.sqrt(2.0)
-    re = rng.symmetric_uniform(shape) * lim
-    im = rng.symmetric_uniform(shape) * lim
-    return re + 1j * im
-
-
-def _init_real(rng: Rng, shape, fan_in: int, fan_out: int) -> np.ndarray:
-    return rng.symmetric_uniform(shape) * _glorot_limit(fan_in, fan_out)
-
-
 def _init_weight(rng: Rng | None, shape, fan_in: int, fan_out: int,
                  dtype: type) -> np.ndarray:
-    """Glorot draw in `dtype`, or zeros without an rng (spec rebuilds)."""
+    """Glorot-uniform draw in `dtype` (complex: the real part, then the
+    imaginary part, each at the limit over sqrt(2)), or zeros without an rng."""
     if rng is None:
         return np.zeros(shape, dtype=dtype)
-    init = _init_complex if dtype is np.complex128 else _init_real
-    return init(rng, shape, fan_in, fan_out)
+    lim = np.sqrt(6.0 / (fan_in + fan_out))
+    if dtype is not np.complex128:
+        return rng.symmetric_uniform(shape) * lim
+    lim = lim / np.sqrt(2.0)
+    return rng.symmetric_uniform(shape) * lim + 1j * (rng.symmetric_uniform(shape) * lim)
 
 
 def _conj(a: np.ndarray) -> np.ndarray:
@@ -248,6 +240,11 @@ def _im2col_cm(x: np.ndarray, k: int, pad: int) -> np.ndarray:
     return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, b * ho * wo)
 
 
+def _spec_keys(cls) -> list[str]:
+    """A layer class's spec keys besides "kind": its constructor's arguments but rng."""
+    return [p for p in inspect.signature(cls).parameters if p != "rng"]
+
+
 class Layer:
     """Base: forward/backward pair plus (de)serialization hooks."""
 
@@ -279,7 +276,13 @@ class Layer:
         return cache
 
     def spec(self) -> dict:
-        return {"kind": self.kind}
+        """The kind, and each _spec_keys argument as the attribute of its
+        name (`layers` as its layers' specs): what layer_from_spec rebuilds."""
+        spec = {"kind": self.kind}
+        for key in _spec_keys(type(self)):
+            value = getattr(self, key)
+            spec[key] = [layer.spec() for layer in value] if key == "layers" else value
+        return spec
 
     # (name, array) lists; params are learnable, buffers are running state
     def param_items(self) -> list:
@@ -352,11 +355,6 @@ class _ConvBase(Layer):
         self.bias = np.zeros(out_channels, dtype=self.dtype)
         self.grads: dict[str, np.ndarray] = {}
 
-    def spec(self) -> dict:
-        return {"kind": self.kind, "in_channels": self.in_channels,
-                "out_channels": self.out_channels, "kernel": self.kernel,
-                "padding": self.padding}
-
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=self.weight.dtype)
         b, c, h, w = x.shape
@@ -424,10 +422,6 @@ class _DenseBase(Layer):
                                    out_features, self.dtype)
         self.bias = np.zeros(out_features, dtype=self.dtype)
         self.grads: dict[str, np.ndarray] = {}
-
-    def spec(self) -> dict:
-        return {"kind": self.kind, "in_features": self.in_features,
-                "out_features": self.out_features}
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=self.weight.dtype)
@@ -569,15 +563,17 @@ def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
-def _check_norm_args(channels, eps, momentum) -> None:
-    """ValueError unless channels >= 1, eps is a finite real > 0 and
-    momentum is a real in (0, 1); a bool is not a number here."""
+def _set_norm_args(layer: Layer, channels, eps, momentum) -> None:
+    """Store a batch norm's constructor arguments on it; ValueError unless
+    channels >= 1, eps is a finite real > 0 and momentum is a real in
+    (0, 1) (a bool is not a number here)."""
     if channels < 1:
         raise ValueError("channels must be >= 1")
     if not (_is_real(eps) and np.isfinite(eps) and eps > 0):
         raise ValueError(f"batchnorm eps must be a finite real > 0, got {eps!r}")
     if not (_is_real(momentum) and 0 < momentum < 1):
         raise ValueError(f"batchnorm momentum must be in (0, 1), got {momentum!r}")
+    layer.channels, layer.eps, layer.momentum = channels, eps, momentum
 
 
 def _moments_axes(x: np.ndarray) -> tuple:
@@ -599,12 +595,15 @@ def _widely_linear(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _apply_widely_linear(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a*z + b*conj(z) per channel, in z's dtype; a and b are (C,)."""
+def _apply_widely_linear(z: np.ndarray, a: np.ndarray, b: np.ndarray,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """a*z + b*conj(z) per channel, in z's dtype; a and b are (C,). The
+    result goes to `out` (a new array when None), which may be z: conj(z)*b
+    is taken before z*a is written."""
     dt = z.dtype
-    y = z * _expand(a.astype(dt, copy=False), z.ndim)
     t = z.conj()
     t *= _expand(b.astype(dt, copy=False), z.ndim)
+    y = np.multiply(z, _expand(a.astype(dt, copy=False), z.ndim), out=out)
     y += t
     return y
 
@@ -641,10 +640,7 @@ class ComplexBatchNorm(Layer):
     buffer_names = ("running_mean", "running_v")
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.9):
-        _check_norm_args(channels, eps, momentum)
-        self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
+        _set_norm_args(self, channels, eps, momentum)
         # gamma[c] = [[g_rr, g_ri], [g_ir, g_ii]]
         self.gamma = np.zeros((channels, 2, 2))
         self.gamma[:, 0, 0] = 1.0 / np.sqrt(2.0)
@@ -655,10 +651,6 @@ class ComplexBatchNorm(Layer):
         self.running_v = np.tile(np.array([1.0, 0.0, 1.0]), (channels, 1))
         self.grads: dict[str, np.ndarray] = {}
         self._memo = None
-
-    def spec(self):
-        return {"kind": self.kind, "channels": self.channels, "eps": self.eps,
-                "momentum": self.momentum}
 
     def tensor_fault(self, name, a):
         fault = super().tensor_fault(name, a)
@@ -743,13 +735,8 @@ class ComplexBatchNorm(Layer):
         else:
             a, b, c = self._infer_map()
             self._cache = None
-        a, b, c = (_expand(v.astype(x.dtype, copy=False), x.ndim) for v in (a, b, c))
-        # conj(x)*b before x*a, which may overwrite x
-        t = x.conj()
-        t *= b
-        y = np.multiply(x, a, out=x if self._owns_input else None)
-        y += t
-        y += c
+        y = _apply_widely_linear(x, a, b, out=x if self._owns_input else None)
+        y += _expand(c.astype(x.dtype, copy=False), x.ndim)
         return y
 
     def backward(self, grad):
@@ -804,19 +791,12 @@ class RealBatchNorm(Layer):
     buffer_names = ("running_mean", "running_var")
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.9):
-        _check_norm_args(channels, eps, momentum)
-        self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
+        _set_norm_args(self, channels, eps, momentum)
         self.gamma = np.ones(channels)
         self.beta = np.zeros(channels)
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
         self.grads: dict[str, np.ndarray] = {}
-
-    def spec(self):
-        return {"kind": self.kind, "channels": self.channels, "eps": self.eps,
-                "momentum": self.momentum}
 
     def tensor_fault(self, name, a):
         fault = super().tensor_fault(name, a)
@@ -872,9 +852,6 @@ class Residual(Layer):
     def __init__(self, layers: list):
         self.layers = list(layers)
 
-    def spec(self):
-        return {"kind": self.kind, "layers": [l.spec() for l in self.layers]}
-
     def param_items(self):
         return _walk_items(self.layers, "param_items", "{}.{}".format)
 
@@ -912,8 +889,8 @@ _LAYER_CLASSES = {cls.kind: cls for cls in (
 def layer_from_spec(spec: dict) -> Layer:
     """Rebuild a layer from its spec dict; parameters start at zero.
 
-    Spec keys must be exactly the constructor's arguments other than
-    `rng`, else ValueError. A spec that is not a dict, and a value that
+    Spec keys besides "kind" must be exactly _spec_keys(kind's class),
+    else ValueError. A spec that is not a dict, and a value that
     makes the constructor raise TypeError, are ValueErrors too.
     """
     if not isinstance(spec, dict):
@@ -923,12 +900,12 @@ def layer_from_spec(spec: dict) -> Layer:
     cls = _LAYER_CLASSES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown layer kind {kind!r}")
-    expected = set(inspect.signature(cls).parameters) - {"rng"}
-    if set(args) != expected:
+    expected = sorted(_spec_keys(cls))
+    if sorted(args) != expected:
         raise ValueError(f"bad {kind} layer spec: keys {sorted(args)}, "
-                         f"expected {sorted(expected)}")
+                         f"expected {expected}")
     try:
-        if cls is Residual:
+        if "layers" in args:
             args["layers"] = [layer_from_spec(s) for s in args["layers"]]
         return cls(**args)
     except TypeError as e:

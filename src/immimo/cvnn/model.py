@@ -130,40 +130,44 @@ class Model:
     def load(cls, path):
         """Read a checkpoint; its tensors keep their disk dtype (c8/f4).
         ValueError on any malformed or truncated part, on a NaN or
-        infinite tensor (training never saves one) and on a batch-norm
+        infinite tensor (training never saves one), on a batch-norm
         running variance or covariance that eps does not make positive
-        (definite)."""
-        with open(path, "rb") as f:
-            magic = f.read(4)
-            if magic != _MAGIC:
-                raise ValueError(f"bad checkpoint magic {magic!r}")
-            (version,) = struct.unpack("<H", _read(f, 2))
-            if version != _VERSION:
-                raise ValueError(f"unsupported checkpoint version {version}")
-            (hlen,) = struct.unpack("<I", _read(f, 4))
-            header = json.loads(_read(f, hlen))
-            _check_header(header)
-            model = cls([layer_from_spec(s) for s in header["layers"]],
-                        meta=header["meta"])
-            items = model.tensor_items()
-            if len(items) != len(header["tensors"]):
-                raise ValueError("checkpoint tensor manifest mismatch")
-            loaded = []
-            for (key, built), entry in zip(items, header["tensors"]):
-                # as JSON text, so that e.g. false does not pass for 0
-                if json.dumps(entry, sort_keys=True) != json.dumps(
-                        _manifest_entry(key, built), sort_keys=True):
-                    raise ValueError(f"checkpoint manifest entry {entry!r} does not "
-                                     f"match layer {key[0]} tensor {key[1]}")
-                disk = _disk_dtype(built)
-                a = _at_disk_precision(np.frombuffer(
-                    _read(f, disk.itemsize * built.size), disk).reshape(built.shape))
-                fault = model.layers[key[0]].tensor_fault(key[1], a)
-                if fault:
-                    raise ValueError(f"checkpoint layer {key[0]} tensor {key[1]} {fault}")
-                loaded.append((key, a))
-            if f.read(1):
-                raise ValueError("checkpoint has trailing bytes")
+        (definite) and on a header nested too deeply to parse."""
+        try:
+            with open(path, "rb") as f:
+                magic = f.read(4)
+                if magic != _MAGIC:
+                    raise ValueError(f"bad checkpoint magic {magic!r}")
+                (version,) = struct.unpack("<H", _read(f, 2))
+                if version != _VERSION:
+                    raise ValueError(f"unsupported checkpoint version {version}")
+                (hlen,) = struct.unpack("<I", _read(f, 4))
+                header = json.loads(_read(f, hlen))
+                _check_header(header)
+                model = cls([layer_from_spec(s) for s in header["layers"]],
+                            meta=header["meta"])
+                items = model.tensor_items()
+                if len(items) != len(header["tensors"]):
+                    raise ValueError("checkpoint tensor manifest mismatch")
+                loaded = []
+                for (key, built), entry in zip(items, header["tensors"]):
+                    # as JSON text, so that e.g. false does not pass for 0
+                    if json.dumps(entry, sort_keys=True) != json.dumps(
+                            _manifest_entry(key, built), sort_keys=True):
+                        raise ValueError(f"checkpoint manifest entry {entry!r} does not "
+                                         f"match layer {key[0]} tensor {key[1]}")
+                    disk = _disk_dtype(built)
+                    a = _at_disk_precision(np.frombuffer(
+                        _read(f, disk.itemsize * built.size), disk).reshape(built.shape))
+                    fault = model.layers[key[0]].tensor_fault(key[1], a)
+                    if fault:
+                        raise ValueError(f"checkpoint layer {key[0]} tensor {key[1]} {fault}")
+                    loaded.append((key, a))
+                if f.read(1):
+                    raise ValueError("checkpoint has trailing bytes")
+        except RecursionError:
+            # json.loads, layer_from_spec and the tensor walk recurse per level
+            raise ValueError("checkpoint header nests too deeply") from None
         model.set_tensors(loaded)
         return model
 

@@ -3,6 +3,8 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -105,6 +107,22 @@ class TestGenData:
         assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
         assert line.split()[0] in capsys.readouterr().err
         assert not out.exists()
+
+    def test_csi_error_var_with_the_pilot_triple_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "both.cfg"
+        cfg.write_text(SMALL_CFG + "csi_error_var = 0.1\nn_p = 4\ne_p = 1\nsigma_z2 = 0.01\n")
+        out = tmp_path / "d"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "csi_error_var" in err and "n_p" in err
+        assert not out.exists()
+
+    def test_pilot_triple_with_seed_override_runs(self, tmp_path):
+        # --seed rebuilds the config with csi_error_var already set by the triple
+        cfg = tmp_path / "pilots.cfg"
+        cfg.write_text(SMALL_CFG + "n_p = 4\ne_p = 1\nsigma_z2 = 0.01\n")
+        assert main(["gen-data", "--config", str(cfg), "--seed", "5",
+                     "--out", str(tmp_path / "d")]) == 0
 
     @pytest.mark.parametrize("line", [
         "seed = 18446744073709551616", "seed = -1", "t = 70000", "n_t = 65536",
@@ -513,6 +531,32 @@ class TestCheckpointInput:
         path.write_bytes(_rewrite_header(path.read_bytes(), edit))
         assert self._eval(workspace, ckpt, tmp_path) == 2
         assert needle in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", [
+        b"[" * 100000 + b"]" * 100000,
+        *(b'{"adam": null, "layers": [' + b'{"kind": "residual_add", "layers": [' * depth
+          + b"]}" * depth + b'], "meta": {}, "tensors": []}' for depth in (400, 3000)),
+    ], ids=["arrays-100000", "residuals-400", "residuals-3000"])
+    def test_deeply_nested_header_exits_2(self, workspace, tmp_path, header):
+        # the header bytes are written directly, as json.dumps recurses too;
+        # run as a process, where a RecursionError that escapes prints its
+        # traceback and exits 1
+        ckpt = self._ckpt_copy(workspace, tmp_path)
+        path = ckpt / "aapd_complex_snr12.cvnn"
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[6:10])
+        path.write_bytes(raw[:6] + struct.pack("<I", len(header)) + header + raw[10 + hlen:])
+        proc = subprocess.run(
+            [sys.executable, "-m", "immimo.cli", "eval", "--config", str(workspace["cfg"]),
+             "--data", str(workspace["data"]), "--ckpt", str(ckpt),
+             "--detectors", "nn-complex", "--out", str(tmp_path / "x.csv")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+                str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH"))))})
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert "Traceback" not in proc.stderr
+        assert "nests too deeply" in proc.stderr
+        assert not list(tmp_path.glob("x.*"))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_tensor_exits_2(self, workspace, tmp_path, capsys, value):

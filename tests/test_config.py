@@ -107,6 +107,11 @@ class TestValidation:
         # n_t * sigma_z2 / (n_p * e_p) with default n_t = 4
         assert cfg.csi_error_var == pytest.approx(4 * 0.1 / 16)
 
+    def test_csi_error_var_with_the_pilot_triple_rejected(self):
+        # the triple sets csi_error_var, which would drop the one given
+        with pytest.raises(ConfigError, match="csi_error_var and the pilot triple"):
+            parse_config("csi_error_var = 0.1\nn_p = 4\ne_p = 1\nsigma_z2 = 0.01")
+
     def test_negative_csi_error_var_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(csi_error_var=-0.1)
@@ -264,9 +269,13 @@ def _text(f) -> str:
 
 class TestAnnotationParser:
     def test_every_field_is_a_key(self):
-        text = "".join(f"{f.name} = {_text(f)}\n" for f in fields(ExperimentConfig))
-        assert parse_config(text) == ExperimentConfig(gamma2=0.5, n_p=8, e_p=2.0,
-                                                      sigma_z2=0.1)
+        # csi_error_var and the pilot triple exclude each other: a text each
+        lines = {f.name: f"{f.name} = {_text(f)}\n" for f in fields(ExperimentConfig)}
+        triple = "".join(v for k, v in lines.items() if k != "csi_error_var")
+        assert parse_config(triple) == ExperimentConfig(gamma2=0.5, n_p=8, e_p=2.0,
+                                                        sigma_z2=0.1)
+        plain = "".join(v for k, v in lines.items() if k not in _PILOTS)
+        assert parse_config(plain) == ExperimentConfig(gamma2=0.5)
 
     @pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig)])
     def test_boundary_texts_give_a_config_or_a_config_error(self, key):

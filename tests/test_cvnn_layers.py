@@ -928,6 +928,8 @@ class TestSpecRoundTrip:
         lambda: Residual([ComplexDense(2, 2), ComplexReLU()]),
         lambda: ComplexSigmoid(),
         lambda: RealReLU(),
+        # float arguments at other than their defaults, inside a nested list
+        lambda: Residual([ComplexBatchNorm(2, eps=1e-3, momentum=0.5)]),
     ]
 
     def test_every_kind_covered(self):
@@ -942,6 +944,11 @@ class TestSpecRoundTrip:
             assert n1 == n2
             assert a1.shape == a2.shape
             assert a1.dtype == a2.dtype
+
+    def test_spec_holds_the_constructor_arguments(self):
+        layer = self.MAKERS[-1]()
+        assert layer.spec() == {"kind": "residual_add", "layers": [
+            {"kind": "complex_batchnorm", "channels": 2, "eps": 1e-3, "momentum": 0.5}]}
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
