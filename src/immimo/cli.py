@@ -250,9 +250,8 @@ def cmd_sweep_csi_error(args) -> int:
     start = cfg.frames_train + cfg.frames_val
     rows = []
     for err_var in cfg.sweep_error_var:
-        cfg_pt = replace(cfg, csi_error_var=float(err_var), n_p=None, e_p=None,
-                         sigma_z2=None)
-        data = generate_arrays(cfg_pt, snr, cfg.frames_test, start)
+        data = generate_arrays(replace(cfg, csi_error_var=float(err_var)), snr,
+                               cfg.frames_test, start)
         rows += _detector_rows(detectors, data, lambda var: pair, table, constellation,
                                {"schema": SWEEP_SCHEMA, "snr_db": float(snr),
                                 "csi_error_var": float(err_var)})

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from immimo.modulation import QamConstellation
 from immimo.phy import TAC_PRESETS, build_tac_table, csi_error_variance
 
 
@@ -66,12 +67,7 @@ class ExperimentConfig(TrainConfig):
     # channel
     snr_db: list[float] = field(default_factory=lambda: [5.0, 10.0, 15.0, 20.0, 25.0])
     rho: float = 0.0
-    csi_error_var: float = 0.0
-    # the pilot triple, given together, sets csi_error_var
-    # (phy.csi_error_variance); a config file names one or the other
-    n_p: int | None = None          # pilot count
-    e_p: float | None = None        # pilot energy
-    sigma_z2: float | None = None   # estimation noise variance
+    csi_error_var: float = 0.0      # or the pilot triple that sets it (parse_config)
     # data
     frames_train: int = 6000
     frames_val: int = 2000
@@ -88,14 +84,9 @@ class ExperimentConfig(TrainConfig):
     threads: int = 1                # no effect; perfbench/ still reads it
 
     def __post_init__(self):
-        # rho and the CSI error variances get range checks below that NaN
-        # and inf fail
-        for name in ("e_p", "sigma_z2"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-        if not self.snr_db:
-            raise ConfigError("snr_db must list at least one SNR")
+        for name in ("snr_db", "detectors", "sweep_error_var"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must list at least one value")
         if any(math.isnan(v) or v == -math.inf for v in self.snr_db):
             raise ConfigError(f"snr_db entries must be finite or +inf, got {self.snr_db}")
         if any(math.isfinite(v) and abs(v) > _F32_MAX for v in self.snr_db):
@@ -122,9 +113,10 @@ class ExperimentConfig(TrainConfig):
             except ValueError as e:
                 raise ConfigError(f"tac_preset {self.tac_preset!r} does not fit "
                                   f"n_t={self.n_t}, n_u={self.n_u}: {e}") from None
-        m = self.m
-        if m < 4 or (m & (m - 1)) or (m.bit_length() - 1) % 2:
-            raise ConfigError(f"m must be a power of 4 (square QAM), got {m}")
+        try:
+            QamConstellation(self.m)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         if not (0 <= self.rho < 1):
             raise ConfigError(f"rho must be in [0, 1), got {self.rho}")
         if self.t < 1:
@@ -132,16 +124,9 @@ class ExperimentConfig(TrainConfig):
         for name in ("seed", "frames_train", "frames_val", "frames_test"):
             if not 0 <= getattr(self, name) <= _U64_MAX:
                 raise ConfigError(f"{name} must be in [0, 2**64 - 1], got {getattr(self, name)}")
-        if (self.n_p is not None) != (self.e_p is not None) or \
-           (self.n_p is not None) != (self.sigma_z2 is not None):
-            raise ConfigError("n_p, e_p, sigma_z2 must be given together")
-        if self.n_p is not None:
-            if not (1 <= self.n_p <= _U64_MAX and self.e_p > 0 and self.sigma_z2 >= 0):
-                raise ConfigError(f"need 1 <= n_p <= 2**64 - 1, e_p > 0 and sigma_z2 >= 0, "
-                                  f"got n_p={self.n_p}, e_p={self.e_p}, "
-                                  f"sigma_z2={self.sigma_z2}")
-            self.csi_error_var = csi_error_variance(self.n_t, self.sigma_z2,
-                                                    self.n_p, self.e_p)
+        if self.frames_train + self.frames_val + self.frames_test > _U64_MAX + 1:
+            raise ConfigError("frames_train + frames_val + frames_test must be <= 2**64, "
+                              "one u64 stream index per frame")
         for name, values in (("csi_error_var", [self.csi_error_var]),
                              ("sweep_error_var", self.sweep_error_var)):
             if not all(0 <= v < math.inf for v in values):
@@ -181,8 +166,11 @@ def _parser(hint):
     return _parser(args[0]) if args else hint
 
 
-_PARSERS = {name: _parser(hint)
-            for name, hint in typing.get_type_hints(ExperimentConfig).items()}
+# the pilot triple, file syntax for csi_error_var: csi_error_variance's arguments
+_PILOT_HINTS = {name: hint for name, hint in typing.get_type_hints(csi_error_variance).items()
+                if name not in ("n_t", "return")}
+_PARSERS = {name: _parser(hint) for name, hint in
+            {**typing.get_type_hints(ExperimentConfig), **_PILOT_HINTS}.items()}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -209,12 +197,19 @@ def parse_config(text: str) -> ExperimentConfig:
             values[key] = _PARSERS[key](raw)
         except ValueError as e:
             raise ConfigError(f"line {lineno}: bad value for {key}: {e}") from e
-    # __post_init__ overwrites csi_error_var from the triple, so the two can
-    # only be told apart here
-    if "csi_error_var" in values and values.keys() & {"n_p", "e_p", "sigma_z2"}:
-        raise ConfigError("csi_error_var and the pilot triple n_p, e_p, sigma_z2 "
+    triple = {name: values.pop(name) for name in _PILOT_HINTS if name in values}
+    pilots = ", ".join(_PILOT_HINTS)
+    if len(triple) not in (0, len(_PILOT_HINTS)):
+        raise ConfigError(f"{pilots} must be given together")
+    if triple and "csi_error_var" in values:
+        raise ConfigError(f"csi_error_var and the pilot triple {pilots} "
                           "exclude each other: the triple sets csi_error_var")
-    return ExperimentConfig(**values)
+    cfg = ExperimentConfig(**values)
+    try:
+        var = csi_error_variance(cfg.n_t, **triple) if triple else None
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    return cfg if var is None else replace(cfg, csi_error_var=var)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -164,9 +164,15 @@ def make_correlated(h: np.ndarray, rho: float) -> np.ndarray:
 
 
 def csi_error_variance(n_t: int, sigma_z2: float, n_p: int, e_p: float) -> float:
-    """Pilot-based LS estimation error variance N_t * sigma_z^2 / (N_p * E_p)."""
-    if n_p <= 0 or e_p <= 0:
-        raise ValueError("n_p and e_p must be positive")
+    """Pilot-based LS estimation error variance N_t * sigma_z^2 / (N_p * E_p).
+
+    The arguments but n_t are the pilot triple, a config file's other way to
+    give csi_error_var (config.parse_config). A ValueError names all three
+    unless n_p is in [1, 2**64 - 1] and e_p > 0 and sigma_z2 >= 0 are finite.
+    """
+    if not (1 <= n_p <= 2**64 - 1 and 0 < e_p < math.inf and 0 <= sigma_z2 < math.inf):
+        raise ValueError(f"need 1 <= n_p <= 2**64 - 1, finite e_p > 0 and finite "
+                         f"sigma_z2 >= 0, got n_p={n_p}, e_p={e_p}, sigma_z2={sigma_z2}")
     return n_t * sigma_z2 / (n_p * e_p)
 
 

@@ -9,8 +9,16 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from immimo.linalg import Rng
+
+
+def pytest_sessionstart(session):
+    """Hypothesis writes its caches (the constants/ cache, which derandomize=True
+    keeps, fills at collection) to a pytest temp directory, not to .hypothesis/
+    in the working directory."""
+    set_hypothesis_home_dir(session.config._tmp_path_factory.mktemp("hypothesis"))
 
 
 @pytest.fixture

@@ -1,11 +1,13 @@
 """Config file parsing and validation."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
-from immimo.config import (ConfigError, ExperimentConfig, TrainConfig, load_config,
+from immimo import config
+from immimo.config import (_PARSERS, ConfigError, ExperimentConfig, TrainConfig, load_config,
                            parse_config, snr_tag)
+from immimo.phy import csi_error_variance
 from immimo.runner import checkpoint_paths
 
 
@@ -98,6 +100,22 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(frames_val=-1)
 
+    def test_frame_index_past_u64_rejected(self):
+        # test frames follow the training and validation frames in one u64 index
+        with pytest.raises(ConfigError, match="frames_train \\+ frames_val \\+ frames_test"):
+            ExperimentConfig(frames_train=2 ** 64 - 1)
+        with pytest.raises(ConfigError, match="frames_test"):
+            parse_config(f"frames_train = {2 ** 64 - 16}\nframes_val = 0\nframes_test = 100")
+        last = ExperimentConfig(frames_train=2 ** 64 - 4000)
+        assert last.frames_train + last.frames_val + last.frames_test == 2 ** 64
+
+    @pytest.mark.parametrize("key", ["detectors", "sweep_error_var"])
+    def test_empty_list_rejected(self, key):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(**{key: []})
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"{key} =")
+
     def test_pilot_triple_must_be_complete(self):
         with pytest.raises(ConfigError, match="together"):
             parse_config("n_p = 8")
@@ -106,6 +124,12 @@ class TestValidation:
         cfg = parse_config("n_p = 8\ne_p = 2.0\nsigma_z2 = 0.1")
         # n_t * sigma_z2 / (n_p * e_p) with default n_t = 4
         assert cfg.csi_error_var == pytest.approx(4 * 0.1 / 16)
+
+    def test_replace_keeps_the_csi_error_var_it_is_given(self):
+        # the triple is file syntax: it does not stay behind to override the field
+        cfg = parse_config("n_p = 8\ne_p = 2.0\nsigma_z2 = 0.1")
+        assert replace(cfg, csi_error_var=0.5).csi_error_var == 0.5
+        assert replace(cfg, seed=7).csi_error_var == cfg.csi_error_var
 
     def test_csi_error_var_with_the_pilot_triple_rejected(self):
         # the triple sets csi_error_var, which would drop the one given
@@ -121,13 +145,14 @@ class TestValidation:
     @pytest.mark.parametrize("key", ["rho", "csi_error_var", "e_p", "sigma_z2", "lr",
                                      "gamma1", "gamma2"])
     def test_non_finite_scalar_rejected(self, key, value):
-        pilots = dict(n_p=8, e_p=2.0, sigma_z2=0.1) if key in ("e_p", "sigma_z2") else {}
+        pilots = "".join(f"{k} = {v}\n" for k, v in _PILOTS.items() if k != key) \
+            if key in _PILOTS else ""
         with pytest.raises(ConfigError, match=key):
-            ExperimentConfig(**{**pilots, key: value})
+            parse_config(f"{pilots}{key} = {value}\n")
 
     def test_pilot_overflow_to_infinite_csi_error_var_rejected(self):
         with pytest.raises(ConfigError, match="csi_error_var"):
-            ExperimentConfig(n_p=1, e_p=1.0, sigma_z2=1e308)
+            parse_config("n_p = 1\ne_p = 1.0\nsigma_z2 = 1e308")
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
                              ids=["nan", "inf", "-inf"])
@@ -256,28 +281,31 @@ _BOUNDARY_TEXTS = ["0", "-1", "65536", str(2 ** 64), "1e400", "nan", "inf", "",
 _PILOTS = {"n_p": "8", "e_p": "2.0", "sigma_z2": "0.1"}
 
 
-def _text(f) -> str:
-    """A valid config text for field `f`: its default as a config file writes
-    it, or a value for the keys that default to None."""
-    if f.name in _PILOTS:
-        return _PILOTS[f.name]
-    if f.name == "gamma2":
+def _text(key) -> str:
+    """A valid config text for `key`: a field's default as a config file
+    writes it, or a value for the keys without a default."""
+    if key in _PILOTS:
+        return _PILOTS[key]
+    if key == "gamma2":
         return "0.5"
-    value = getattr(ExperimentConfig(), f.name)
+    value = getattr(ExperimentConfig(), key)
     return ", ".join(map(str, value)) if isinstance(value, list) else str(value)
 
 
 class TestAnnotationParser:
     def test_every_field_is_a_key(self):
+        # the keys are the fields and the pilot triple, which is no field
+        assert set(_PARSERS) == {f.name for f in fields(ExperimentConfig)} | set(_PILOTS)
+        assert len(fields(ExperimentConfig)) == 24
         # csi_error_var and the pilot triple exclude each other: a text each
-        lines = {f.name: f"{f.name} = {_text(f)}\n" for f in fields(ExperimentConfig)}
+        lines = {key: f"{key} = {_text(key)}\n" for key in _PARSERS}
         triple = "".join(v for k, v in lines.items() if k != "csi_error_var")
-        assert parse_config(triple) == ExperimentConfig(gamma2=0.5, n_p=8, e_p=2.0,
-                                                        sigma_z2=0.1)
+        assert parse_config(triple) == ExperimentConfig(
+            gamma2=0.5, csi_error_var=csi_error_variance(4, 0.1, n_p=8, e_p=2.0))
         plain = "".join(v for k, v in lines.items() if k not in _PILOTS)
         assert parse_config(plain) == ExperimentConfig(gamma2=0.5)
 
-    @pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig)])
+    @pytest.mark.parametrize("key", list(_PARSERS))
     def test_boundary_texts_give_a_config_or_a_config_error(self, key):
         others = "".join(f"{k} = {v}\n" for k, v in _PILOTS.items() if k != key) \
             if key in _PILOTS else ""
@@ -289,15 +317,23 @@ class TestAnnotationParser:
             except Exception as e:
                 pytest.fail(f"{key} = {raw!r}: {type(e).__name__}: {e}")
 
-    def test_values_take_their_annotated_type(self):
+    def test_values_take_their_annotated_type(self, monkeypatch):
+        triple = {}
+
+        def recording(n_t, **pilots):
+            triple.update(pilots)
+            return csi_error_variance(n_t, **pilots)
+
+        monkeypatch.setattr(config, "csi_error_variance", recording)
         cfg = parse_config("n_p = 8\ne_p = 2\nsigma_z2 = 0\ngamma2 = 1\nsnr_db = 3, 4\n"
                            "lr = 1\nse_channels = 3, 5\ndetectors = ml")
-        assert type(cfg.n_p) is int and type(cfg.e_p) is float
+        assert type(triple["n_p"]) is int and type(triple["e_p"]) is float
+        assert type(triple["sigma_z2"]) is float
         assert type(cfg.gamma2) is float and type(cfg.lr) is float
         assert [type(v) for v in cfg.snr_db + cfg.se_channels] == [float] * 2 + [int] * 2
         assert cfg.detectors == ["ml"]
 
-    @pytest.mark.parametrize("line", ["n_p = 0", "n_p = -1", f"n_p = {2 ** 64}",
+    @pytest.mark.parametrize("line", ["n_p = 0", "n_p = -1", f"n_p = {2 ** 64}", "n_p = 8.5",
                                       "e_p = 0", "e_p = -2", "sigma_z2 = -0.1"])
     def test_bad_pilot_key_named(self, line):
         key = line.split()[0]

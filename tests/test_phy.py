@@ -1,5 +1,7 @@
 """Tests for the physical layer: TAC tables, frames, channels, metrics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,14 @@ class TestChannel:
         assert csi_error_variance(4, 0.1, n_p=8, e_p=2.0) == pytest.approx(0.025)
         with pytest.raises(ValueError):
             csi_error_variance(4, 0.1, n_p=0, e_p=1.0)
+        assert csi_error_variance(4, 0.0, n_p=2 ** 64 - 1, e_p=1e-300) == 0.0
+
+    @pytest.mark.parametrize("sigma_z2, n_p, e_p", [
+        (0.1, 2 ** 64, 1.0), (0.1, 1, 0.0), (0.1, 1, math.inf), (0.1, 1, math.nan),
+        (-0.1, 1, 1.0), (math.inf, 1, 1.0), (math.nan, 1, 1.0)])
+    def test_pilot_triple_out_of_range_names_all_three(self, sigma_z2, n_p, e_p):
+        with pytest.raises(ValueError, match="n_p.*e_p.*sigma_z2"):
+            csi_error_variance(4, sigma_z2, n_p=n_p, e_p=e_p)
 
     def test_kronecker_second_moments(self):
         # E[H_c H_c^H] = tr(R_t)/N_r * R_r for H with CN(0, 1/N_r) entries;
