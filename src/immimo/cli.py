@@ -169,7 +169,7 @@ def _detector_rows(detectors, data, load_pair, table, constellation, fixed) -> l
 
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
-    names = args.detectors.split(",") if args.detectors else cfg.detectors
+    names = cfg.detectors if args.detectors is None else args.detectors.split(",")
     # an unknown or repeated name, then a missing or malformed checkpoint,
     # fail before any dataset is read
     detectors = _resolve_detectors(names, args.variant)
@@ -231,7 +231,7 @@ def cmd_bench(args) -> int:
     ]
     for r in rows:
         r.update({"schema": BENCH_SCHEMA, "trials": LATENCY_TRIALS})
-    if args.out:
+    if args.out is not None:
         write_results(args.out, rows, BENCH_COLUMNS, extra={"command": "bench"})
         print(f"wrote {args.out}")
     else:

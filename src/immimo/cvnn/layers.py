@@ -613,6 +613,18 @@ def _sym2(v11: np.ndarray, v12: np.ndarray, v22: np.ndarray) -> np.ndarray:
     return np.stack([np.stack([v11, v12], -1), np.stack([v12, v22], -1)], -2)
 
 
+def _lyapunov2(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """X with a X + X a = q per channel, for (C, 2, 2) q and symmetric
+    positive definite a. Cayley-Hamilton (a^2 = tau a - delta I, tau = tr a,
+    delta = det a) gives X = ((tau^2 + delta) q - tau (aq + qa) + aqa) /
+    (2 delta tau); its numerator, as adj(a) q adj(a) + delta q with
+    adj(a) = tau I - a, does not cancel when a is ill-conditioned."""
+    tau = (a[:, 0, 0] + a[:, 1, 1])[:, None, None]
+    delta = (a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0])[:, None, None]
+    adj = tau * np.eye(2) - a
+    return (adj @ q @ adj + delta * q) / (2 * delta * tau)
+
+
 class ComplexBatchNorm(Layer):
     """Complex batch norm of Trabelsi et al.: per channel, gamma (a real
     2x2 matrix) times the whitened (re, im) pair V^(-1/2) (z - mean), plus
@@ -623,9 +635,13 @@ class ComplexBatchNorm(Layer):
     (`_widely_linear`) and c = beta - (a*mean + b*conj(mean)), applied in
     the layer's dtype. Train mode takes mean and V from the batch, updates
     the running stats with momentum and caches the centred input u and
-    V^(-1/2) for backward; infer mode takes the running stats and caches
+    W = V^(-1/2) for backward; infer mode takes the running stats and caches
     nothing. The inverse square root of the 2x2 covariance (+ eps on the
     diagonal) is closed-form via its trace and determinant.
+
+    Backward: dW = -W dS W with S = W^-1 = V^(1/2), and S dS + dS S = dV
+    (Higham, Functions of Matrices, SIAM 2008, section 6.1), so the loss
+    reaches V as -z, where S z + z S = W sym(gamma^T sums) W (`_lyapunov2`).
 
     Infer mode memoizes the map: a, b and c per channel, cast to the
     layer's dtype. The memo key is eps and the dtype, shape and bytes of
@@ -664,7 +680,7 @@ class ComplexBatchNorm(Layer):
 
     @staticmethod
     def _whiten_coeffs(v11, v12, v22):
-        """Entries of (V)^{-1/2} for symmetric 2x2 V (already eps-loaded).
+        """V^{-1/2} (C, 2, 2) for symmetric 2x2 V (already eps-loaded).
 
         With s = sqrt(det V) and t = sqrt(tr V + 2 s):
         V^{1/2} = (V + s I)/t, hence V^{-1/2} = (V^{1/2})^{-1} / 1, computed
@@ -674,10 +690,7 @@ class ComplexBatchNorm(Layer):
         s = np.sqrt(v11 * v22 - v12 * v12)
         t = np.sqrt(v11 + v22 + 2.0 * s)
         denom = s * t
-        w11 = (v22 + s) / denom
-        w22 = (v11 + s) / denom
-        w12 = -v12 / denom
-        return w11, w12, w22, s, t
+        return _sym2((v22 + s) / denom, -v12 / denom, (v11 + s) / denom)
 
     def _infer_key(self) -> tuple:
         # dtype, shape and exact bytes of every tensor the infer map reads
@@ -685,16 +698,14 @@ class ComplexBatchNorm(Layer):
             self.gamma, self.beta, self.running_mean, self.running_v)))
 
     def _coeffs(self, mean, v11, v12, v22) -> tuple:
-        """(w, s, t, eps-loaded V, a, b, c) of the map from mean and V, per
-        channel at float64 (complex128), whatever the layer's dtype."""
+        """(w, a, b, c) of the map from mean and V, per channel at float64
+        (complex128), whatever the layer's dtype."""
         v11, v12, v22 = (np.asarray(v, dtype=np.float64) for v in (v11, v12, v22))
-        veps = (v11 + self.eps, v12, v22 + self.eps)
-        w11, w12, w22, s, t = self._whiten_coeffs(*veps)
-        w = _sym2(w11, w12, w22)
+        w = self._whiten_coeffs(v11 + self.eps, v12, v22 + self.eps)
         a, b = _widely_linear(np.asarray(self.gamma, dtype=np.float64) @ w)
         mean = np.asarray(mean, dtype=np.complex128)
         c = self.beta.astype(np.complex128) - (a * mean + b * mean.conj())
-        return w, s, t, veps, a, b, c
+        return w, a, b, c
 
     def _infer_map(self) -> tuple:
         """(a, b, c) of the running statistics' _coeffs, cast to the layer's
@@ -706,7 +717,7 @@ class ComplexBatchNorm(Layer):
             # memory with the tensors
             dt = self.beta.dtype
             v = self.running_v.astype(self.gamma.dtype)
-            *_, a, b, c = self._coeffs(self.running_mean.astype(dt), *v.T)
+            _, a, b, c = self._coeffs(self.running_mean.astype(dt), *v.T)
             self._memo = (key, (a.astype(dt), b.astype(dt), c.astype(dt)))
         return self._memo[1]
 
@@ -730,8 +741,8 @@ class ComplexBatchNorm(Layer):
             self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
             batch_v = np.stack([v11, v12, v22], axis=1)
             self.running_v = self.momentum * self.running_v + (1 - self.momentum) * batch_v
-            w, s, t, veps, a, b, c = self._coeffs(mean, v11, v12, v22)
-            self._cache = (u, w, s, t, veps, axes, n)
+            w, a, b, c = self._coeffs(mean, v11, v12, v22)
+            self._cache = (u, w, axes, n)
         else:
             a, b, c = self._infer_map()
             self._cache = None
@@ -740,7 +751,7 @@ class ComplexBatchNorm(Layer):
         return y
 
     def backward(self, grad):
-        u, w, s, t, (v11, v12, v22), axes, n = self._take_cache()
+        u, w, axes, n = self._take_cache()
         grad = np.asarray(grad, dtype=self.beta.dtype)
         nd = grad.ndim
         gr, gi, ur, ui = grad.real, grad.imag, u.real, u.imag
@@ -758,26 +769,13 @@ class ComplexBatchNorm(Layer):
         ag, bg = _widely_linear(np.swapaxes(self.gamma @ w, -1, -2))
         dx = _apply_widely_linear(grad, ag, bg)
         # W depends on the batch covariance, the mean subtraction on the batch
-        # mean. lw = grad wrt (w11, w12, w22) = the entries of gamma^T sums
-        gs = np.swapaxes(self.gamma, -1, -2) @ sums
-        lw11, lw12, lw22 = gs[:, 0, 0], gs[:, 0, 1] + gs[:, 1, 0], gs[:, 1, 1]
-        # partials of (w11, w12, w22) wrt (v11, v12, v22); eps-loaded V
-        ds = np.stack([v22 / (2 * s), -v12 / s, v11 / (2 * s)], axis=0)   # d s / d v*
-        dtau = np.array([1.0, 0.0, 1.0])[:, None]
-        dt = (dtau + 2 * ds) / (2 * t)
-        dden = t * ds + s * dt                                            # d (s t) / d v*
-        denom = s * t
-        dnum11 = np.stack([np.zeros_like(s), np.zeros_like(s), np.ones_like(s)], axis=0) + ds
-        dnum22 = np.stack([np.ones_like(s), np.zeros_like(s), np.zeros_like(s)], axis=0) + ds
-        dnum12 = -np.stack([np.zeros_like(s), np.ones_like(s), np.zeros_like(s)], axis=0)
-        dw11 = (dnum11 * denom - (v22 + s) * dden) / denom ** 2
-        dw22 = (dnum22 * denom - (v11 + s) * dden) / denom ** 2
-        dw12 = (dnum12 * denom + v12 * dden) / denom ** 2
-        lv11, lv12, lv22 = lw11 * dw11 + lw12 * dw12 + lw22 * dw22        # (3, C)
-        # through the batch covariance: the symmetric map [[2 lv11, lv12],
-        # [lv12, 2 lv22]] / n of u; through the batch mean: minus the mean
-        # over the moment axes, where mean(u) = 0 leaves -(gamma W)^T mean(grad)
-        dx += _apply_widely_linear(u, *_widely_linear(_sym2(2 * lv11, lv12, 2 * lv22) / n))
+        # mean. Through V = u u^T / n + eps I: -2 z u / n, with z the
+        # Lyapunov solve of the class docstring; through the batch mean: minus
+        # the mean over the moment axes, where mean(u) = 0 leaves
+        # -(gamma W)^T mean(grad)
+        m = np.swapaxes(self.gamma, -1, -2) @ sums
+        z = _lyapunov2(np.linalg.inv(w), w @ (m + np.swapaxes(m, -1, -2)) @ w / 2)
+        dx -= _apply_widely_linear(u, *_widely_linear(2 * z / n))
         gbar = dbeta / n
         dx -= _expand((ag * gbar + bg * gbar.conj()).astype(dx.dtype), nd)
         return dx

@@ -93,9 +93,6 @@ class DatasetHeader:
             ("s", "<c8", (self.n_u, self.t)),
         ])
 
-    def record_nbytes(self) -> int:
-        return self.record_dtype().itemsize
-
 
 def table_for(cfg: ExperimentConfig) -> TacTable:
     """The legal TAC codebook of the config's `tac_preset` (phy.TAC_PRESETS)."""
@@ -197,11 +194,6 @@ def _parse_header(raw: bytes, path) -> DatasetHeader:
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
     return DatasetHeader(*fields)
-
-
-def read_header(path) -> DatasetHeader:
-    with open(path, "rb") as f:
-        return _parse_header(f.read(_HEADER.size), path)
 
 
 def read_dataset(path) -> tuple[DatasetHeader, dict]:

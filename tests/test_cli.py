@@ -18,7 +18,7 @@ from immimo import cli
 from immimo.cli import main
 from immimo.config import ExperimentConfig, load_config
 from immimo.cvnn import Model, count_flops, count_params
-from immimo.dataset import generate_arrays, read_dataset, read_header, table_for
+from immimo.dataset import generate_arrays, read_dataset, table_for
 from immimo.modulation import QamConstellation
 from immimo.runner import load_detector, run_classical, run_nn
 from immimo.twostage import build_aapd, build_se
@@ -62,7 +62,7 @@ class TestGenData:
         for split, count in (("train", 32), ("val", 16), ("test", 16)):
             path = data / f"snr12_{split}.imds"
             assert path.exists()
-            hdr = read_header(path)
+            hdr = read_dataset(path)[0]
             assert hdr.count == count
             assert hdr.snr_db == 12.0
 
@@ -88,7 +88,7 @@ class TestGenData:
         a = (workspace["data"] / "snr12_test.imds").read_bytes()
         b = (other / "snr12_test.imds").read_bytes()
         assert a != b
-        assert read_header(other / "snr12_test.imds").seed == 99
+        assert read_dataset(other / "snr12_test.imds")[0].seed == 99
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -217,10 +217,11 @@ class TestTrain:
             name = f"snr12_{split}.imds"
             (data / name).write_bytes((workspace["data"] / name).read_bytes())
         path = data / "snr12_train.imds"
-        hdr = read_header(path)
+        hdr = read_dataset(path)[0]
         raw = bytearray(path.read_bytes())
         # first record's Y follows the file header and its packed bits
-        y0 = len(raw) - hdr.count * hdr.record_nbytes() + (hdr.bits_per_frame + 7) // 8
+        y0 = (len(raw) - hdr.count * hdr.record_dtype().itemsize
+              + (hdr.bits_per_frame + 7) // 8)
         raw[y0:y0 + 4] = np.float32(np.nan).tobytes()
         path.write_bytes(bytes(raw))
         out = tmp_path / "ckpt"
@@ -367,6 +368,17 @@ class TestEval:
         assert "unknown detector" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_detectors_flag_exits_2(self, workspace, tmp_path, monkeypatch, capsys):
+        # an empty --detectors is a name list with one empty name, not the
+        # config's list
+        monkeypatch.chdir(tmp_path)
+        assert main(["eval", "--config", str(workspace["cfg"]),
+                     "--data", str(workspace["data"]),
+                     "--ckpt", str(workspace["ckpt"]),
+                     "--detectors", "", "--out", "x.csv"]) == 2
+        assert "unknown detector" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("names", ["ml,ml", "nn,nn-complex"])
     def test_repeated_detector_exits_2(self, workspace, tmp_path, capsys, names):
         out = tmp_path / "x.csv"
@@ -392,8 +404,8 @@ class TestEval:
         data.mkdir()
         path = data / "snr12_test.imds"
         raw = bytearray((workspace["data"] / "snr12_test.imds").read_bytes())
-        hdr = read_header(workspace["data"] / "snr12_test.imds")
-        rec = hdr.record_nbytes()
+        hdr = read_dataset(workspace["data"] / "snr12_test.imds")[0]
+        rec = hdr.record_dtype().itemsize
         h_est = ((hdr.bits_per_frame + 7) // 8 + 8 * hdr.n_r * hdr.t
                  + 8 * hdr.n_r * hdr.n_t)
         at = len(raw) - hdr.count * rec + 5 * rec + h_est
@@ -413,10 +425,10 @@ class TestEval:
                      "--detectors", "somp", "--out", str(tmp_path / "x.csv")]
         assert main(eval_somp) == 0
         path = data / "snr12_test.imds"
-        hdr = read_header(path)
+        hdr = read_dataset(path)[0]
         raw = bytearray(path.read_bytes())
         records = np.frombuffer(raw, hdr.record_dtype(), offset=len(raw) - hdr.count
-                                * hdr.record_nbytes())
+                                * hdr.record_dtype().itemsize)
         h_est = records["h_est"][3]
         h_est[:] = h_est[:, :1] * np.array([1, 2, 4, 8], dtype=np.float32)
         path.write_bytes(bytes(raw))
@@ -646,10 +658,10 @@ class TestInputFuzz:
            value=st.sampled_from((np.nan, np.inf, -np.inf)), data=st.data())
     def test_non_finite_record_value_exits_2(self, workspace, field, value, data):
         def poison(raw):
-            header = read_header(workspace["data"] / "snr12_test.imds")
+            header = read_dataset(workspace["data"] / "snr12_test.imds")[0]
             buf = bytearray(raw)
-            records = np.frombuffer(buf, header.record_dtype(),
-                                    offset=len(buf) - header.count * header.record_nbytes())
+            dtype = header.record_dtype()
+            records = np.frombuffer(buf, dtype, offset=len(buf) - header.count * dtype.itemsize)
             entry = records[field][data.draw(st.integers(0, header.count - 1),
                                              label="record")]
             parts = entry.reshape(-1).view(np.float32)  # re/im parts, in place
@@ -661,10 +673,10 @@ class TestInputFuzz:
     @given(data=st.data())
     def test_flipped_indicator_exits_2(self, workspace, data):
         def flip(raw):
-            header = read_header(workspace["data"] / "snr12_test.imds")
+            header = read_dataset(workspace["data"] / "snr12_test.imds")[0]
             buf = bytearray(raw)
-            records = np.frombuffer(buf, header.record_dtype(),
-                                    offset=len(buf) - header.count * header.record_nbytes())
+            dtype = header.record_dtype()
+            records = np.frombuffer(buf, dtype, offset=len(buf) - header.count * dtype.itemsize)
             g = records["g"][data.draw(st.integers(0, header.count - 1), label="record")]
             g[data.draw(st.integers(0, g.size - 1), label="byte")] ^= data.draw(
                 st.integers(1, 255), label="mask")
@@ -729,6 +741,14 @@ class TestBench:
         for r in rows.values():
             assert float(r[4]) >= 0.0
             assert int(r[5]) >= 30
+
+    def test_empty_out_flag_exits_2(self, workspace, tmp_path, monkeypatch, capsys):
+        # an empty --out is a path that cannot be written, not stdout
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "--config", str(workspace["cfg"]), "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert "schema," not in captured.out and "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_variant_param_halving_via_cli(self, workspace, tmp_path, capsys):
         def params(variant):

@@ -18,7 +18,6 @@ from immimo.dataset import (
     check_indicators,
     generate_arrays,
     read_dataset,
-    read_header,
     scenario_channel,
     table_for,
     write_dataset,
@@ -45,7 +44,7 @@ class TestHeader:
                             count=0, seed=1)
         # packed bits + y + h + h_est + g + s
         want = (34 + 7) // 8 + 8 * 2 * 16 + 2 * 8 * 2 * 4 + 4 + 8 * 1 * 16
-        assert hdr.record_nbytes() == want
+        assert hdr.record_dtype().itemsize == want
 
     def test_larger_scenario(self):
         hdr = DatasetHeader(n_t=8, n_u=2, n_r=4, t=16, m=16, snr_db=20.0,
@@ -344,7 +343,7 @@ class TestChannelCheck:
         cfg = base_cfg(n_r=4, seed=3)
         path, header, _ = self.written(tmp_path, cfg)
         donor, _, _ = self.written(tmp_path, base_cfg(n_r=4, seed=4), "donor.imds")
-        size, start = header.record_nbytes(), dataset._HEADER.size
+        size, start = header.record_dtype().itemsize, dataset._HEADER.size
         raw = bytearray(path.read_bytes())
         raw[start + 5 * size:start + 6 * size] = \
             donor.read_bytes()[start + 5 * size:start + 6 * size]
@@ -439,13 +438,13 @@ class TestFileFormat:
         path = tmp_path / "x.imds"
         path.write_bytes(b"IMDS\x01")
         with pytest.raises(ValueError, match="truncated"):
-            read_header(path)
+            read_dataset(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "x.imds"
         path.write_bytes(b"NOPE" + bytes(40))
         with pytest.raises(ValueError, match="magic"):
-            read_header(path)
+            read_dataset(path)
 
     def test_bad_version_rejected(self, tmp_path):
         cfg = base_cfg()
@@ -455,7 +454,7 @@ class TestFileFormat:
         raw[4:6] = struct.pack("<H", 9)
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="version"):
-            read_header(path)
+            read_dataset(path)
 
     def test_payload_length_validated(self, tmp_path):
         cfg = base_cfg()

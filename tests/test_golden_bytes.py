@@ -95,6 +95,15 @@ do `C16_TRAINED` and `F64_MASTER_TRAINED` under their optimizers.
 backward tracks within 1e-14 relative at complex128.
 `test_c8_training_tracks_the_c16_reference` holds at its bounds, and
 `DATASETS`, `SEED_BUILT` and `EVAL_METRICS` were not edited.
+
+Then ComplexBatchNorm's backward took the covariance gradient as one 2x2
+Lyapunov solve (S Z + Z S = W sym(gamma^T sums) W, S = V^(1/2)) in place
+of a quotient rule over the entries of W, and no digest moved.
+`quotient_rule_batchnorm_backward` below is the previous backward, moved
+here; with it in place `TRAINED` holds as well, so the two forms agree bit
+for bit at c8. At c16 they differ by at most about 2.5e-16 relative, which
+moves the complex `C16_TRAINED` digest, so the col2im, C16 and
+float64-master references install it next to `col2im_conv_backward`.
 """
 
 import hashlib
@@ -107,7 +116,8 @@ from immimo import twostage
 from immimo.cli import main
 from immimo.config import ExperimentConfig
 from immimo.cvnn import Adam, bce, bce_backward, mse, mse_backward
-from immimo.cvnn.layers import _ConvBase, _im2col_cm, _real_view
+from immimo.cvnn.layers import (ComplexBatchNorm, _apply_widely_linear, _ConvBase, _expand,
+                                _im2col_cm, _real_view, _sym2, _widely_linear)
 from immimo.cvnn.model import Model, _at_disk_precision
 from immimo.dataset import generate_arrays, table_for, write_dataset
 from immimo.detectors import tacs_from_probabilities, zf_estimate
@@ -248,6 +258,60 @@ def col2im_conv_backward(self, grad):
     wmat = self.weight[:, :, ti, tj].reshape(cout, -1)
     dx = _col2im_cm(wmat.T @ gc, x.shape, self.kernel, pad)
     return np.conjugate(dx, out=dx)
+
+
+# quotient_rule_batchnorm_backward: ComplexBatchNorm's backward before its
+# covariance gradient became a Lyapunov solve, moved here verbatim but for
+# its first lines: the cache no longer holds s, t and the eps-loaded V, so
+# they are recomputed from the centred input the way forward computes them
+def quotient_rule_batchnorm_backward(self, grad):
+    u, w, axes, n = self._take_cache()
+    v11, v12, v22 = (np.asarray(v, dtype=np.float64) for v in (
+        (u.real ** 2).mean(axis=axes), (u.real * u.imag).mean(axis=axes),
+        (u.imag ** 2).mean(axis=axes)))
+    v11, v22 = v11 + self.eps, v22 + self.eps
+    s = np.sqrt(v11 * v22 - v12 * v12)
+    t = np.sqrt(v11 + v22 + 2.0 * s)
+    grad = np.asarray(grad, dtype=self.beta.dtype)
+    nd = grad.ndim
+    gr, gi, ur, ui = grad.real, grad.imag, u.real, u.imag
+    # sums[c] = [[<gr, ur>, <gr, ui>], [<gi, ur>, <gi, ui>]] over the moment axes
+    sums = np.stack([np.stack([(gr * ur).sum(axis=axes), (gr * ui).sum(axis=axes)], -1),
+                     np.stack([(gi * ur).sum(axis=axes), (gi * ui).sum(axis=axes)], -1)],
+                    -2)
+    # y = gamma xt + beta with the whitened pair xt = W u
+    dbeta = grad.sum(axis=axes)
+    self.grads = {"gamma": (sums @ w).astype(self.gamma.dtype, copy=False),
+                  "beta": dbeta}
+    if not self._input_grad:
+        return None
+    # at fixed W the input grad is (gamma W)^T applied to the output grad
+    ag, bg = _widely_linear(np.swapaxes(self.gamma @ w, -1, -2))
+    dx = _apply_widely_linear(grad, ag, bg)
+    # W depends on the batch covariance, the mean subtraction on the batch
+    # mean. lw = grad wrt (w11, w12, w22) = the entries of gamma^T sums
+    gs = np.swapaxes(self.gamma, -1, -2) @ sums
+    lw11, lw12, lw22 = gs[:, 0, 0], gs[:, 0, 1] + gs[:, 1, 0], gs[:, 1, 1]
+    # partials of (w11, w12, w22) wrt (v11, v12, v22); eps-loaded V
+    ds = np.stack([v22 / (2 * s), -v12 / s, v11 / (2 * s)], axis=0)   # d s / d v*
+    dtau = np.array([1.0, 0.0, 1.0])[:, None]
+    dt = (dtau + 2 * ds) / (2 * t)
+    dden = t * ds + s * dt                                            # d (s t) / d v*
+    denom = s * t
+    dnum11 = np.stack([np.zeros_like(s), np.zeros_like(s), np.ones_like(s)], axis=0) + ds
+    dnum22 = np.stack([np.ones_like(s), np.zeros_like(s), np.zeros_like(s)], axis=0) + ds
+    dnum12 = -np.stack([np.zeros_like(s), np.ones_like(s), np.zeros_like(s)], axis=0)
+    dw11 = (dnum11 * denom - (v22 + s) * dden) / denom ** 2
+    dw22 = (dnum22 * denom - (v11 + s) * dden) / denom ** 2
+    dw12 = (dnum12 * denom + v12 * dden) / denom ** 2
+    lv11, lv12, lv22 = lw11 * dw11 + lw12 * dw12 + lw22 * dw22        # (3, C)
+    # through the batch covariance: the symmetric map [[2 lv11, lv12],
+    # [lv12, 2 lv22]] / n of u; through the batch mean: minus the mean
+    # over the moment axes, where mean(u) = 0 leaves -(gamma W)^T mean(grad)
+    dx += _apply_widely_linear(u, *_widely_linear(_sym2(2 * lv11, lv12, 2 * lv22) / n))
+    gbar = dbeta / n
+    dx -= _expand((ag * gbar + bg * gbar.conj()).astype(dx.dtype), nd)
+    return dx
 
 
 class C16Adam:
@@ -434,9 +498,16 @@ def test_trained_checkpoint_bytes(variant, tmp_path):
     assert _train_trained_cfg(variant, tmp_path) == TRAINED[variant]
 
 
+def test_quotient_rule_reference_gives_the_same_digests(tmp_path, monkeypatch):
+    # the real nets have no complex batch norm
+    monkeypatch.setattr(ComplexBatchNorm, "backward", quotient_rule_batchnorm_backward)
+    assert _train_trained_cfg("complex", tmp_path) == TRAINED["complex"]
+
+
 @pytest.mark.parametrize("variant", ["complex", "real"])
 def test_col2im_reference_gives_the_previous_digests(variant, tmp_path, monkeypatch):
     monkeypatch.setattr(_ConvBase, "backward", col2im_conv_backward)
+    monkeypatch.setattr(ComplexBatchNorm, "backward", quotient_rule_batchnorm_backward)
     assert _train_trained_cfg(variant, tmp_path) == COL2IM_TRAINED[variant]
 
 
@@ -444,6 +515,7 @@ def test_col2im_reference_gives_the_previous_digests(variant, tmp_path, monkeypa
 def test_c16_reference_gives_the_previous_digests(variant, tmp_path, monkeypatch):
     monkeypatch.setattr(twostage, "Adam", C16Adam)
     monkeypatch.setattr(_ConvBase, "backward", col2im_conv_backward)
+    monkeypatch.setattr(ComplexBatchNorm, "backward", quotient_rule_batchnorm_backward)
     assert _train_trained_cfg(variant, tmp_path) == C16_TRAINED[variant]
 
 
@@ -451,6 +523,7 @@ def test_c16_reference_gives_the_previous_digests(variant, tmp_path, monkeypatch
 def test_f64_master_reference_gives_the_previous_digests(variant, tmp_path, monkeypatch):
     monkeypatch.setattr(twostage, "Adam", F64MasterAdam)
     monkeypatch.setattr(_ConvBase, "backward", col2im_conv_backward)
+    monkeypatch.setattr(ComplexBatchNorm, "backward", quotient_rule_batchnorm_backward)
     assert _train_trained_cfg(variant, tmp_path) == F64_MASTER_TRAINED[variant]
 
 

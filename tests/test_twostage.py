@@ -407,9 +407,13 @@ def per_call_infer_map(bn):
     every call before the memo: the complex128 a, b and c, which the
     forward casts to its dtype."""
     v11, v12, v22 = (np.asarray(v, dtype=np.float64) for v in bn.running_v.T)
-    veps = (v11 + bn.eps, v12, v22 + bn.eps)
-    w11, w12, w22, s, t = bn._whiten_coeffs(*veps)
-    w = np.stack([np.stack([w11, w12], -1), np.stack([w12, w22], -1)], -2)
+    v11, v22 = v11 + bn.eps, v22 + bn.eps
+    # V^(-1/2) = t adj(V + sI) / (s t^2), s = sqrt(det V), t = sqrt(tr V + 2s)
+    s = np.sqrt(v11 * v22 - v12 * v12)
+    t = np.sqrt(v11 + v22 + 2.0 * s)
+    denom = s * t
+    w = np.stack([np.stack([(v22 + s) / denom, -v12 / denom], -1),
+                  np.stack([-v12 / denom, (v11 + s) / denom], -1)], -2)
     a, b = layers._widely_linear(np.asarray(bn.gamma, dtype=np.float64) @ w)
     mean = np.asarray(bn.running_mean, dtype=np.complex128)
     c = bn.beta.astype(np.complex128) - (a * mean + b * mean.conj())
