@@ -96,6 +96,8 @@ def _load_split(data_dir: str, cfg: ExperimentConfig, table, snr: float, split: 
         raise ConfigError(f"missing dataset file {path}")
     header, arrays = read_dataset(path)
     check_header_matches(header, cfg, path)
+    if header.snr_db != float(np.float32(snr)):     # the header holds it at f32
+        raise ConfigError(f"{path}: header snr_db={header.snr_db:g} is not the SNR point {snr:g}")
     check_indicators(arrays, table, path)
     check_channel(arrays, cfg, path)
     return arrays

@@ -4,7 +4,6 @@ from immimo.cvnn.layers import (
     ComplexConv2d,
     ComplexDense,
     ComplexReLU,
-    ComplexSigmoid,
     ComplexBatchNorm,
     RealConv2d,
     RealDense,

@@ -7,40 +7,38 @@ split and Wirtinger-gradient descent coincide; each layer implements its
 backward rule directly in this packed form. Real layers carry plain real
 gradients.
 
-Precision: a layer computes in the dtype of its own tensors. Conv, dense
-and both batch norms cast their input in forward, and their output
-gradient in backward, to it (the sigmoid's backward keeps its forward's
-precision), so a net holding complex128 and float64 tensors runs at 64-bit
-parts (how nets are built) and one holding complex64 and float32 runs at
-32-bit parts, the checkpoint precision at which nets train (Adam rounds
-a built net to it and updates it in place, optim.py) and loaded and
-trained nets infer (see Model.quantize_state). A c16 loss gradient
-therefore does not pull the backward up to 64-bit parts. In infer mode
-the batch norms read their running statistics at the layer's precision
-too: training accumulates them at float64, and a checkpoint holds them
-rounded. The class-level `dtype` only sets the precision of the initial
-weight draw.
+Precision, one rule: a layer with tensors computes in their dtype, and
+an activation returns its input's kind and precision. Conv, dense and
+both batch norms cast their input in forward, and their output gradient
+in backward, to their tensors' dtype, so a net holding complex128 and
+float64 tensors runs at 64-bit parts (how nets are built) and one holding
+complex64 and float32 at 32-bit parts, the checkpoint precision at which
+nets train (Adam rounds a built net to it and updates it in place,
+optim.py) and loaded and trained nets infer (Model.quantize_state). The
+sigmoid's backward keeps its forward's precision, so a c16 loss gradient
+does not pull the backward up to 64-bit parts. In infer mode the batch
+norms read their running statistics at their own precision too: training
+accumulates them at float64, and a checkpoint holds them rounded. A conv
+or dense class's `dtype` only sets the precision of its initial weight
+draw.
 
-One implementation per operation. A twin pair shares one class body and
-differs only in `kind` and a class-level `dtype` (complex or real): conv
-and dense run the same matmuls, conjugating in backward (a no-op for
-reals). Elementwise layers use the real view: a C-contiguous complex
-array viewed as its real dtype holds its real and imaginary parts
-interleaved, so running the real activation on that view and viewing the
-result back is the split activation of Trabelsi et al. (Deep Complex
-Networks, ICLR 2018). The view keeps the array's precision (complex128
-is viewed as float64, complex64 as float32). The real readout reads
-complex features through the same view, and so does Adam (optim.py): it
-updates every parameter through its real view, so a complex parameter is
-two real slots and one code path serves both dtypes. Code
-that does not fit the rule stays separate: ComplexBatchNorm whitens the
-(re, im) pair jointly, which is not two real batch norms, and computes it
-as one widely-linear map per channel, y = a*z + b*conj(z) + c, with a, b
-and c from the batch statistics (train) or the running ones (infer),
-applied by _apply_widely_linear as in its backward; SplitReIm and
-MergeReIm order the parts by channel block, not interleaved. A layer's
-spec is its constructor's arguments (_spec_keys, for Layer.spec and
-layer_from_spec alike).
+One implementation per operation. Conv and dense twins share one class
+body and differ only in `kind` and `dtype`: they run the same matmuls,
+conjugating in backward (a no-op for reals). The two ReLUs differ only in
+`kind`. Activations and the real readout run on the real view
+(_real_view): a C-contiguous complex array viewed as its real dtype holds
+its real and imaginary parts interleaved, at its own precision, so the
+real activation on that view, viewed back, is the split activation of
+Trabelsi et al. (Deep Complex Networks, ICLR 2018). Adam (optim.py)
+updates every parameter through the same view, so a complex parameter is
+two real slots. Code that does not fit the rule stays separate:
+ComplexBatchNorm whitens the (re, im) pair jointly, which is not two real
+batch norms, and computes it as one widely-linear map per channel,
+y = a*z + b*conj(z) + c, with a, b and c from the batch statistics
+(train) or the running ones (infer), applied by _apply_widely_linear as
+in its backward; SplitReIm and MergeReIm order the parts by channel
+block, not interleaved. A layer's spec is its constructor's arguments
+(_spec_keys, for Layer.spec and layer_from_spec alike).
 
 Forward state lives from a train-mode forward to the backward that reads
 it: `forward(x, train=True)` stores a cache on the layer, an infer-mode
@@ -110,36 +108,19 @@ def _init_weight(rng: Rng | None, shape, fan_in: int, fan_out: int,
     return rng.symmetric_uniform(shape) * lim + 1j * (rng.symmetric_uniform(shape) * lim)
 
 
-def _conj(a: np.ndarray) -> np.ndarray:
-    return a.conj() if np.iscomplexobj(a) else a
-
-
-# kind (complex128 or float64, as a scalar type or a dtype) -> the kind at
-# (64-bit parts, 32-bit parts)
-_PRECISIONS = {k: (np.dtype(wide), np.dtype(narrow))
-               for wide, narrow in ((np.complex128, np.complex64), (np.float64, np.float32))
-               for k in (wide, np.dtype(wide))}
-_NARROW = frozenset((np.dtype(np.complex64), np.dtype(np.float32)))
-
-
-def _at_precision_of(a: np.ndarray, dtype: type) -> np.dtype:
-    """`dtype`'s kind (complex or real) at `a`'s precision: 32-bit parts
-    when `a` holds complex64 or float32, else 64-bit parts."""
-    return _PRECISIONS[dtype][np.asarray(a).dtype in _NARROW]
-
-
-def _real_view(a: np.ndarray, dtype: type) -> np.ndarray:
-    """`a` as C-contiguous `dtype` at `a`'s own precision, viewed as its
-    real parts: complex (..., F) becomes (..., 2F) = [re0, im0, re1, im1,
-    ...], complex128 as float64 and complex64 as float32."""
-    a = np.ascontiguousarray(a, dtype=_at_precision_of(a, dtype))
+def _real_view(a: np.ndarray) -> np.ndarray:
+    """C-contiguous `a` viewed as its real parts, at `a`'s own precision:
+    complex (..., F) becomes (..., 2F) = [re0, im0, re1, im1, ...],
+    complex128 as float64 and complex64 as float32; a real array keeps its
+    dtype and shape."""
+    a = np.ascontiguousarray(a)
     return a.view(a.real.dtype)
 
 
-def _from_real_view(v: np.ndarray, dtype: type) -> np.ndarray:
-    """Inverse of _real_view: the real parts `v` viewed as `dtype`'s kind
-    at `v`'s precision."""
-    return v.view(_at_precision_of(v, dtype))
+def _from_real_view(v: np.ndarray, complex_: bool) -> np.ndarray:
+    """Inverse of _real_view: the real parts `v` viewed as complex at `v`'s
+    own precision when `complex_`, else `v` itself."""
+    return v.view(np.promote_types(v.dtype, np.complex64)) if complex_ else v
 
 
 def _walk_items(layers, items: str, key) -> list:
@@ -253,6 +234,8 @@ class Layer:
     # in checkpoint order
     param_names: tuple = ()
     buffer_names: tuple = ()
+    # parameter name -> gradient; each backward assigns a new dict
+    grads: dict = {}
     # what a train-mode forward keeps for the backward that follows it
     _cache = None
     # set by _forward_chain for the length of one infer-mode call: the
@@ -353,7 +336,6 @@ class _ConvBase(Layer):
                                    in_channels * kernel * kernel,
                                    out_channels * kernel * kernel, self.dtype)
         self.bias = np.zeros(out_channels, dtype=self.dtype)
-        self.grads: dict[str, np.ndarray] = {}
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=self.weight.dtype)
@@ -421,7 +403,6 @@ class _DenseBase(Layer):
         self.weight = _init_weight(rng, (out_features, in_features), in_features,
                                    out_features, self.dtype)
         self.bias = np.zeros(out_features, dtype=self.dtype)
-        self.grads: dict[str, np.ndarray] = {}
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=self.weight.dtype)
@@ -434,11 +415,11 @@ class _DenseBase(Layer):
         x = self._take_cache()
         grad = np.asarray(grad, dtype=self.weight.dtype)
         # conjugate the (B, in) input, not the (out, in) product
-        self.grads = {"weight": grad.T @ _conj(x), "bias": grad.sum(axis=0)}
+        self.grads = {"weight": grad.T @ x.conj(), "bias": grad.sum(axis=0)}
         if not self._input_grad:
             return None
         # grad @ conj(W) as conj(conj(grad) @ W): no conjugated copy of W
-        dx = _conj(grad) @ self.weight
+        dx = grad.conj() @ self.weight
         return np.conjugate(dx, out=dx)
 
 
@@ -467,57 +448,49 @@ class RealHeadDense(RealDense):
     kind = "real_head_dense"
 
     def forward(self, x, train=False):
-        self._in_dtype = np.complex128 if np.iscomplexobj(x) else np.float64
-        return super().forward(_real_view(x, self._in_dtype), train)
+        self._complex_in = np.iscomplexobj(x)
+        return super().forward(_real_view(x), train)
 
     def backward(self, grad):
         dx = super().backward(grad)
-        return None if dx is None else _from_real_view(dx, self._in_dtype)
+        return None if dx is None else _from_real_view(dx, self._complex_in)
 
 
 class RealReLU(Layer):
+    """ReLU on the real view, so on each part of a complex input."""
+
     kind = "real_relu"
-    dtype = np.float64
 
     def forward(self, x, train=False):
-        v = _real_view(x, self.dtype)
+        v = _real_view(x)
         m = v > 0
         self._cache = m if train else None
         # v * m, not maximum(v, 0): a negative entry becomes -0.0
         return _from_real_view(np.multiply(v, m, out=v if self._owns_input else None),
-                               self.dtype)
+                               np.iscomplexobj(x))
 
     def backward(self, grad):
-        return _from_real_view(_real_view(grad, self.dtype) * self._take_cache(), self.dtype)
+        return _from_real_view(_real_view(grad) * self._take_cache(), np.iscomplexobj(grad))
 
 
 class ComplexReLU(RealReLU):
-    """ReLU on real and imaginary parts independently."""
-
     kind = "complex_relu"
-    dtype = np.complex128
 
 
 class RealSigmoid(Layer):
+    """Logistic sigmoid on the real view; backward keeps forward's precision."""
+
     kind = "real_sigmoid"
-    dtype = np.float64
 
     def forward(self, x, train=False):
-        s = _sigmoid(_real_view(x, self.dtype))
+        s = _sigmoid(_real_view(x))
         self._cache = s if train else None
-        return _from_real_view(s, self.dtype)
+        return _from_real_view(s, np.iscomplexobj(x))
 
     def backward(self, grad):
         s = self._take_cache()
-        g = _real_view(grad, self.dtype).astype(s.dtype, copy=False)
-        return _from_real_view(g * s * (1 - s), self.dtype)
-
-
-class ComplexSigmoid(RealSigmoid):
-    """Logistic sigmoid on real and imaginary parts independently."""
-
-    kind = "complex_sigmoid"
-    dtype = np.complex128
+        g = _real_view(grad).astype(s.dtype, copy=False)
+        return _from_real_view(g * s * (1 - s), np.iscomplexobj(grad))
 
 
 class Flatten(Layer):
@@ -665,7 +638,6 @@ class ComplexBatchNorm(Layer):
         self.running_mean = np.zeros(channels, dtype=np.complex128)
         # identity covariance start, stored as symmetric (v_rr, v_ri, v_ii)
         self.running_v = np.tile(np.array([1.0, 0.0, 1.0]), (channels, 1))
-        self.grads: dict[str, np.ndarray] = {}
         self._memo = None
 
     def tensor_fault(self, name, a):
@@ -794,7 +766,6 @@ class RealBatchNorm(Layer):
         self.beta = np.zeros(channels)
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.grads: dict[str, np.ndarray] = {}
 
     def tensor_fault(self, name, a):
         fault = super().tensor_fault(name, a)
@@ -880,7 +851,7 @@ class Residual(Layer):
 
 _LAYER_CLASSES = {cls.kind: cls for cls in (
     ComplexConv2d, RealConv2d, ComplexDense, RealDense, ComplexReLU, RealReLU,
-    ComplexSigmoid, RealSigmoid, Flatten, SplitReIm, MergeReIm, RealHeadDense,
+    RealSigmoid, Flatten, SplitReIm, MergeReIm, RealHeadDense,
     ComplexBatchNorm, RealBatchNorm, Residual)}
 
 

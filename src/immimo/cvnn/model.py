@@ -209,8 +209,8 @@ def count_flops(model: Model, input_shape) -> int:
     inference pass, it drops a pending train-mode cache; a frame the net
     cannot take is the ValueError its forward raises.
     """
-    # real: a bare real layer would warn on casting a complex frame, and
-    # complex layers cast a real one exactly
+    # real: layers with complex tensors cast a real frame exactly, ones with
+    # real tensors would warn on casting a complex one; activations keep it
     x = np.zeros((1, *input_shape))
     total = 0
     for layer in _leaf_layers(model.layers):

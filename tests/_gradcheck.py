@@ -14,7 +14,6 @@ from immimo.cvnn.layers import (
     ComplexConv2d,
     ComplexDense,
     ComplexReLU,
-    ComplexSigmoid,
     Flatten,
     MergeReIm,
     RealBatchNorm,
@@ -34,7 +33,6 @@ LAYER_KINDS = (
     "complex_conv2d",
     "complex_dense",
     "complex_relu",
-    "complex_sigmoid",
     "complex_batchnorm",
     "real_head_dense",
     "real_conv2d",
@@ -87,10 +85,9 @@ def make_case(kind: str, loss_name: str, seed: int):
             layers = [RealDense(fin, fout, rng=rng)]
             x = 0.5 * r.normal(size=(b, fin))
             real_width = fout
-    elif kind in ("complex_relu", "complex_sigmoid"):
+    elif kind == "complex_relu":
         fin, fout = int(r.integers(1, 6)), int(r.integers(1, 6))
-        act = ComplexReLU() if kind == "complex_relu" else ComplexSigmoid()
-        layers = [ComplexDense(fin, fout, rng=rng), act]
+        layers = [ComplexDense(fin, fout, rng=rng), ComplexReLU()]
         x = _crand(r, b, fin)
         real_width = 2 * fout
     elif kind in ("real_relu", "real_sigmoid"):

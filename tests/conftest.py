@@ -9,9 +9,15 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from immimo.linalg import Rng
+
+# every property test runs the same examples on every run and keeps no
+# example database; a test module's settings set only max_examples
+settings.register_profile("immimo", deadline=None, derandomize=True, database=None)
+settings.load_profile("immimo")
 
 
 def pytest_sessionstart(session):

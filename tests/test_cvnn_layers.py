@@ -8,7 +8,6 @@ from immimo.cvnn.layers import (
     ComplexConv2d,
     ComplexDense,
     ComplexReLU,
-    ComplexSigmoid,
     Flatten,
     MergeReIm,
     RealBatchNorm,
@@ -31,6 +30,7 @@ from immimo.cvnn.layers import (
 )
 from immimo.cvnn import Adam, Model, layers as layers_module
 from immimo.linalg import Rng
+from immimo.twostage import build_aapd, build_se
 
 from conftest import rel_err
 
@@ -67,19 +67,28 @@ def crandn(np_rng, *shape):
     return np_rng.normal(size=shape) + 1j * np_rng.normal(size=shape)
 
 
-# Componentwise references for the layers that run on the float64 view of
-# complex input; each returns (forward output, input gradient).
+# Componentwise references for the activations, which run on the real view
+# of their input; each returns (forward output, input gradient).
 
-def ref_complex_relu(x, grad):
-    mr, mi = x.real > 0, x.imag > 0
-    return (x.real * mr + 1j * (x.imag * mi),
-            grad.real * mr + 1j * (grad.imag * mi))
+def componentwise(ref):
+    """ref(x, grad) of real arrays, on each part of complex ones."""
+    def split(x, grad):
+        if not np.iscomplexobj(x):
+            return ref(x, grad)
+        (yr, gr), (yi, gi) = ref(x.real, grad.real), ref(x.imag, grad.imag)
+        return yr + 1j * yi, gr + 1j * gi
+    return split
 
 
-def ref_complex_sigmoid(x, grad):
-    sr, si = _sigmoid(x.real), _sigmoid(x.imag)
-    return (sr + 1j * si,
-            grad.real * sr * (1 - sr) + 1j * (grad.imag * si * (1 - si)))
+@componentwise
+def ref_relu(x, grad):
+    return x * (x > 0), grad * (x > 0)
+
+
+@componentwise
+def ref_sigmoid(x, grad):
+    s = _sigmoid(x)
+    return s, grad * s * (1 - s)
 
 
 def ref_head_dense(weight, bias, x, grad):
@@ -435,37 +444,32 @@ class TestActivations:
         x = np.array([[-1.0 + 2.0j, 3.0 - 4.0j, 0.0 + 0.0j]])
         assert np.array_equal(relu.forward(x), [[2.0j, 3.0, 0.0]])
 
-    def test_complex_sigmoid_at_zero(self):
-        sig = ComplexSigmoid()
-        assert sig.forward(np.array([[0.0 + 0.0j]]))[0, 0] == 0.5 + 0.5j
-
-    def test_complex_sigmoid_componentwise(self):
-        sig = ComplexSigmoid()
-        z = np.array([[2.0 - 1.0j]])
-        got = sig.forward(z)[0, 0]
-        s = lambda v: 1 / (1 + np.exp(-v))
-        assert got == pytest.approx(s(2.0) + 1j * s(-1.0))
-
     def test_real_relu_and_sigmoid(self):
         x = np.array([[-2.0, 0.0, 3.0]])
         assert np.array_equal(RealReLU().forward(x), [[0.0, 0.0, 3.0]])
         assert RealSigmoid().forward(np.zeros((1, 1)))[0, 0] == 0.5
 
-    @pytest.mark.parametrize("layer, ref", [(ComplexReLU, ref_complex_relu),
-                                            (ComplexSigmoid, ref_complex_sigmoid)],
-                             ids=["relu", "sigmoid"])
+    @pytest.mark.parametrize("layer, ref", [(ComplexReLU, ref_relu),
+                                            (RealSigmoid, ref_sigmoid),
+                                            (RealReLU, ref_relu)],
+                             ids=["relu", "sigmoid", "real_relu"])
     def test_view_matches_componentwise_reference(self, np_rng, layer, ref):
-        base = edge_crandn(np_rng, 6, 4, 5, 7)
-        for x in non_contiguous_views(base):
-            grad = edge_crandn(np_rng, *x.shape)
-            for g in (grad, np.asfortranarray(grad)):
-                act = layer()
-                y = act.forward(x, train=True)
-                gx = act.backward(g)
-                want_y, want_gx = ref(x, g)
-                assert y.dtype == gx.dtype == np.complex128
-                assert np.array_equal(y, want_y)
-                assert np.array_equal(gx, want_gx)
+        # an activation returns its input's kind and precision, forward and
+        # backward, whatever the memory order of its input and gradient
+        def draw(dtype, *shape):
+            z = edge_crandn(np_rng, *shape)
+            return (z if np.dtype(dtype).kind == "c" else z.real).astype(dtype)
+        for dtype in (np.complex64, np.complex128, np.float32, np.float64):
+            for x in non_contiguous_views(draw(dtype, 6, 4, 5, 7)):
+                grad = draw(dtype, *x.shape)
+                for g in (grad, np.asfortranarray(grad)):
+                    act = layer()
+                    y = act.forward(x, train=True)
+                    gx = act.backward(g)
+                    want_y, want_gx = ref(x, g)
+                    assert y.dtype == gx.dtype == dtype
+                    assert np.array_equal(y, want_y)
+                    assert np.array_equal(gx, want_gx)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sigmoid_equals_the_piecewise_mask_form(self, np_rng, dtype):
@@ -859,14 +863,13 @@ def test_backward_computes_at_the_layers_precision(make, shape, train, np_rng):
     (lambda: RealHeadDense(8, 3, rng=Rng(1)), (4, 4)),
     (lambda: ComplexReLU(), (4, 3)),
     (lambda: RealReLU(), (4, 3)),
-    (lambda: ComplexSigmoid(), (4, 3)),
     (lambda: RealSigmoid(), (4, 3)),
     (lambda: Flatten(), (4, 2, 3, 5)),
     (lambda: ComplexBatchNorm(3), (4, 3, 2, 2)),
     (lambda: RealBatchNorm(3), (4, 3, 2, 2)),
 ], ids=["complex_conv2d", "real_conv2d", "complex_dense", "real_dense",
-        "real_head_dense", "complex_relu", "real_relu", "complex_sigmoid",
-        "real_sigmoid", "flatten", "complex_batchnorm", "real_batchnorm"])
+        "real_head_dense", "complex_relu", "real_relu", "real_sigmoid", "flatten",
+        "complex_batchnorm", "real_batchnorm"])
 def test_backward_needs_a_train_mode_forward(make, shape, np_rng):
     # an infer forward keeps nothing and drops what a train-mode forward
     # kept, and a backward drops what the train-mode forward before it kept
@@ -954,7 +957,6 @@ class TestSpecRoundTrip:
         lambda: SplitReIm(),
         lambda: MergeReIm(),
         lambda: Residual([ComplexDense(2, 2), ComplexReLU()]),
-        lambda: ComplexSigmoid(),
         lambda: RealReLU(),
         # float arguments at other than their defaults, inside a nested list
         lambda: Residual([ComplexBatchNorm(2, eps=1e-3, momentum=0.5)]),
@@ -962,6 +964,17 @@ class TestSpecRoundTrip:
 
     def test_every_kind_covered(self):
         assert {make().kind for make in self.MAKERS} == set(_LAYER_CLASSES)
+
+    def test_every_kind_is_built(self):
+        # a registered kind that no builder makes is code that no net runs
+        def kinds(layers):
+            return set().union(*({layer.kind} | kinds(getattr(layer, "layers", []))
+                                 for layer in layers))
+        built = set()
+        for variant in ("complex", "real"):
+            built |= kinds(build_aapd(2, 4, 4, variant).net.layers)
+            built |= kinds(build_se(1, 4, variant).net.layers)
+        assert built == set(_LAYER_CLASSES)
 
     @pytest.mark.parametrize("make", MAKERS)
     def test_spec_rebuild_preserves_structure(self, make):

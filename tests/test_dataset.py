@@ -265,7 +265,7 @@ class TestDrawBlocks:
     """Frames are drawn in blocks of bounded word count; where a block ends
     must not show in the frames."""
 
-    @settings(max_examples=20, deadline=None, derandomize=True)
+    @settings(max_examples=20)
     @given(split=st.integers(0, 90))
     def test_split_calls_concatenate_to_one_call(self, split):
         cfg = ExperimentConfig(**REFERENCE_SYSTEMS["8x2-csi-rho"])

@@ -333,7 +333,7 @@ class C16Adam:
         for slot, (_, p), (_, g) in zip(self.slots, self.model.param_items(),
                                         self.model.grad_items()):
             assert p.dtype in (np.float64, np.complex128)
-            g = _real_view(g, p.dtype).reshape(-1)
+            g = _real_view(g).reshape(-1)
             p, m, v = (a.view(np.float64).reshape(-1) for a in (p, slot["m"], slot["v"]))
             m *= b1
             m += g * (1 - b1)
@@ -414,7 +414,7 @@ class F64MasterAdam:
             if not p.flags.c_contiguous:
                 raise ValueError(f"parameter {key} is not C-contiguous")
             wide = [a.view(np.float64).reshape(-1) for a in (master, slot["m"], slot["v"])]
-            low, g = (_real_view(a, master.dtype).reshape(-1) for a in (p, g))
+            low, g = (_real_view(a).reshape(-1) for a in (p, g))
             for lo in range(0, wide[0].size, _BLOCK):
                 hi = lo + _BLOCK
                 self._update(*(a[lo:hi] for a in wide), g[lo:hi], c1, c2)

@@ -18,7 +18,7 @@ from immimo.linalg import (
 )
 
 _U64 = st.integers(0, 2**64 - 1)
-_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+_PROPERTY = settings(max_examples=200)
 
 
 class TestRng:

@@ -420,14 +420,6 @@ def per_call_infer_map(bn):
     return a, b, c
 
 
-def issubdtype_precision(a, dtype):
-    """layers._at_precision_of through np.issubdtype."""
-    single = np.asarray(a).dtype in (np.complex64, np.float32)
-    return np.dtype({(True, False): np.complex128, (True, True): np.complex64,
-                     (False, False): np.float64, (False, True): np.float32}[
-        np.issubdtype(dtype, np.complexfloating), single])
-
-
 def precision_nets(name, tmp_path_factory, settle):
     """Seed-built nets at default widths after a checkpoint round trip, at
     checkpoint precision and as a float64 twin, plus 512 frames. With
@@ -490,8 +482,8 @@ class TestCheckpointPrecision:
     def test_memoized_path_equals_the_cache_free_one(self, precision_case, monkeypatch):
         """Probabilities, TACs and bits at batch 1 and 256 equal those of
         the per-call forms: batch-norm coefficients recomputed on every
-        call, windows from sliding_window_view, the precision from
-        np.issubdtype and every chunk concatenated."""
+        call, windows from sliding_window_view and every chunk
+        concatenated."""
         c = precision_case
         y, h = c["data"]["y"], c["data"]["h_est"]
         args = (*c["loaded"], c["table"], c["const"])
@@ -507,7 +499,6 @@ class TestCheckpointPrecision:
         monkeypatch.setattr(layers, "_windows", lambda x, k, pad: (
             np.lib.stride_tricks.sliding_window_view(layers._pad(x, pad), (k, k),
                                                      axis=(2, 3))))
-        monkeypatch.setattr(layers, "_at_precision_of", issubdtype_precision)
         monkeypatch.setattr(twostage, "_joined", np.concatenate)
         want = outputs()
         for g, w in zip(got, want):
