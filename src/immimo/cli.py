@@ -28,11 +28,9 @@ from immimo.dataset import (
     table_for,
     write_dataset,
 )
-from immimo.detectors import classical_detect
 from immimo.files import replace_file
 from immimo.linalg import SingularMatrixError
 from immimo.modulation import QamConstellation
-from immimo.phy import demap_frame
 from immimo.runner import (
     BENCH_COLUMNS,
     BENCH_SCHEMA,
@@ -43,6 +41,7 @@ from immimo.runner import (
     SWEEP_COLUMNS,
     SWEEP_SCHEMA,
     checkpoint_paths,
+    detect,
     load_detector,
     median_latency_ms,
     ml_flops,
@@ -52,7 +51,7 @@ from immimo.runner import (
     somp_flops,
     write_results,
 )
-from immimo.twostage import build_aapd, build_se, detect_frames, train_full
+from immimo.twostage import build_aapd, build_se, train_full
 
 
 def _dataset_path(data_dir: str, snr_db: float, split: str) -> str:
@@ -209,30 +208,17 @@ def cmd_bench(args) -> int:
     se.net.quantize_state()
     # each latency trial detects one frame, as a batch of 1, down to its bits
     items = list(zip(frames["y"][:, None], frames["h_est"][:, None]))
-
-    def classical_bits(method):
-        return lambda it: demap_frame(
-            *classical_detect(*it, table, constellation, method), table, constellation)
-
-    rows = [
-        {"detector": "ml",
-         "params": 0,
-         "flops_per_frame": ml_flops(table, cfg.m, cfg.n_r, cfg.t),
-         "latency_ms_median": median_latency_ms(classical_bits("ml"), items)},
-        {"detector": "somp",
-         "params": 0,
-         "flops_per_frame": somp_flops(cfg.n_t, cfg.n_r, cfg.n_u, cfg.t),
-         "latency_ms_median": median_latency_ms(classical_bits("somp"), items)},
-        {"detector": f"nn-{args.variant}",
-         "params": count_params(aapd.net) + count_params(se.net),
-         "flops_per_frame": count_flops(aapd.net, (1, cfg.n_r, cfg.t))
-                            + count_flops(se.net, (1, cfg.n_u, cfg.t)),
-         "latency_ms_median": median_latency_ms(
-             lambda it: detect_frames(*it, aapd, se, table, constellation),
-             items)},
-    ]
-    for r in rows:
-        r.update({"schema": BENCH_SCHEMA, "trials": LATENCY_TRIALS})
+    nn_flops = (count_flops(aapd.net, (1, cfg.n_r, cfg.t))
+                + count_flops(se.net, (1, cfg.n_u, cfg.t)))
+    rows = []
+    for name, pair, flops in (("ml", None, ml_flops(table, cfg.m, cfg.n_r, cfg.t)),
+                              ("somp", None, somp_flops(cfg.n_t, cfg.n_r, cfg.n_u, cfg.t)),
+                              (f"nn-{args.variant}", (aapd, se), nn_flops)):
+        rows.append({"schema": BENCH_SCHEMA, "detector": name,
+                     "params": sum(count_params(model.net) for model in pair or ()),
+                     "flops_per_frame": flops, "trials": LATENCY_TRIALS,
+                     "latency_ms_median": median_latency_ms(
+                         lambda it: detect(name, pair, *it, table, constellation), items)})
     if args.out is not None:
         write_results(args.out, rows, BENCH_COLUMNS, extra={"command": "bench"})
         print(f"wrote {args.out}")

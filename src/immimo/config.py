@@ -101,6 +101,11 @@ class ExperimentConfig(TrainConfig):
                 raise ConfigError(f"{name} must be <= {_U16_MAX}, got {getattr(self, name)}")
         if not (1 <= self.n_u <= self.n_t):
             raise ConfigError(f"need 1 <= n_u <= n_t, got n_u={self.n_u}, n_t={self.n_t}")
+        # the TAC codebook's cols and patterns: N_L = 2**b1 rows of n_u + n_t 8-byte entries
+        b1 = math.comb(self.n_t, self.n_u).bit_length() - 1
+        if (self.n_u + self.n_t) * 8 << b1 > 2**30:
+            raise ConfigError(f"n_t={self.n_t}, n_u={self.n_u}: the TAC codebook's 2**{b1} "
+                              "codewords need over 2**30 bytes of arrays")
         if self.n_u > self.n_r:
             raise ConfigError(f"need n_u <= n_r for ZF, got n_u={self.n_u}, n_r={self.n_r}")
         if self.tac_preset not in TAC_PRESETS:

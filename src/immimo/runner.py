@@ -1,4 +1,6 @@
-"""Detector evaluation, benchmarking, and result emission for the CLI."""
+"""Detection, evaluation, benchmarking and result emission for the CLI:
+detect is the one path from a detector and a batch of frames to bits, scored
+over datasets by eval and sweep-csi-error and timed on batches of 1 by bench."""
 
 from __future__ import annotations
 
@@ -34,31 +36,36 @@ ML_GUARD_HYPOTHESES = 10_000_000
 LATENCY_TRIALS = 33
 
 
-def _score(data: dict, table: TacTable, tacs, bits_hat, seconds: float) -> dict:
-    """BER and TAC accuracy (phy.tac_accuracy) of detected frames."""
-    return {"frames": len(tacs), "ber": ber(data["bits"], bits_hat),
-            "aap_accuracy": tac_accuracy(tacs, data["g"], table), "wall_time_s": seconds}
+def detect(name: str, pair, y, h_est, table: TacTable, constellation: QamConstellation):
+    """Detect a (B, n_r, t) batch down to its bits: the classical detector
+    `name` (ml or somp; classical_detect, then demap_frame) when `pair` is
+    None, else detect_frames on the (AAPD, SE) `pair`. A single frame is a
+    batch of 1. Returns (bits (B, b), tac_indices (B,))."""
+    if pair is None:
+        tacs, s_hat = classical_detect(y, h_est, table, constellation, name)
+        return demap_frame(tacs, s_hat, table, constellation), tacs
+    return detect_frames(y, h_est, *pair, table, constellation)
+
+
+def _run(name: str, pair, data: dict, table: TacTable, constellation) -> dict:
+    """detect over all frames of `data`, timed, and its BER and TAC accuracy."""
+    t0 = time.monotonic()
+    bits_hat, tacs = detect(name, pair, data["y"], data["h_est"], table, constellation)
+    return {"wall_time_s": time.monotonic() - t0, "frames": len(tacs),
+            "ber": ber(data["bits"], bits_hat),
+            "aap_accuracy": tac_accuracy(tacs, data["g"], table)}
 
 
 def run_classical(method: str, data: dict, table: TacTable,
                   constellation: QamConstellation, threads: int = 1) -> dict:
-    """Evaluate ml or somp over all frames; returns metrics dict.
-
-    `threads` is accepted and ignored: detection runs over the frame axis
-    in one thread.
-    """
-    t0 = time.monotonic()
-    tacs, s_hat = classical_detect(data["y"], data["h_est"], table, constellation, method)
-    bits_hat = demap_frame(tacs, s_hat, table, constellation)
-    return _score(data, table, tacs, bits_hat, time.monotonic() - t0)
+    """Metrics of ml or somp over all frames (`threads` is ignored)."""
+    return _run(method, None, data, table, constellation)
 
 
 def run_nn(aapd: AapdModel, se: SeModel, data: dict, table: TacTable,
            constellation: QamConstellation) -> dict:
-    t0 = time.monotonic()
-    bits_hat, tacs = detect_frames(data["y"], data["h_est"], aapd, se, table,
-                                   constellation)
-    return _score(data, table, tacs, bits_hat, time.monotonic() - t0)
+    """Metrics of the two-stage detector over all frames."""
+    return _run("nn", (aapd, se), data, table, constellation)
 
 
 def checkpoint_paths(ckpt_dir, variant: str, snr_db: float | None):

@@ -47,11 +47,12 @@ from immimo.phy import TacTable, demap_frame, tac_accuracy
 
 
 def _as_input(batch: np.ndarray) -> np.ndarray:
-    """(B, rows, t) -> single-channel (B, 1, rows, t), the nets' layout."""
+    """(B, rows, t) -> single-channel (B, 1, rows, t) view, the nets' layout
+    (no copy: the net's first layer casts it to the net's dtype)."""
     batch = np.asarray(batch)
     if batch.ndim != 3 or len(batch) == 0:
         raise ValueError(f"expected a non-empty (B, rows, t) batch, got {batch.shape}")
-    return batch[:, None, :, :].astype(np.complex128)
+    return batch[:, None, :, :]
 
 
 def _joined(parts: list) -> np.ndarray:

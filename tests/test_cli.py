@@ -11,14 +11,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from immimo import cli
+from immimo import cli, config, runner
 from immimo.cli import main
 from immimo.config import ExperimentConfig, load_config
 from immimo.cvnn import Model, count_flops, count_params
-from immimo.dataset import generate_arrays, read_dataset, table_for
+from immimo.cvnn.layers import _LAYER_CLASSES
+from immimo.dataset import _HEADER, generate_arrays, read_dataset, table_for
 from immimo.modulation import QamConstellation
 from immimo.runner import load_detector, run_classical, run_nn
 from immimo.twostage import build_aapd, build_se
@@ -726,6 +727,149 @@ class TestInputFuzz:
             workspace, name, lambda raw: _rewrite_header(raw, edit)) == 2
 
 
+def _byte_flip(data, lo: int, hi: int):
+    """A damage that XORs one byte in [lo, hi) with a non-zero mask."""
+    def flip(raw):
+        buf = bytearray(raw)
+        buf[data.draw(st.integers(lo, hi - 1), label="byte")] ^= data.draw(
+            st.integers(1, 255), label="mask")
+        return bytes(buf)
+    return flip
+
+
+@pytest.fixture(scope="module")
+def other_seed_test(workspace):
+    """The test split of SMALL_CFG drawn from another seed: its own channel."""
+    out = workspace["root"] / "other_seed"
+    assert main(["gen-data", "--config", str(workspace["cfg"]), "--out", str(out),
+                 "--seed", "4"]) == 0
+    return (out / "snr12_test.imds").read_bytes()
+
+
+class TestFileBytesFuzz:
+    """Damaged .imds/.cvnn bytes through `immimo eval`: an exit code of 0, 2,
+    3 or 4, no temp file, and both result files or neither."""
+
+    def _eval_outcome(self, workspace, name: str, damage) -> int:
+        with tempfile.TemporaryDirectory() as tmp:
+            data, ckpt = Path(tmp, "data"), Path(tmp, "ckpt")
+            data.mkdir()
+            ckpt.mkdir()
+            (data / "snr12_test.imds").write_bytes(
+                (workspace["data"] / "snr12_test.imds").read_bytes())
+            for n in _CKPTS:
+                (ckpt / n).write_bytes((workspace["ckpt"] / n).read_bytes())
+            path = (data if name.endswith(".imds") else ckpt) / name
+            path.write_bytes(damage(path.read_bytes()))
+            code = main(["eval", "--config", str(workspace["cfg"]), "--data", str(data),
+                         "--ckpt", str(ckpt), "--detectors", "somp,nn-complex",
+                         "--out", str(Path(tmp, "x.csv"))])
+            assert code in (0, 2, 3, 4)
+            assert not list(Path(tmp).rglob("*.tmp"))
+            written = [Path(tmp, f"x.{ext}").exists() for ext in ("csv", "json")]
+            assert written == [code == 0] * 2
+            return code
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_flipped_dataset_header_byte(self, workspace, data):
+        # every header field is checked against the config or the file length
+        assert self._eval_outcome(workspace, "snr12_test.imds",
+                                  _byte_flip(data, 0, _HEADER.size)) == 2
+
+    @_FUZZ
+    @given(name=st.sampled_from(_CKPTS), data=st.data())
+    def test_flipped_checkpoint_header_byte(self, workspace, name, data):
+        # magic (4 bytes), version (2), header length (4) and the JSON text
+        (hlen,) = struct.unpack("<I", (workspace["ckpt"] / name).read_bytes()[6:10])
+        self._eval_outcome(workspace, name, _byte_flip(data, 0, 10 + hlen))
+
+    @_FUZZ
+    @given(name=st.sampled_from(("snr12_test.imds",) + _CKPTS),
+           tail=st.binary(min_size=1, max_size=64))
+    def test_appended_bytes(self, workspace, name, tail):
+        assert self._eval_outcome(workspace, name, lambda raw: raw + tail) == 2
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_record_spliced_from_another_seed(self, workspace, other_seed_test, data):
+        def splice(raw):
+            # both files hold SMALL_CFG's test split: one header size, one count
+            header = read_dataset(workspace["data"] / "snr12_test.imds")[0]
+            size = header.record_dtype().itemsize
+            first = len(raw) - header.count * size         # where the records start
+            at, src = (first + size * data.draw(st.integers(0, header.count - 1), label=label)
+                       for label in ("record", "donor"))
+            return raw[:at] + other_seed_test[src:src + size] + raw[at + size:]
+        # the donor's channel is its own seed's
+        assert self._eval_outcome(workspace, "snr12_test.imds", splice) == 2
+
+    @_FUZZ
+    @given(name=st.sampled_from(_CKPTS), layer=st.integers(0, 15), key=st.integers(0, 4),
+           value=st.one_of(st.integers(-2, 9), st.sampled_from((0.0, 0.5, 1.0, 2.5, -1.0)),
+                           st.sampled_from(("", "x", "3", "same", "valid")), st.none(),
+                           st.sampled_from(sorted(_LAYER_CLASSES))))
+    # a ReLU of the other kind runs the same split activation: exit 0
+    @example(name=_CKPTS[0], layer=2, key=0, value="real_relu")
+    def test_edited_layer_spec_value(self, workspace, name, layer, key, value):
+        def specs(layers):
+            for spec in layers:
+                yield spec
+                yield from specs(spec.get("layers", []))
+
+        def edit(header):
+            every = list(specs(header["layers"]))
+            spec = every[layer % len(every)]
+            spec[sorted(spec)[key % len(spec)]] = value
+            return header
+        self._eval_outcome(workspace, name, lambda raw: _rewrite_header(raw, edit))
+
+
+# a tiny valid config (8 frames in all): gen-data writes it in milliseconds
+_FUZZ_BASE = {"n_t": "4", "n_u": "1", "n_r": "2", "t": "4", "m": "4", "snr_db": "12",
+              "frames_train": "4", "frames_val": "2", "frames_test": "2", "seed": "3"}
+# edges of the .imds header's u16 and u64 fields, and of their sums
+_FUZZ_EDGES = ("0", "1", "-1", "65535", "65536", str(2 ** 64 - 1), str(2 ** 64))
+_FUZZ_JUNK = ("nan", "inf", "-inf", "x", "1.5", "1e400", "4,", ",", "", "true")
+# per key, a few valid values; the dimensions and frame counts only tiny ones
+_FUZZ_VALID = {
+    "n_t": ("2", "4", "5"), "n_u": ("1", "2"), "n_r": ("1", "2", "3"), "t": ("1", "4"),
+    "m": ("4", "16"), "frames_train": ("0", "3"), "frames_val": ("0", "1"),
+    "frames_test": ("0", "1"), "snr_db": ("0, 30", "inf", "-5.5"),
+    "rho": ("0.5", "0.99"), "csi_error_var": ("0.01", "1e30"), "seed": ("0", "7"),
+    "tac_preset": ("preset-4x2", "lexicographic"), "detectors": ("ml, nn-real",),
+    "conv_channels": ("1, 1",), "dense_units": ("1, 1",), "se_channels": ("1, 1",),
+    "sweep_error_var": ("0, 0.5",), "threads": ("2",), "n_p": ("8",), "e_p": ("2",),
+    "sigma_z2": ("0.1",), "lr": ("0.5",), "batch": ("2",), "max_epochs": ("1",),
+    "gamma1": ("0.1",), "gamma2": ("0.2",)}
+_FUZZ_UNKNOWN = ("nt", "N_T", "frames", "snr", "pilots", "threads_")
+
+
+class TestConfigTextFuzz:
+    """Config texts with one or two keys edited through `immimo gen-data`: an
+    exit code of 0, 2, 3 or 4, no temp file, and every file written readable."""
+
+    @settings(max_examples=100)
+    @given(keys=st.lists(st.sampled_from(sorted(config._PARSERS) + list(_FUZZ_UNKNOWN)),
+                         min_size=1, max_size=2, unique=True), data=st.data())
+    def test_gen_data_exits_cleanly(self, keys, data):
+        edits = {key: data.draw(st.one_of([st.sampled_from(pool) for pool in (
+            _FUZZ_VALID.get(key), _FUZZ_EDGES, _FUZZ_JUNK) if pool]), label=key)
+            for key in keys}
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp, "x.cfg")
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**_FUZZ_BASE, **edits}.items()))
+            out = Path(tmp, "out")
+            code = main(["gen-data", "--config", str(cfg), "--out", str(out)])
+            assert code in (0, 2, 3, 4)
+            assert not list(Path(tmp).rglob("*.tmp"))
+            written = sorted(out.glob("*.imds")) if out.exists() else []
+            for path in written:
+                read_dataset(path)
+            if code == 0:
+                assert len(written) == 3 * len(load_config(cfg).snr_db)
+
+
 class TestMixed:
     def test_eval_and_sweep_use_mixed_checkpoints(self, tmp_path):
         cfg = tmp_path / "mixed.cfg"
@@ -783,14 +927,14 @@ class TestBench:
         # the tensors of the timed nets are those eval loads; the params and
         # FLOPs columns still count the seed-built nets of SMALL_CFG
         seen = set()
-        real_detect = cli.detect_frames
+        real_detect = runner.detect_frames
 
         def detect(y, h, aapd, se, *rest):
             seen.update(a.dtype.name for net in (aapd.net, se.net)
                         for _, a in net.tensor_items())
             return real_detect(y, h, aapd, se, *rest)
 
-        monkeypatch.setattr(cli, "detect_frames", detect)
+        monkeypatch.setattr(runner, "detect_frames", detect)
         assert main(["bench", "--config", str(workspace["cfg"])]) == 0
         assert seen == {"complex64", "float32"}
         row = [l.split(",") for l in capsys.readouterr().out.splitlines()

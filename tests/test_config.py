@@ -73,6 +73,19 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(n_t=4, n_u=5)
 
+    def test_codebook_past_2_30_bytes_rejected(self):
+        # N_L = 2**27 codewords: gen-data would build them as Python tuples,
+        # so the text is refused before any table exists
+        with pytest.raises(ConfigError, match="n_t=30, n_u=15"):
+            parse_config("n_t = 30\nn_u = 15\nn_r = 15")
+        # 2**22 codewords of 37 entries (1.24 GB) and 2**15 of 65536 (17 GB)
+        for n_t, n_u in ((25, 12), (65535, 1)):
+            with pytest.raises(ConfigError, match=f"n_t={n_t}, n_u={n_u}"):
+                ExperimentConfig(n_t=n_t, n_u=n_u, n_r=n_u)
+        # 2**21 codewords of 36 entries (604 MB), and the one-codeword corner
+        assert ExperimentConfig(n_t=24, n_u=12, n_r=12).n_t == 24
+        assert ExperimentConfig(n_t=65535, n_u=65535, n_r=65535).n_u == 65535
+
     def test_zf_needs_enough_receive_antennas(self):
         with pytest.raises(ConfigError, match="n_u <= n_r"):
             ExperimentConfig(n_t=4, n_u=2, n_r=1)
