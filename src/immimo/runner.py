@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import time
 
@@ -127,15 +128,19 @@ def rows_to_csv(rows: list[dict], columns: list[str]) -> str:
 def write_results(out_path, rows: list[dict], columns: list[str],
                   extra: dict | None = None) -> None:
     """CSV at out_path plus a JSON mirror alongside (.json), each written
-    beside its target and renamed into place."""
+    beside its target and renamed into place. Strict JSON has no Infinity or
+    NaN, so the mirror holds a non-finite float cell (snr_db = inf, the
+    noiseless link) as the text of its CSV cell, "inf"."""
     out_path = str(out_path)
     replace_file(out_path, [rows_to_csv(rows, columns).encode("utf-8")])
-    mirror = {"columns": columns, "rows": rows}
+    cells = [{k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+              for k, v in r.items()} for r in rows]
+    mirror = {"columns": columns, "rows": cells}
     if extra:
         mirror.update(extra)
     json_path = out_path[:-4] + ".json" if out_path.endswith(".csv") else out_path + ".json"
-    replace_file(json_path, [(json.dumps(mirror, indent=1, sort_keys=True) + "\n")
-                             .encode("utf-8")])
+    replace_file(json_path, [(json.dumps(mirror, indent=1, sort_keys=True, allow_nan=False)
+                              + "\n").encode("utf-8")])
 
 
 def somp_flops(n_t: int, n_r: int, n_u: int, t: int) -> int:

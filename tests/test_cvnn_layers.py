@@ -823,25 +823,33 @@ class TestComplexBatchNormMemo:
         assert len(held) == 3 and all(a.shape == (4,) for a in held)
 
 
-@pytest.mark.parametrize("make, shape", [
-    (lambda: ComplexConv2d(2, 3, rng=Rng(1)), (4, 2, 3, 5)),
-    (lambda: RealConv2d(2, 3, rng=Rng(1)), (4, 2, 3, 5)),
-    (lambda: ComplexDense(4, 5, rng=Rng(1)), (4, 4)),
-    (lambda: RealDense(4, 5, rng=Rng(1)), (4, 4)),
-    (lambda: RealHeadDense(8, 3, rng=Rng(1)), (4, 4)),
-    (lambda: ComplexBatchNorm(3), (4, 3, 2, 2)),
-    (lambda: RealBatchNorm(3), (4, 3, 2, 2)),
-    (lambda: RealSigmoid(), (4, 3)),
-], ids=["complex_conv2d", "real_conv2d", "complex_dense", "real_dense",
-        "real_head_dense", "complex_batchnorm", "real_batchnorm", "real_sigmoid"])
+# by layer kind: a maker, an input shape, and whether the input is real
+BACKWARD_CASES = {
+    "complex_conv2d": (lambda: ComplexConv2d(2, 3, rng=Rng(1)), (4, 2, 3, 5), False),
+    "real_conv2d": (lambda: RealConv2d(2, 3, rng=Rng(1)), (4, 2, 3, 5), True),
+    "complex_dense": (lambda: ComplexDense(4, 5, rng=Rng(1)), (4, 4), False),
+    "real_dense": (lambda: RealDense(4, 5, rng=Rng(1)), (4, 4), True),
+    "real_head_dense": (lambda: RealHeadDense(8, 3, rng=Rng(1)), (4, 4), False),
+    "complex_relu": (lambda: ComplexReLU(), (4, 3), False),
+    "real_relu": (lambda: RealReLU(), (4, 3), True),
+    "real_sigmoid": (lambda: RealSigmoid(), (4, 3), True),
+    "flatten": (lambda: Flatten(), (4, 2, 3, 5), False),
+    "complex_batchnorm": (lambda: ComplexBatchNorm(3), (4, 3, 2, 2), False),
+    "real_batchnorm": (lambda: RealBatchNorm(3), (4, 3, 2, 2), True),
+}
+
+
+# the ReLUs and Flatten hold no tensors: their backward keeps the gradient's precision
+@pytest.mark.parametrize("kind", [k for k in BACKWARD_CASES
+                                  if k not in ("complex_relu", "real_relu", "flatten")])
 @pytest.mark.parametrize("train", [True, False], ids=["train", "infer"])
-def test_backward_computes_at_the_layers_precision(make, shape, train, np_rng):
+def test_backward_computes_at_the_layers_precision(kind, train, np_rng):
     # a layer at c8/f4 infers at 32 bits, and handed a 64-bit output
     # gradient after a train-mode forward returns its input gradient and
     # its parameter gradients at 32 bits
+    make, shape, real = BACKWARD_CASES[kind]
     layer = make()
     Model([layer]).quantize_state()
-    real = type(layer) in (RealConv2d, RealDense, RealBatchNorm, RealSigmoid)
     x = np_rng.normal(size=shape) if real else crandn(np_rng, *shape)
     y = layer.forward(x.astype(np.float32 if real else np.complex64), train=train)
     assert y.dtype in (np.float32, np.complex64)
@@ -855,26 +863,13 @@ def test_backward_computes_at_the_layers_precision(make, shape, train, np_rng):
         assert g.dtype == p.dtype and p.dtype in (np.float32, np.complex64), name
 
 
-@pytest.mark.parametrize("make, shape", [
-    (lambda: ComplexConv2d(2, 3, rng=Rng(1)), (4, 2, 3, 5)),
-    (lambda: RealConv2d(2, 3, rng=Rng(1)), (4, 2, 3, 5)),
-    (lambda: ComplexDense(4, 5, rng=Rng(1)), (4, 4)),
-    (lambda: RealDense(4, 5, rng=Rng(1)), (4, 4)),
-    (lambda: RealHeadDense(8, 3, rng=Rng(1)), (4, 4)),
-    (lambda: ComplexReLU(), (4, 3)),
-    (lambda: RealReLU(), (4, 3)),
-    (lambda: RealSigmoid(), (4, 3)),
-    (lambda: Flatten(), (4, 2, 3, 5)),
-    (lambda: ComplexBatchNorm(3), (4, 3, 2, 2)),
-    (lambda: RealBatchNorm(3), (4, 3, 2, 2)),
-], ids=["complex_conv2d", "real_conv2d", "complex_dense", "real_dense",
-        "real_head_dense", "complex_relu", "real_relu", "real_sigmoid", "flatten",
-        "complex_batchnorm", "real_batchnorm"])
-def test_backward_needs_a_train_mode_forward(make, shape, np_rng):
+@pytest.mark.parametrize("kind", BACKWARD_CASES)
+def test_backward_needs_a_train_mode_forward(kind, np_rng):
     # an infer forward keeps nothing and drops what a train-mode forward
     # kept, and a backward drops what the train-mode forward before it kept
+    make, shape, real = BACKWARD_CASES[kind]
     layer = make()
-    real = type(layer) in (RealConv2d, RealDense, RealBatchNorm, RealReLU, RealSigmoid)
+    assert layer.kind == kind
     x = np_rng.normal(size=shape) if real else crandn(np_rng, *shape)
     layer.forward(x, train=True)
     y = layer.forward(x)
@@ -943,27 +938,29 @@ class TestResidual:
 
 
 class TestSpecRoundTrip:
-    MAKERS = [
-        lambda: ComplexConv2d(2, 3, kernel=3, padding="same", rng=Rng(1)),
-        lambda: RealConv2d(1, 2, kernel=1, padding="valid", rng=Rng(1)),
-        lambda: ComplexDense(4, 5, rng=Rng(1)),
-        lambda: RealDense(4, 5, rng=Rng(1)),
-        lambda: RealHeadDense(6, 3, rng=Rng(1)),
-        lambda: ComplexBatchNorm(3),
-        lambda: RealBatchNorm(3),
-        lambda: ComplexReLU(),
-        lambda: RealSigmoid(),
-        lambda: Flatten(),
-        lambda: SplitReIm(),
-        lambda: MergeReIm(),
-        lambda: Residual([ComplexDense(2, 2), ComplexReLU()]),
-        lambda: RealReLU(),
+    # by layer kind; a suffix tells two makers of one kind apart
+    MAKERS = {
+        "complex_conv2d": lambda: ComplexConv2d(2, 3, kernel=3, padding="same", rng=Rng(1)),
+        "real_conv2d": lambda: RealConv2d(1, 2, kernel=1, padding="valid", rng=Rng(1)),
+        "complex_dense": lambda: ComplexDense(4, 5, rng=Rng(1)),
+        "real_dense": lambda: RealDense(4, 5, rng=Rng(1)),
+        "real_head_dense": lambda: RealHeadDense(6, 3, rng=Rng(1)),
+        "complex_batchnorm": lambda: ComplexBatchNorm(3),
+        "real_batchnorm": lambda: RealBatchNorm(3),
+        "complex_relu": lambda: ComplexReLU(),
+        "real_sigmoid": lambda: RealSigmoid(),
+        "flatten": lambda: Flatten(),
+        "split_reim": lambda: SplitReIm(),
+        "merge_reim": lambda: MergeReIm(),
+        "residual_add": lambda: Residual([ComplexDense(2, 2), ComplexReLU()]),
+        "real_relu": lambda: RealReLU(),
         # float arguments at other than their defaults, inside a nested list
-        lambda: Residual([ComplexBatchNorm(2, eps=1e-3, momentum=0.5)]),
-    ]
+        "residual_add-bn-args": lambda: Residual([ComplexBatchNorm(2, eps=1e-3, momentum=0.5)]),
+    }
 
     def test_every_kind_covered(self):
-        assert {make().kind for make in self.MAKERS} == set(_LAYER_CLASSES)
+        assert {make().kind for make in self.MAKERS.values()} == set(_LAYER_CLASSES)
+        assert all(make().kind == key.split("-")[0] for key, make in self.MAKERS.items())
 
     def test_every_kind_is_built(self):
         # a registered kind that no builder makes is code that no net runs
@@ -976,9 +973,9 @@ class TestSpecRoundTrip:
             built |= kinds(build_se(1, 4, variant).net.layers)
         assert built == set(_LAYER_CLASSES)
 
-    @pytest.mark.parametrize("make", MAKERS)
-    def test_spec_rebuild_preserves_structure(self, make):
-        layer = make()
+    @pytest.mark.parametrize("kind", MAKERS)
+    def test_spec_rebuild_preserves_structure(self, kind):
+        layer = self.MAKERS[kind]()
         rebuilt = layer_from_spec(layer.spec())
         assert rebuilt.spec() == layer.spec()
         for (n1, a1), (n2, a2) in zip(layer.param_items(), rebuilt.param_items()):
@@ -987,7 +984,7 @@ class TestSpecRoundTrip:
             assert a1.dtype == a2.dtype
 
     def test_spec_holds_the_constructor_arguments(self):
-        layer = self.MAKERS[-1]()
+        layer = self.MAKERS["residual_add-bn-args"]()
         assert layer.spec() == {"kind": "residual_add", "layers": [
             {"kind": "complex_batchnorm", "channels": 2, "eps": 1e-3, "momentum": 0.5}]}
 

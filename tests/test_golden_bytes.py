@@ -9,14 +9,14 @@ an output format must update the digests in the same change and say why.
 The trained digests depend on floating-point summation order and were taken
 with BLAS pinned to one thread (see conftest.py).
 
-`TRAINED` was re-pinned five times. First, when training got cheaper: the
-conv backward became two GEMMs instead of two einsums (other summation
-order), the
-dense backward stopped copying conj(W), and Adam became one in-place real
-update over the float64 view of every tensor (a complex parameter's parts
-are now divided as reals, where numpy's complex-by-real division rounded
-differently). Both AAPD digests moved;
-the SE digests did not. Only training changed: `DATASETS`, `SEED_BUILT`
+`TRAINED` was re-pinned six times. The changes after the third are told
+beside their entries in `_PREVIOUS`, with the forms they replaced. First,
+when training got cheaper: the conv backward became two GEMMs instead of
+two einsums (other summation order), the dense backward stopped copying
+conj(W), and Adam became one in-place real update over the float64 view
+of every tensor (a complex parameter's parts are now divided as reals,
+where numpy's complex-by-real division rounded differently). Both AAPD
+digests moved; the SE digests did not. Only training changed: `DATASETS`, `SEED_BUILT`
 and `EVAL_METRICS` were not edited, and the old forms stay in the tests
 as references (`einsum_conv_backward` in test_cvnn_layers.py,
 `two_branch_adam_step` in test_cvnn_model.py) that the new ones must
@@ -49,61 +49,10 @@ were not edited. `rows_conv_backward` in test_cvnn_layers.py keeps the old
 backward as a reference: bit for bit on complex128 with more than one
 output channel, within 1e-12 relative elsewhere.
 
-Fourth, when training moved to checkpoint precision: Adam keeps float64
-master weights and hands the net their float32/complex64 roundings, so
-forward and backward run at c8/f4, and every digest moved:
-  complex AAPD e2d64496... -> 5be447fd...,  complex SE 162e0a08... -> d6c04957...
-  real AAPD    ba74f19c... -> aef55706...,  real SE    83de4174... -> 30f752bc...
-Re-runs are byte-identical. `C16Adam` below is the previous optimizer,
-updating a c16/f64 net in place; with it in `train_full`'s place the
-previous digests (`C16_TRAINED`) come back byte for byte, since every
-other change is the identity on a c16 net. Over the golden configuration's
-8 steps the c8 trajectory stays within the tolerance that
-`test_c8_training_tracks_the_c16_reference` states. `DATASETS`,
-`SEED_BUILT` and `EVAL_METRICS` were not edited.
-
-Fifth, when Adam dropped its float64 copies: it updates the net's own
-c8/f4 parameters in place, with c8/f4 moments, in the short form of
-Kingma & Ba (step size and eps bias-corrected, m += (1-b1)(g-m),
-v += (1-b2)(g^2-v)), every operation in float32. The net already
-computed at c8/f4, so only the update's rounding changed, and every
-digest moved:
-  complex AAPD 5be447fd... -> 6059e91e...,  complex SE d6c04957... -> 7a60c88e...
-  real AAPD    aef55706... -> f85fa988...,  real SE    30f752bc... -> eea34684...
-Re-runs are byte-identical. `F64MasterAdam` below is the previous
-optimizer, moved here verbatim; with it in `train_full`'s place the
-previous digests (`F64_MASTER_TRAINED`) come back byte for byte.
-`test_c8_training_tracks_the_c16_reference` holds at its bounds, and
-`two_branch_adam_step` in test_cvnn_model.py is the float64 standard form
-the new update must track within a float32 bound. `DATASETS`,
-`SEED_BUILT`, `EVAL_METRICS` and `C16_TRAINED` were not edited.
-
-Sixth, when the conv backward became convolutions: the input gradient is
-the output gradient convolved with the flipped, conjugated kernel, run by
-the forward's patch-matrix routine, in place of a patch gradient folded by
-col2im, and the weight gradient takes the patches on the left,
-conj(cols @ conj(G)). Both sum in another order, and every digest moved:
-  complex AAPD 6059e91e... -> b06e59fd...,  complex SE 7a60c88e... -> e8a26b1d...
-  real AAPD    f85fa988... -> 5e5dbee0...,  real SE    eea34684... -> f088d791...
-Model.backward also stops at the first layer with parameters, which
-computes no input gradient; that moves no parameter gradient. Re-runs are
-byte-identical. `col2im_conv_backward` below is the previous conv
-backward, moved here verbatim; with it in `_ConvBase.backward`'s place
-the previous digests (`COL2IM_TRAINED`) come back byte for byte, and so
-do `C16_TRAINED` and `F64_MASTER_TRAINED` under their optimizers.
-`rows_conv_backward` in test_cvnn_layers.py is the reference the new
-backward tracks within 1e-14 relative at complex128.
-`test_c8_training_tracks_the_c16_reference` holds at its bounds, and
-`DATASETS`, `SEED_BUILT` and `EVAL_METRICS` were not edited.
-
-Then ComplexBatchNorm's backward took the covariance gradient as one 2x2
-Lyapunov solve (S Z + Z S = W sym(gamma^T sums) W, S = V^(1/2)) in place
-of a quotient rule over the entries of W, and no digest moved.
-`quotient_rule_batchnorm_backward` below is the previous backward, moved
-here; with it in place `TRAINED` holds as well, so the two forms agree bit
-for bit at c8. At c16 they differ by at most about 2.5e-16 relative, which
-moves the complex `C16_TRAINED` digest, so the col2im, C16 and
-float64-master references install it next to `col2im_conv_backward`.
+To re-pin `TRAINED`, put one entry at the front of `_PREVIOUS`: the form
+the change replaces, installed in the new form's place, and the digests
+`TRAINED` held before the change. The chain installs entries 0..k for entry
+k, so every older entry still gives back its digests.
 """
 
 import hashlib
@@ -160,45 +109,6 @@ TRAINED = {
     "real": (
         "5e5dbee09d8879de2cda518bb7651dbe124e1f073af8c0a49363f7372d1ab3e2",
         "f088d7910022c489789f93b61ff7e297b83b51e114a9bb20e36109ed8fdc12c7",
-    ),
-}
-
-# TRAINED while the conv backward folded its patch gradient with col2im;
-# col2im_conv_backward gives it
-COL2IM_TRAINED = {
-    "complex": (
-        "6059e91e00c3132b79dcb1e94117a5bc703768144c72ab2f3f913bc08dcae768",
-        "7a60c88e2192bf65824f7d15d9156585e256065fba1889aba887f41ef98b1b5c",
-    ),
-    "real": (
-        "f85fa9888a34c15087051ddb0290a7b9155c36dbf6655d5ac56a21d7af3ed589",
-        "eea34684db58c5de5b3dc2169cab29f0c54c10ee2d73d289481480caa1c403bf",
-    ),
-}
-
-# TRAINED while Adam kept float64 masters and moments; F64MasterAdam with
-# col2im_conv_backward gives it
-F64_MASTER_TRAINED = {
-    "complex": (
-        "5be447fd05f24a7a702c896d75693dcaaea38c918160ac648997c1645bfb1ede",
-        "d6c04957790d3f45cd6b54be5d83da0c94370204acf53ec08bf65d412504cce0",
-    ),
-    "real": (
-        "aef557060bdec200b9203f8b2388103a092f03b6b741eabdc9384d3cbd6874c3",
-        "30f752bc11b3945feb8f83cfa4507d4d9ea65346f6de3d1470bb03eeec2e1b6a",
-    ),
-}
-
-# TRAINED before training moved to checkpoint precision; C16Adam with
-# col2im_conv_backward gives it
-C16_TRAINED = {
-    "complex": (
-        "e2d6449655519332730b31d531a4cc4945e5e48db9099871224a14c568668ea2",
-        "162e0a08d432cf35762a1e86af59f1c5eac0621f9e6e12a3950cfd35cea630db",
-    ),
-    "real": (
-        "ba74f19c329bea84d0133bcea8633c23b4ff48e3be90fafaf2988745d8a32915",
-        "83de4174c2e6f3b40e7b7f9d394a8fe9e5126044e9a48bc7cc23cbf2e22f2699",
     ),
 }
 
@@ -463,6 +373,105 @@ class F64MasterAdam:
             p[...] = mine
 
 
+# The previous forms, newest first: (name, installs as (target, attribute,
+# replacement) triples, digests by variant). Entry k gives back its digests
+# with entries 0..k installed in that order; a later install on the same
+# target (twostage.Adam) takes the place of an earlier one. The prose calls
+# the digests of col2im-conv, f64-master-adam and c16-adam `COL2IM_TRAINED`,
+# `F64_MASTER_TRAINED` and `C16_TRAINED`.
+_PREVIOUS = [
+    # Then ComplexBatchNorm's backward took the covariance gradient as one 2x2
+    # Lyapunov solve (S Z + Z S = W sym(gamma^T sums) W, S = V^(1/2)) in place
+    # of a quotient rule over the entries of W, and no digest moved.
+    # `quotient_rule_batchnorm_backward` above is the previous backward, moved
+    # here; with it in place `TRAINED` holds as well, so the two forms agree bit
+    # for bit at c8. At c16 they differ by at most about 2.5e-16 relative, which
+    # moves the complex `C16_TRAINED` digest, so the col2im, C16 and
+    # float64-master references install it next to `col2im_conv_backward`.
+    #
+    # the real nets have no complex batch norm
+    ("quotient-rule-bn", [(ComplexBatchNorm, "backward", quotient_rule_batchnorm_backward)],
+     {"complex": TRAINED["complex"]}),
+
+    # Sixth, when the conv backward became convolutions: the input gradient is
+    # the output gradient convolved with the flipped, conjugated kernel, run by
+    # the forward's patch-matrix routine, in place of a patch gradient folded by
+    # col2im, and the weight gradient takes the patches on the left,
+    # conj(cols @ conj(G)). Both sum in another order, and every digest moved:
+    #   complex AAPD 6059e91e... -> b06e59fd...,  complex SE 7a60c88e... -> e8a26b1d...
+    #   real AAPD    f85fa988... -> 5e5dbee0...,  real SE    eea34684... -> f088d791...
+    # Model.backward also stops at the first layer with parameters, which
+    # computes no input gradient; that moves no parameter gradient. Re-runs are
+    # byte-identical. `col2im_conv_backward` above is the previous conv
+    # backward, moved here verbatim; with it in `_ConvBase.backward`'s place
+    # the previous digests (`COL2IM_TRAINED`) come back byte for byte, and so
+    # do `C16_TRAINED` and `F64_MASTER_TRAINED` under their optimizers.
+    # `rows_conv_backward` in test_cvnn_layers.py is the reference the new
+    # backward tracks within 1e-14 relative at complex128.
+    # `test_c8_training_tracks_the_c16_reference` holds at its bounds, and
+    # `DATASETS`, `SEED_BUILT` and `EVAL_METRICS` were not edited.
+    ("col2im-conv", [(_ConvBase, "backward", col2im_conv_backward)], {
+        "complex": (
+            "6059e91e00c3132b79dcb1e94117a5bc703768144c72ab2f3f913bc08dcae768",
+            "7a60c88e2192bf65824f7d15d9156585e256065fba1889aba887f41ef98b1b5c",
+        ),
+        "real": (
+            "f85fa9888a34c15087051ddb0290a7b9155c36dbf6655d5ac56a21d7af3ed589",
+            "eea34684db58c5de5b3dc2169cab29f0c54c10ee2d73d289481480caa1c403bf",
+        ),
+    }),
+
+    # Fifth, when Adam dropped its float64 copies: it updates the net's own
+    # c8/f4 parameters in place, with c8/f4 moments, in the short form of
+    # Kingma & Ba (step size and eps bias-corrected, m += (1-b1)(g-m),
+    # v += (1-b2)(g^2-v)), every operation in float32. The net already
+    # computed at c8/f4, so only the update's rounding changed, and every
+    # digest moved:
+    #   complex AAPD 5be447fd... -> 6059e91e...,  complex SE d6c04957... -> 7a60c88e...
+    #   real AAPD    aef55706... -> f85fa988...,  real SE    30f752bc... -> eea34684...
+    # Re-runs are byte-identical. `F64MasterAdam` above is the previous
+    # optimizer, moved here verbatim; with it in `train_full`'s place the
+    # previous digests (`F64_MASTER_TRAINED`) come back byte for byte.
+    # `test_c8_training_tracks_the_c16_reference` holds at its bounds, and
+    # `two_branch_adam_step` in test_cvnn_model.py is the float64 standard form
+    # the new update must track within a float32 bound. `DATASETS`,
+    # `SEED_BUILT`, `EVAL_METRICS` and `C16_TRAINED` were not edited.
+    ("f64-master-adam", [(twostage, "Adam", F64MasterAdam)], {
+        "complex": (
+            "5be447fd05f24a7a702c896d75693dcaaea38c918160ac648997c1645bfb1ede",
+            "d6c04957790d3f45cd6b54be5d83da0c94370204acf53ec08bf65d412504cce0",
+        ),
+        "real": (
+            "aef557060bdec200b9203f8b2388103a092f03b6b741eabdc9384d3cbd6874c3",
+            "30f752bc11b3945feb8f83cfa4507d4d9ea65346f6de3d1470bb03eeec2e1b6a",
+        ),
+    }),
+
+    # Fourth, when training moved to checkpoint precision: Adam keeps float64
+    # master weights and hands the net their float32/complex64 roundings, so
+    # forward and backward run at c8/f4, and every digest moved:
+    #   complex AAPD e2d64496... -> 5be447fd...,  complex SE 162e0a08... -> d6c04957...
+    #   real AAPD    ba74f19c... -> aef55706...,  real SE    83de4174... -> 30f752bc...
+    # Re-runs are byte-identical. `C16Adam` above is the previous optimizer,
+    # updating a c16/f64 net in place; with it in `train_full`'s place the
+    # previous digests (`C16_TRAINED`) come back byte for byte, since every
+    # other change is the identity on a c16 net. Over the golden configuration's
+    # 8 steps the c8 trajectory stays within the tolerance that
+    # `test_c8_training_tracks_the_c16_reference` states. `DATASETS`,
+    # `SEED_BUILT` and `EVAL_METRICS` were not edited.
+    ("c16-adam", [(twostage, "Adam", C16Adam)], {
+        "complex": (
+            "e2d6449655519332730b31d531a4cc4945e5e48db9099871224a14c568668ea2",
+            "162e0a08d432cf35762a1e86af59f1c5eac0621f9e6e12a3950cfd35cea630db",
+        ),
+        "real": (
+            "ba74f19c329bea84d0133bcea8633c23b4ff48e3be90fafaf2988745d8a32915",
+            "83de4174c2e6f3b40e7b7f9d394a8fe9e5126044e9a48bc7cc23cbf2e22f2699",
+        ),
+    }),
+]
+
+
 def _train_trained_cfg(variant, tmp_path):
     train = generate_arrays(TRAINED_CFG, 15.0, 200, 0)
     val = generate_arrays(TRAINED_CFG, 15.0, 100, 200)
@@ -498,33 +507,14 @@ def test_trained_checkpoint_bytes(variant, tmp_path):
     assert _train_trained_cfg(variant, tmp_path) == TRAINED[variant]
 
 
-def test_quotient_rule_reference_gives_the_same_digests(tmp_path, monkeypatch):
-    # the real nets have no complex batch norm
-    monkeypatch.setattr(ComplexBatchNorm, "backward", quotient_rule_batchnorm_backward)
-    assert _train_trained_cfg("complex", tmp_path) == TRAINED["complex"]
-
-
-@pytest.mark.parametrize("variant", ["complex", "real"])
-def test_col2im_reference_gives_the_previous_digests(variant, tmp_path, monkeypatch):
-    monkeypatch.setattr(_ConvBase, "backward", col2im_conv_backward)
-    monkeypatch.setattr(ComplexBatchNorm, "backward", quotient_rule_batchnorm_backward)
-    assert _train_trained_cfg(variant, tmp_path) == COL2IM_TRAINED[variant]
-
-
-@pytest.mark.parametrize("variant", ["complex", "real"])
-def test_c16_reference_gives_the_previous_digests(variant, tmp_path, monkeypatch):
-    monkeypatch.setattr(twostage, "Adam", C16Adam)
-    monkeypatch.setattr(_ConvBase, "backward", col2im_conv_backward)
-    monkeypatch.setattr(ComplexBatchNorm, "backward", quotient_rule_batchnorm_backward)
-    assert _train_trained_cfg(variant, tmp_path) == C16_TRAINED[variant]
-
-
-@pytest.mark.parametrize("variant", ["complex", "real"])
-def test_f64_master_reference_gives_the_previous_digests(variant, tmp_path, monkeypatch):
-    monkeypatch.setattr(twostage, "Adam", F64MasterAdam)
-    monkeypatch.setattr(_ConvBase, "backward", col2im_conv_backward)
-    monkeypatch.setattr(ComplexBatchNorm, "backward", quotient_rule_batchnorm_backward)
-    assert _train_trained_cfg(variant, tmp_path) == F64_MASTER_TRAINED[variant]
+@pytest.mark.parametrize("k, variant", [
+    pytest.param(k, variant, id=f"{name}-{variant}")
+    for k, (name, _, digests) in enumerate(_PREVIOUS) for variant in digests])
+def test_previous_form_gives_its_digests(k, variant, tmp_path, monkeypatch):
+    for _, installs, _ in _PREVIOUS[:k + 1]:
+        for target, attribute, replacement in installs:
+            monkeypatch.setattr(target, attribute, replacement)
+    assert _train_trained_cfg(variant, tmp_path) == _PREVIOUS[k][2][variant]
 
 
 @pytest.mark.parametrize("variant", ["complex", "real"])
